@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
-    KernelRegime,
     MeasurementOutcome,
+    _require_width,
     convolution_kernel,
     envelope,
     regime_for,
@@ -71,8 +71,7 @@ def kernel_profile(
     sigma_a: float, p4: float, window: tuple[float, float], num: int = 1001
 ) -> KernelProfile:
     """Convolution kernel k(u) = exp(i*sqrt(2)*p4*u) exp(-(u/(2 sigma_a))^2)."""
-    if sigma_a <= 0:
-        raise ValueError("sigma_a must be positive")
+    _require_width("sigma_a", sigma_a)
     u = np.linspace(window[0], window[1], num)
     return KernelProfile(u, convolution_kernel(sigma_a, p4, u))
 
@@ -81,8 +80,7 @@ def envelope_profile(
     sigma_b: float, x3: float, window: tuple[float, float], num: int = 1001
 ) -> EnvelopeProfile:
     """Multiplication envelope exp(-((x - sqrt(2)*x3)/sigma_b)^2)."""
-    if sigma_b <= 0:
-        raise ValueError("sigma_b must be positive")
+    _require_width("sigma_b", sigma_b)
     x = np.linspace(window[0], window[1], num)
     return EnvelopeProfile(x, envelope(sigma_b, x3, x))
 
@@ -119,10 +117,10 @@ class ScenarioResult:
     x3: float | None
     p4: float | None
     fidelity: float
-    l2_distortion: float
-    input_moments: MomentSummary | None
-    output_moments: MomentSummary | None
-    output: SampledWaveFunction | None
+    l2_distortion: float | None
+    input_moments: MomentSummary | None = None
+    output_moments: MomentSummary | None = None
+    output: SampledWaveFunction | None = None
     error: str | None = None
 
     @property
@@ -143,10 +141,6 @@ class FidelityReport:
     @property
     def any_failed(self) -> bool:
         return any(row.failed for row in self.rows)
-
-
-def _regime_name(regime: KernelRegime) -> str:
-    return type(regime).__name__
 
 
 def run_sweep(
@@ -185,16 +179,13 @@ def _run_one(
     regime = regime_for(params)
     row = ScenarioResult(
         label=scenario.label,
-        regime=_regime_name(regime),
+        regime=type(regime).__name__,
         sigma_a=params.sigma_a,
         sigma_b=params.sigma_b,
         x3=None,
         p4=None,
         fidelity=float("nan"),
         l2_distortion=float("nan"),
-        input_moments=None,
-        output_moments=None,
-        output=None,
     )
     try:
         state = (

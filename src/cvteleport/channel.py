@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import (
     GridTooNarrowError,
@@ -184,7 +183,7 @@ def _teleport_convolution(
 def convolve_sampled_kernel(
     psi: SampledWaveFunction, sigma_a: float, p4: float
 ) -> SampledWaveFunction:
-    """Direct FFT convolution with the kernel sampled on the grid.
+    """Direct convolution with the kernel sampled on the grid.
 
     Equivalent to the spectral route whenever the kernel is resolved
     (sigma_a a few grid steps or more); kept as the cross-check path.
@@ -192,7 +191,7 @@ def convolve_sampled_kernel(
     g = psi.grid
     u = (np.arange(2 * g.n - 1) - (g.n - 1)) * g.dx
     kernel = convolution_kernel(sigma_a, p4, u)
-    full = fftconvolve(psi.amplitudes, kernel)
+    full = np.convolve(psi.amplitudes, kernel)
     return _finish(g, full[g.n - 1 : 2 * g.n - 1] * g.dx)
 
 
@@ -464,6 +463,14 @@ class _PairCorrelation:
         self.s_weight = 2.0 * h * stride
 
 
+def _p4_density(G, d_values, lam_d: float, p4_values) -> np.ndarray:
+    """max(0, Re sum_d G(d) exp(-lam_d*d^2) exp(-i*sqrt(2)*d*p4)): the p4 density."""
+    phase = np.exp(-lam_d * d_values**2)[:, None] * np.exp(
+        -1j * _SQRT2 * np.multiply.outer(d_values, p4_values)
+    )
+    return np.clip(np.real(G @ phase), 0.0, None)
+
+
 def build_outcome_distribution(
     psi: SampledWaveFunction,
     params: SqueezingParams,
@@ -494,11 +501,7 @@ def build_outcome_distribution(
         -lam_s * (pair.s_values[None, :] - 2.0 * _SQRT2 * x3_values[:, None]) ** 2
     )
     G = (env @ pair.table.T) * pair.s_weight  # (n_x3, n_d)
-    phase = np.exp(-lam_d * pair.d_values**2)[:, None] * np.exp(
-        -1j * _SQRT2 * np.multiply.outer(pair.d_values, p4_values)
-    )
-    density = np.real(G @ phase)
-    np.clip(density, 0.0, None, out=density)
+    density = _p4_density(G, pair.d_values, lam_d, p4_values)
     total = density.sum() * x3_step * p4_step
     if total <= 0.0:
         raise ZeroNormError("outcome density vanished on the outcome grid")
@@ -555,10 +558,7 @@ def _sample_marginal_p4(psi, sigma_a, rng, count, n_cells: int = 1025):
     lam_d = 1.0 / (8.0 * sigma_a**2)
     pair = _PairCorrelation(psi, lam_d)
     G = pair.table.sum(axis=1) * pair.s_weight  # correlation vs difference
-    phase = np.exp(-lam_d * pair.d_values**2)[:, None] * np.exp(
-        -1j * _SQRT2 * np.multiply.outer(pair.d_values, values)
-    )
-    density = np.clip(np.real(G @ phase), 0.0, None)
+    density = _p4_density(G, pair.d_values, lam_d, values)
     idx = _sample_cells(density, rng, count)
     return values[idx] + (rng.random(count) - 0.5) * step
 

@@ -15,14 +15,20 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
-from .analysis import envelope_profile, kernel_profile
 from .config import parse_config, parse_grid
 from .errors import TeleportError
 from .grid import moments
-from .runner import EXIT_CONFIG_ERROR, resolve_input_path, run
-from .signals import atomic_write_text, load_signal
+from .runner import (
+    EXIT_CONFIG_ERROR,
+    resolve_input_path,
+    run,
+    write_envelope_profile,
+    write_kernel_profile,
+)
+from .signals import load_signal
 
 DEFAULT_GRID = "-256:256:1024"
 
@@ -52,11 +58,25 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(merged, namespace)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _width(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"width must be positive: {text!r}")
+    return value
+
+
 def _parse_window(text: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("window must be A:B")
-    return float(parts[0]), float(parts[1])
+    return _finite(parts[0]), _finite(parts[1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,14 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--grid", help="override the default grid (xmin:xmax:n)")
 
     p_kernel = sub.add_parser("kernel", help="emit a convolution kernel profile")
-    p_kernel.add_argument("--sigma-a", type=float, required=True)
-    p_kernel.add_argument("--p4", type=float, required=True)
+    p_kernel.add_argument("--sigma-a", type=_width, required=True)
+    p_kernel.add_argument("--p4", type=_finite, required=True)
     p_kernel.add_argument("--window", type=_parse_window, required=True)
     p_kernel.add_argument("-o", "--output", required=True)
 
     p_env = sub.add_parser("envelope", help="emit a multiplication envelope profile")
-    p_env.add_argument("--sigma-b", type=float, required=True)
-    p_env.add_argument("--x3", type=float, required=True)
+    p_env.add_argument("--sigma-b", type=_width, required=True)
+    p_env.add_argument("--x3", type=_finite, required=True)
     p_env.add_argument("--window", type=_parse_window, required=True)
     p_env.add_argument("-o", "--output", required=True)
 
@@ -112,19 +132,10 @@ def _dispatch(args) -> int:
             config.grid = parse_grid(args.grid)
         return run(config)
     if args.command == "kernel":
-        prof = kernel_profile(args.sigma_a, args.p4, args.window)
-        lines = ["u,real,imag"] + [
-            f"{float(u)!r},{float(re)!r},{float(im)!r}"
-            for u, re, im in zip(prof.u, prof.real, prof.imag)
-        ]
-        atomic_write_text(args.output, "\n".join(lines) + "\n")
+        write_kernel_profile(args.output, args.sigma_a, args.p4, args.window)
         return 0
     if args.command == "envelope":
-        prof = envelope_profile(args.sigma_b, args.x3, args.window)
-        lines = ["x,value"] + [
-            f"{float(x)!r},{float(v)!r}" for x, v in zip(prof.x, prof.values)
-        ]
-        atomic_write_text(args.output, "\n".join(lines) + "\n")
+        write_envelope_profile(args.output, args.sigma_b, args.x3, args.window)
         return 0
     if args.command == "info":
         grid = parse_grid(args.grid or DEFAULT_GRID)

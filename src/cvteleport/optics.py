@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     GridMismatchError,
@@ -141,22 +140,25 @@ def beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeState:
         raise GridMismatchError("beam splitter needs identical grids on both modes")
     g = state.grid_a
     xs = g.points
-    interp_re = RegularGridInterpolator(
-        (xs, xs), state.amplitudes.real, method="linear",
-        bounds_error=False, fill_value=0.0,
-    )
-    interp_im = RegularGridInterpolator(
-        (xs, xs), state.amplitudes.imag, method="linear",
-        bounds_error=False, fill_value=0.0,
-    )
     Y1, Y2 = np.meshgrid(xs, xs, indexing="ij")
     if inverse:
-        coords = np.stack([(Y1 - Y2) / _SQRT2, (Y1 + Y2) / _SQRT2], axis=-1)
+        a, b = (Y1 - Y2) / _SQRT2, (Y1 + Y2) / _SQRT2
     else:
-        coords = np.stack([(Y2 + Y1) / _SQRT2, (Y2 - Y1) / _SQRT2], axis=-1)
-    flat = coords.reshape(-1, 2)
-    amps = (interp_re(flat) + 1j * interp_im(flat)).reshape(g.n, g.n)
-    return TwoModeState(g, g, amps)
+        a, b = (Y2 + Y1) / _SQRT2, (Y2 - Y1) / _SQRT2
+    return TwoModeState(g, g, _bilinear(state.amplitudes, xs, a, b))
+
+
+def _bilinear(values: np.ndarray, xs: np.ndarray, a, b) -> np.ndarray:
+    """Bilinear lookup of ``values`` on the lattice xs x xs at (a, b); zero outside."""
+    dx = xs[1] - xs[0]
+    ia = np.clip(np.floor((a - xs[0]) / dx).astype(np.intp), 0, xs.size - 2)
+    ib = np.clip(np.floor((b - xs[0]) / dx).astype(np.intp), 0, xs.size - 2)
+    ta = (a - xs[ia]) / dx
+    tb = (b - xs[ib]) / dx
+    lo = (1.0 - tb) * values[ia, ib] + tb * values[ia, ib + 1]
+    hi = (1.0 - tb) * values[ia + 1, ib] + tb * values[ia + 1, ib + 1]
+    inside = (a >= xs[0]) & (a <= xs[-1]) & (b >= xs[0]) & (b <= xs[-1])
+    return np.where(inside, (1.0 - ta) * lo + ta * hi, 0.0)
 
 
 def squeezed_vacuum(sigma: float, grid: GridSpec) -> SampledWaveFunction:

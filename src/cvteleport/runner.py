@@ -12,6 +12,7 @@ from .analysis import (
     FidelityReport,
     SampleWithSeed,
     Scenario,
+    ScenarioResult,
     envelope_profile,
     kernel_profile,
     run_sweep,
@@ -81,21 +82,28 @@ def _fmt(value) -> str:
 
 
 def write_report(path, report: FidelityReport) -> None:
-    lines = [REPORT_HEADER]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.label,
-                    _fmt(row.sigma_a),
-                    _fmt(row.sigma_b),
-                    _fmt(row.x3),
-                    _fmt(row.p4),
-                    _fmt(row.fidelity),
-                    _fmt(row.l2_distortion),
-                ]
-            )
-        )
+    """Each report column is the ScenarioResult attribute that its header names."""
+    fields = REPORT_HEADER.split(",")
+    lines = [REPORT_HEADER] + [
+        ",".join(_fmt(getattr(row, name)) for name in fields) for row in report.rows
+    ]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_kernel_profile(path, sigma_a: float, p4: float, window) -> None:
+    prof = kernel_profile(sigma_a, p4, window)
+    lines = ["u,real,imag"] + [
+        f"{float(u)!r},{float(re)!r},{float(im)!r}"
+        for u, re, im in zip(prof.u, prof.real, prof.imag)
+    ]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_envelope_profile(path, sigma_b: float, x3: float, window) -> None:
+    prof = envelope_profile(sigma_b, x3, window)
+    lines = ["x,value"] + [
+        f"{float(x)!r},{float(v)!r}" for x, v in zip(prof.x, prof.values)
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -104,20 +112,11 @@ def _write_profiles(
 ) -> None:
     if not spec.params.a_is_ideal and p4 is not None:
         sa = spec.params.sigma_a
-        prof = kernel_profile(sa, p4, (-12.0 * sa, 12.0 * sa))
-        lines = ["u,real,imag"] + [
-            f"{float(u)!r},{float(re)!r},{float(im)!r}"
-            for u, re, im in zip(prof.u, prof.real, prof.imag)
-        ]
-        atomic_write_text(out_dir / f"{spec.label}_kernel.csv", "\n".join(lines) + "\n")
+        window_a = (-12.0 * sa, 12.0 * sa)
+        write_kernel_profile(out_dir / f"{spec.label}_kernel.csv", sa, p4, window_a)
     if not spec.params.b_is_ideal and x3 is not None:
-        prof = envelope_profile(spec.params.sigma_b, x3, window)
-        lines = ["x,value"] + [
-            f"{float(x)!r},{float(v)!r}" for x, v in zip(prof.x, prof.values)
-        ]
-        atomic_write_text(
-            out_dir / f"{spec.label}_envelope.csv", "\n".join(lines) + "\n"
-        )
+        sb = spec.params.sigma_b
+        write_envelope_profile(out_dir / f"{spec.label}_envelope.csv", sb, x3, window)
 
 
 def _build_scenarios(config: RunConfig) -> list[Scenario]:
@@ -195,17 +194,26 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
                 "for image inputs"
             )
     asset = load_image(input_path)
-    failures = 0
     rows = []
     for spec in config.scenarios:
         regime = regime_for(spec.params)
         outcome = MeasurementOutcome(spec.x3, spec.p4)
+        row = ScenarioResult(
+            label=spec.label,
+            regime=type(regime).__name__,
+            sigma_a=spec.sigma_a,
+            sigma_b=spec.sigma_b,
+            x3=float(spec.x3),
+            p4=float(spec.p4),
+            fidelity=float("nan"),
+            l2_distortion=None,
+        )
+        rows.append(row)
         try:
             result = teleport_image(asset, regime, outcome, config.image_mode)
         except TeleportError as exc:
             log.error("scenario %s failed: %s", spec.label, exc)
-            failures += 1
-            rows.append((spec, None, None))
+            row.error = f"{type(exc).__name__}: {exc}"
             continue
         save_image(out_dir / f"{spec.label}.pgm", result.display)
         raw_lines = [
@@ -215,23 +223,9 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
             out_dir / f"{spec.label}_intensity.txt", "\n".join(raw_lines) + "\n"
         )
         valid = result.column_fidelities[~np.isnan(result.column_fidelities)]
-        mean_fid = float(valid.mean()) if valid.size else float("nan")
-        rows.append((spec, mean_fid, result))
+        if valid.size:
+            row.fidelity = float(valid.mean())
         _write_profiles(out_dir, spec, spec.x3, spec.p4, (0.0, float(asset.height)))
-    lines = [REPORT_HEADER]
-    for spec, mean_fid, _ in rows:
-        lines.append(
-            ",".join(
-                [
-                    spec.label,
-                    _fmt(spec.sigma_a),
-                    _fmt(spec.sigma_b),
-                    _fmt(float(spec.x3)),
-                    _fmt(float(spec.p4)),
-                    _fmt(mean_fid if mean_fid is not None else float("nan")),
-                    "",
-                ]
-            )
-        )
-    atomic_write_text(out_dir / "report.csv", "\n".join(lines) + "\n")
-    return EXIT_PARTIAL_FAILURE if failures else EXIT_OK
+    report = FidelityReport(rows=rows)
+    write_report(out_dir / "report.csv", report)
+    return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK

@@ -11,12 +11,12 @@ exact at double precision; momentum-space emissions add a
 from __future__ import annotations
 
 import logging
+import math
 import os
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import GridTooNarrowError, NonUniformSpacingError, ParseError
 from .grid import GridSpec, SampledWaveFunction, place_samples
@@ -113,6 +113,7 @@ def save_signal(path, psi: SampledWaveFunction, representation: str = "x") -> No
 
 
 def _edge(x, a, b, w):
+    erf = np.vectorize(math.erf, otypes=[float])
     return 0.5 * (erf((x - a) / w) - erf((x - b) / w))
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,11 +107,32 @@ def test_cli_run_is_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def test_cli_exit_codes(tmp_path):
+_INVALID_PROFILE_ARGS = [
+    ["kernel", "--sigma-a", "nan", "--p4", "1", "--window", "-3:3"],
+    ["kernel", "--sigma-a", "0", "--p4", "1", "--window", "-3:3"],
+    ["kernel", "--sigma-a", "-0.5", "--p4", "1", "--window", "-3:3"],
+    ["kernel", "--sigma-a", "inf", "--p4", "1", "--window", "-3:3"],
+    ["kernel", "--sigma-a", "0.5", "--p4", "nan", "--window", "-3:3"],
+    ["kernel", "--sigma-a", "0.5", "--p4", "1", "--window", "1:inf"],
+    ["envelope", "--sigma-b", "0", "--x3", "1", "--window", "0:100"],
+    ["envelope", "--sigma-b", "280", "--x3", "nan", "--window", "0:100"],
+    ["envelope", "--sigma-b", "280", "--x3", "1", "--window", "nan:100"],
+    ["envelope", "--sigma-b", "280", "--x3", "1", "--window", "1:inf"],
+]
+
+
+def test_cli_exit_codes(tmp_path, capsys):
     # config failure -> 1
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
     # usage failure -> 1
     assert main(["kernel", "--sigma-a", "0.5"]) == 1
+    # non-finite or non-positive profile numbers are usage failures too
+    target = tmp_path / "profile.csv"
+    for argv in _INVALID_PROFILE_ARGS:
+        capsys.readouterr()
+        assert main(argv + ["-o", str(target)]) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+        assert not target.exists(), argv
     # partial scenario failure -> 2, report still written
     out = tmp_path / "out"
     text = BASE.format(out=out) + (
@@ -202,10 +228,19 @@ def test_cli_image_run(tmp_path):
     text = (
         f"input = {img_path}\noutput_dir = {out}\n\n"
         "[scenario]\nlabel = ideal\nsigma_a = ideal\nsigma_b = ideal\nx3 = 0\np4 = 0\n\n"
-        "[scenario]\nlabel = blur\nsigma_a = 1.2\nsigma_b = ideal\nx3 = 0\np4 = 0.4\n"
+        "[scenario]\nlabel = blur\nsigma_a = 1.2\nsigma_b = ideal\nx3 = 0\np4 = 0.4\n\n"
+        "[scenario]\nlabel = spill\nsigma_a = 20\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
     )
     path = write_config(tmp_path, text, "img.cfg")
-    assert main(["run", str(path)]) == 0
+    # the wide kernel spills mass into the edge bins: that scenario fails
+    assert main(["run", str(path)]) == 2
+    assert (out / "report.csv").read_text().splitlines() == [
+        "label,sigma_a,sigma_b,x3,p4,fidelity,l2_distortion",
+        "ideal,ideal,ideal,0.0,0.0,1.0,",
+        "blur,1.2,ideal,0.0,0.4,0.9212757265143382,",
+        "spill,20.0,ideal,0.0,0.0,nan,",
+    ]
+    assert not (out / "spill.pgm").exists()
     assert (out / "ideal.pgm").exists()
     assert (out / "blur.pgm").exists()
     assert (out / "blur_intensity.txt").exists()
@@ -216,7 +251,6 @@ def test_cli_image_run(tmp_path):
 
 
 def test_shipped_scenario_config_reproduces_frozen_fidelities(tmp_path, monkeypatch):
-    from pathlib import Path
     from test_acceptance import FROZEN_FIDELITIES
 
     shipped = Path(__file__).resolve().parent.parent / "configs" / "reference_scenarios.cfg"
@@ -242,3 +276,24 @@ def test_cli_image_rejects_sampling(tmp_path):
     )
     path = write_config(tmp_path, text, "img.cfg")
     assert main(["run", str(path)]) == 1
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a full run must not pull in scipy
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, BASE.format(out=out))
+    code = (
+        "import sys\n"
+        "from cvteleport.cli import main\n"
+        f"assert main(['run', {str(cfg)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (out / "report.csv").exists()

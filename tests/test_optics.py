@@ -130,6 +130,61 @@ def test_beam_splitter_inverse_round_trip():
     assert err < 5e-3
 
 
+_PROBES = [(64, 64), (70, 58), (50, 80), (90, 40), (0, 0)]
+
+# Reference values from the interpolator-based implementation that preceded
+# the numpy bilinear lookup: (norm, amplitudes at _PROBES).
+_BS_FORWARD = (
+    0.9986767268678173,
+    [
+        0.30873065368318414,
+        0.2864441270396132 + 0.09420694174787031j,
+        0.008921666280428007 - 0.007318536108911202j,
+        0.0002475434457346309 + 0.001745783162817424j,
+        0.0,
+    ],
+)
+_BS_INVERSE = (
+    0.9986767268679316,
+    [
+        0.30873065368318414,
+        0.3093581642360697 + 0.22857103787887012j,
+        -0.0013022405697001595 - 0.018505820426127143j,
+        -0.022848903627112754 + 0.013871569968097382j,
+        0.0,
+    ],
+)
+
+
+@pytest.mark.parametrize("inverse,expected", [(False, _BS_FORWARD), (True, _BS_INVERSE)])
+def test_beam_splitter_pinned_values(inverse, expected):
+    g = GridSpec(-8.0, 0.125, 128)
+    state = product_state(
+        gaussian_packet(g, 1.0, 1.5, 0.6), gaussian_packet(g, -0.5, 1.2, -0.3)
+    )
+    out = beam_splitter(state, inverse=inverse)
+    norm, probes = expected
+    assert abs(out.norm() - norm) < 1e-12
+    got = np.array([out.amplitudes[i, j] for i, j in _PROBES])
+    assert np.max(np.abs(got - np.array(probes))) < 1e-12
+
+
+def test_epr_from_beam_splitter_pinned_values():
+    g = GridSpec(-12.0, 0.1875, 128)
+    built = epr_from_beam_splitter(SqueezingParams(1.0, 1.5), g)
+    probes = [(64, 64), (60, 70), (70, 58), (50, 75), (64, 20)]
+    expected = [
+        0.4616151876570709,
+        0.18854572412946818,
+        0.13107831179923238,
+        0.0019072834460348925,
+        1.0322750381407406e-11,
+    ]
+    got = np.array([built.amplitudes[i, j] for i, j in probes])
+    assert abs(built.norm() - 1.0) < 1e-12
+    assert np.max(np.abs(got - np.array(expected))) < 1e-12
+
+
 _EQUIVALENCE_PAIRS = [(0.9, 1.2), (2.1, 1.8), (1.0, 1.5), (1.6, 1.1), (2.0, 1.0)]
 
 

@@ -167,3 +167,20 @@ def test_probable_band_coverage_strong_squeezing(packet):
     sigma_a = 1 / 180.0
     x3, p4 = sample_outcomes(packet, SqueezingParams(sigma_a, IDEAL), 11, 50_000)
     assert np.mean(np.abs(p4) <= 1.0 / sigma_a) >= 0.95
+
+
+def test_seeded_draws_are_frozen(packet):
+    # Values recorded before the outcome-density code was refactored; any
+    # change to the tabulated density or to the sampler shows up here.
+    x3, p4 = sample_outcomes(packet, SqueezingParams(0.4, 2.5), seed=7, count=4)
+    assert x3.tolist() == [
+        0.8912376438701297, 1.8761711822860867, 1.3079869089671898, -0.1849225255761894
+    ]
+    assert p4.tolist() == [
+        -0.41664545246061274, 0.2857098466231387, 0.6129343667250595, -0.44147508724690776
+    ]
+    x3, p4 = sample_outcomes(packet, SqueezingParams(0.4, IDEAL), seed=7, count=4)
+    assert x3.tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert p4.tolist() == [
+        0.31862280021841344, 1.288435478396001, 0.7668925648324717, -0.7570665159352675
+    ]

@@ -12,7 +12,12 @@ from cvteleport import (
     save_signal,
     to_momentum,
 )
-from cvteleport.signals import load_bundled_silhouette, parse_signal_text
+from cvteleport.signals import (
+    bundled_silhouette_path,
+    load_bundled_silhouette,
+    parse_signal_text,
+    write_silhouette_asset,
+)
 
 from conftest import rel_l2
 
@@ -123,3 +128,13 @@ def test_bundled_silhouette_moments_against_direct_quadrature():
     assert std_x == pytest.approx(SILHOUETTE_STD_X, abs=1e-9)
     assert std_p == pytest.approx(SILHOUETTE_STD_P, abs=1e-9)
     assert abs(mean_p) < 1e-6
+
+
+def test_silhouette_generator_reproduces_bundled_asset(tmp_path):
+    bundled = bundled_silhouette_path()
+    pos, amps = parse_signal_text(bundled.read_text(), path=str(bundled))
+    regenerated = tmp_path / "silhouette.txt"
+    write_silhouette_asset(regenerated)
+    pos2, amps2 = parse_signal_text(regenerated.read_text())
+    assert np.array_equal(pos, pos2)
+    assert np.max(np.abs(amps2 - amps)) <= 1e-15
