@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,27 +144,19 @@ class FidelityReport:
 def run_sweep(
     scenarios: list[Scenario],
     input_state: SampledWaveFunction,
-    max_workers: int | None = None,
     enforce_span_rule: bool = False,
 ) -> FidelityReport:
-    """Teleport the input through every scenario and assemble the report.
+    """Teleport the input through every scenario, in order, and assemble the report.
 
     Scenario failures (ZeroNorm, GridTooNarrow, ...) are recorded per row and
-    do not abort the sweep.  Rows come back in scenario order regardless of
-    worker scheduling; identical seeds give identical reports.
+    do not abort the sweep.  Identical seeds give identical reports.
     """
     if not scenarios:
         raise EmptyScenarioListError("no scenarios to run")
     labels = [s.label for s in scenarios]
     if len(set(labels)) != len(labels):
         raise ValueError("scenario labels must be unique within a sweep")
-    if max_workers is None:
-        max_workers = min(len(scenarios), os.cpu_count() or 1)
-    max_workers = max(1, max_workers)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(
-            pool.map(lambda s: _run_one(s, input_state, enforce_span_rule), scenarios)
-        )
+    rows = [_run_one(s, input_state, enforce_span_rule) for s in scenarios]
     return FidelityReport(rows=rows)
 
 

@@ -12,6 +12,8 @@ The regimes are limits of this kernel: both widths ideal gives the exact
 identity; ideal sigma_b leaves a convolution with the narrow oscillatory
 Gaussian k(u) = exp(i*sqrt(2)*p4*u) * exp(-(u/(2 sigma_a))^2); ideal sigma_a
 leaves multiplication by the wide envelope exp(-((x5-sqrt(2)*x3)/sigma_b)^2).
+With both widths finite the trapezoid sum of the kernel factors exactly into
+two Gaussian envelopes around one banded convolution (`_teleport_general`).
 `oracle_teleport` never uses the kernel: it evolves the full three-mode state
 step by step (beam splitter, corrections, homodyne slice) on a small grid and
 is the independent reference the kernel path is tested against.
@@ -198,31 +200,44 @@ def convolve_sampled_kernel(
 def _teleport_general(
     psi: SampledWaveFunction, regime: General, outcome: MeasurementOutcome
 ) -> np.ndarray:
+    """Trapezoid sum of the kernel: two Gaussian envelopes around one convolution.
+
+    With A = 1/(4 sigma_a^2), B = 1/(4 sigma_b^2), c = x - sqrt(2)*x3 and
+    q = sqrt(2)*p4 the kernel factors exactly as
+      A >= B: exp(-2B c_x^2) exp(-(A-B)(x-v)^2 + iq(x-v)) exp(-2B c_v^2),
+      A <  B: exp(-2A c_x^2 + iq c_x) exp(-(B-A)(c_x+c_v)^2) exp(-2A c_v^2 - iq c_v);
+    no factor exceeds 1, so none underflows where the kernel does not.  The
+    Toeplitz (Hankel on the reversed input) middle factor is a direct
+    convolution over its nonzero taps, with exponents (u - w)(u + w) finite
+    for any width: an FFT would smear rounding over envelopes spanning e^-100,
+    and a sub-grid sigma_a is a single tap.
+    """
     g = psi.grid
-    xs = g.points
-    # Trapezoid weights over the full grid; the sum only visits bins where
-    # psi is nonzero (identical result, keeps wide scenario grids with
-    # compactly supported signals cheap).
-    cols = np.flatnonzero(psi.amplitudes)
-    if cols.size == 0:
-        raise ZeroNormError("input state is identically zero")
+    sa, sb = 2.0 * regime.sigma_a, 2.0 * regime.sigma_b
+    c = g.points - _SQRT2 * outcome.x3
+    q = _SQRT2 * outcome.p4
     weights = np.full(g.n, g.dx)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    v = xs[cols]
-    wpsi = weights[cols] * psi.amplitudes[cols]
-    shift = 2.0 * _SQRT2 * outcome.x3
-    out = np.empty(g.n, dtype=np.complex128)
-    block = max(1, (1 << 22) // v.size)
-    for start in range(0, g.n, block):
-        x5 = xs[start : start + block, None]
-        kern = (
-            np.exp(-(((x5 - v) / (2.0 * regime.sigma_a)) ** 2))
-            * np.exp(-(((x5 + v - shift) / (2.0 * regime.sigma_b)) ** 2))
-            * np.exp(-1j * _SQRT2 * (v - x5) * outcome.p4)
-        )
-        out[start : start + block] = kern @ wpsi
-    return out
+    weights[[0, -1]] *= 0.5
+    lag = np.arange(1 - g.n, g.n) * g.dx  # x_i - v_j at tap index i - j + n - 1
+    left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)  # the wider width sets the envelopes
+    right = left * weights * psi.amplitudes
+    if sa <= sb:
+        u, w = lag / sa, lag / sb
+        taps = np.exp(-(u - w) * (u + w) + 1j * q * lag)
+    else:
+        left = left * np.exp(1j * q * c)
+        right = (right * np.exp(-1j * q * c))[::-1]
+        # Against the reversed input, lag i - j pairs x_i with v_(n-1-j).
+        total = c[0] + c[-1] + lag
+        u, w = total / sb, total / sa
+        taps = np.exp(-(u - w) * (u + w))
+    band = np.flatnonzero(taps)
+    lo, hi = (band[0], band[-1] + 1) if band.size else (0, 1)  # no band: a zero tap
+    # np.convolve(right, taps) with the zero taps left out of the sum
+    full = np.zeros(3 * g.n - 2, dtype=np.complex128)
+    part = np.convolve(right, taps[lo:hi])
+    full[lo : lo + part.size] = part
+    return left * full[g.n - 1 : 2 * g.n - 1]
 
 
 def _finish(grid: GridSpec, raw: np.ndarray) -> SampledWaveFunction:

@@ -72,6 +72,13 @@ def _width(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative: {text!r}")
+    return value
+
+
 def _parse_window(text: str):
     parts = text.split(":")
     if len(parts) != 2:
@@ -85,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario configuration")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, help="override the master seed")
+    p_run.add_argument("--seed", type=_seed, help="override the master seed")
     p_run.add_argument("--grid", help="override the default grid (xmin:xmax:n)")
 
     p_kernel = sub.add_parser("kernel", help="emit a convolution kernel profile")

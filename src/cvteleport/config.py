@@ -21,6 +21,7 @@ Sentinel widths are spelled exactly ``ideal``; outcome coordinates may be
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,8 +84,8 @@ def _parse_width(value: str, key: str, path, line):
         width = float(value)
     except ValueError:
         raise ParseError(f"{key} must be a number or 'ideal', got {value!r}", path, line)
-    if not width > 0:
-        raise ParseError(f"{key} must be positive, got {value!r}", path, line)
+    if not (math.isfinite(width) and width > 0):
+        raise ParseError(f"{key} must be positive and finite, got {value!r}", path, line)
     return width
 
 
@@ -92,11 +93,22 @@ def _parse_coordinate(value: str, key: str, path, line):
     if value == SAMPLE:
         return SAMPLE
     try:
-        return float(value)
+        coordinate = float(value)
     except ValueError:
-        raise ParseError(
-            f"{key} must be a number or 'sample', got {value!r}", path, line
-        )
+        raise ParseError(f"{key} must be a number or 'sample', got {value!r}", path, line)
+    if not math.isfinite(coordinate):
+        raise ParseError(f"{key} must be finite, got {value!r}", path, line)
+    return coordinate
+
+
+def _parse_seed(value: str, key: str, path, line) -> int:
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ParseError(f"{key} must be a non-negative integer, got {value!r}", path, line)
+    return seed
 
 
 def parse_config(path) -> RunConfig:
@@ -108,6 +120,7 @@ def parse_config(path) -> RunConfig:
     pstr = str(path)
 
     globals_raw: dict[str, str] = {}
+    seed = 0
     scenario_raws: list[dict] = []
     current: dict | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -127,6 +140,8 @@ def parse_config(path) -> RunConfig:
         if current is None:
             if key not in _GLOBAL_KEYS:
                 raise ParseError(f"unknown key {key!r}", pstr, lineno)
+            if key == "seed":
+                seed = _parse_seed(value, "seed", pstr, lineno)
             globals_raw[key] = value
         else:
             if key not in _SCENARIO_KEYS:
@@ -138,10 +153,6 @@ def parse_config(path) -> RunConfig:
     if "output_dir" not in globals_raw:
         raise ParseError("missing required key 'output_dir'", pstr)
     grid = parse_grid(globals_raw.get("grid", "-256:256:1024"), pstr)
-    try:
-        seed = int(globals_raw.get("seed", "0"))
-    except ValueError:
-        raise ParseError("seed must be an integer", pstr)
     image_mode = globals_raw.get("image_mode", "column-wise")
     if image_mode not in ("column-wise", "row-wise"):
         raise ParseError("image_mode must be column-wise or row-wise", pstr)
@@ -165,10 +176,7 @@ def parse_config(path) -> RunConfig:
         p4 = _parse_coordinate(raw["p4"][0], "p4", pstr, raw["p4"][1])
         scen_seed = None
         if "seed" in raw:
-            try:
-                scen_seed = int(raw["seed"][0])
-            except ValueError:
-                raise ParseError("scenario seed must be an integer", pstr, raw["seed"][1])
+            scen_seed = _parse_seed(raw["seed"][0], "scenario seed", pstr, raw["seed"][1])
         scen_grid = parse_grid(raw["grid"][0], pstr, raw["grid"][1]) if "grid" in raw else None
         scenarios.append(
             ScenarioSpec(label, sigma_a, sigma_b, x3, p4, scen_seed, scen_grid)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import os
 from pathlib import Path
 
 import numpy as np
@@ -50,19 +49,6 @@ def scenario_seed(config_seed: int, spec: ScenarioSpec, index: int) -> int:
     if spec.seed is not None:
         return spec.seed
     return int(np.random.SeedSequence((config_seed, index)).generate_state(1)[0])
-
-
-def _worker_cap() -> int | None:
-    raw = os.environ.get("TELEPORT_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParseError(f"TELEPORT_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ParseError("TELEPORT_THREADS must be at least 1")
-    return cap
 
 
 def _is_graymap(path: Path) -> bool:
@@ -160,9 +146,7 @@ def run(config: RunConfig) -> int:
 def _run_signal(config: RunConfig, input_path: Path, out_dir: Path) -> int:
     state = load_signal(input_path, config.grid)
     scenarios = _build_scenarios(config)
-    report = run_sweep(
-        scenarios, state, max_workers=_worker_cap(), enforce_span_rule=True
-    )
+    report = run_sweep(scenarios, state, enforce_span_rule=True)
     write_report(out_dir / "report.csv", report)
     for spec, row in zip(config.scenarios, report.rows):
         if row.failed:
@@ -174,16 +158,10 @@ def _run_signal(config: RunConfig, input_path: Path, out_dir: Path) -> int:
             to_momentum(row.output),
             representation="p",
         )
-        window = _support_window(row)
+        mid, half = row.input_moments.mean_x, 0.75 * row.input_moments.support_length
+        window = (mid - half, mid + half)
         _write_profiles(out_dir, spec, row.x3, row.p4, window)
     return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK
-
-
-def _support_window(row):
-    m = row.input_moments
-    lo = m.mean_x - 0.75 * m.support_length
-    hi = m.mean_x + 0.75 * m.support_length
-    return (lo, hi)
 
 
 def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
@@ -194,6 +172,7 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
                 "for image inputs"
             )
     asset = load_image(input_path)
+    line_length = asset.height if config.image_mode == "column-wise" else asset.width
     rows = []
     for spec in config.scenarios:
         regime = regime_for(spec.params)
@@ -225,7 +204,7 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
         valid = result.column_fidelities[~np.isnan(result.column_fidelities)]
         if valid.size:
             row.fidelity = float(valid.mean())
-        _write_profiles(out_dir, spec, spec.x3, spec.p4, (0.0, float(asset.height)))
+        _write_profiles(out_dir, spec, spec.x3, spec.p4, (0.0, float(line_length)))
     report = FidelityReport(rows=rows)
     write_report(out_dir / "report.csv", report)
     return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK

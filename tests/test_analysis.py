@@ -120,8 +120,8 @@ def test_run_sweep_reruns_identically(unit_grid):
         Scenario("s", SqueezingParams(0.5, 2.0), SampleWithSeed(17)),
         Scenario("t", SqueezingParams(0.7, 2.4), SampleWithSeed(18)),
     ]
-    r1 = run_sweep(scenarios, psi, max_workers=2)
-    r2 = run_sweep(scenarios, psi, max_workers=1)
+    r1 = run_sweep(scenarios, psi)
+    r2 = run_sweep(scenarios, psi)
     assert [row.label for row in r1.rows] == ["s", "t"]
     for a, b in zip(r1.rows, r2.rows):
         assert a.x3 == b.x3 and a.p4 == b.p4

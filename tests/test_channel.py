@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,61 @@ def test_general_matches_oracle_across_parameters():
         kernel_path = teleport(psi, General(sa, sb), out)
         oracle_path = oracle_teleport(psi, SqueezingParams(sa, sb), out)
         assert rel_l2(oracle_path, kernel_path) < 1e-6
+
+
+def _dense_quadrature(psi, sa, sb, outcome):
+    """The kernel of the module docstring as an n x n trapezoid sum."""
+    X, V = psi.grid.points[:, None], psi.grid.points[None, :]
+    kernel = (
+        np.exp(-(((X - V) / (2 * sa)) ** 2))
+        * np.exp(-(((X + V - 2 * SQRT2 * outcome.x3) / (2 * sb)) ** 2))
+        * np.exp(-1j * SQRT2 * (V - X) * outcome.p4)
+    )
+    weights = np.full(psi.grid.n, psi.grid.dx)
+    weights[[0, -1]] /= 2
+    return normalize(SampledWaveFunction(psi.grid, kernel @ (weights * psi.amplitudes)))
+
+
+def _compact_packet(grid, center, width, momentum=0.0, half=None):
+    """A Gaussian packet, cut to [center - half, center + half] when half is given."""
+    amplitudes = gaussian_packet(grid, center, width, momentum).amplitudes
+    if half is not None:
+        amplitudes = np.where(np.abs(grid.points - center) <= half, amplitudes, 0.0)
+    return SampledWaveFunction(grid, amplitudes)
+
+
+@pytest.mark.parametrize(
+    "sa, sb, outcome, grid, packet",
+    [
+        (0.6, 2.5, (0.5, 0.4), GridSpec(-16.0, 0.125, 256), (0.3, 1.2, 0.5)),
+        (2.5, 0.6, (0.5, 0.4), GridSpec(-16.0, 0.125, 256), (0.3, 1.2, 0.5)),
+        (1.3, 1.3, (-0.2, 0.9), GridSpec(-16.0, 0.125, 256), (0.3, 1.2, 0.5)),
+        # sub-grid sigma_a, support [0, 50] far from the envelope centre (fig9c-like)
+        (1 / 180, 20.0, (120.0, 450.0), GridSpec(-256.0, 0.5, 1024), (25.0, 6.0, 0.0, 25.0)),
+        # widths whose 1/(4 sigma^2) overflows
+        (1e-160, 20.0, (0.0, 1.0), GridSpec(-16.0, 0.125, 256), (0.3, 1.2, 0.5)),
+        (1e-159, 1e-160, (0.0, 1.0), GridSpec(-16.0, 0.125, 256), (0.3, 1.2, 0.5)),
+    ],
+    ids=["a<b", "a>b", "a=b", "subgrid", "tiny-a", "tiny-both"],
+)
+def test_general_matches_dense_quadrature(sa, sb, outcome, grid, packet):
+    psi = _compact_packet(grid, *packet)
+    out = MeasurementOutcome(*outcome)
+    reference = _dense_quadrature(psi, sa, sb, out)
+    assert rel_l2(reference, teleport(psi, General(sa, sb), out)) <= 1e-12
+
+
+def test_general_memory_stays_linear():
+    # a fig9c-sized teleport: n = 32768 and a 201-point input support
+    g = GridSpec.from_bounds(-8192.0, 8192.0, 32768)
+    psi = _compact_packet(g, 50.0, 28.0, half=50.0)
+    tracemalloc.start()
+    try:
+        teleport(psi, General(1 / 180, 280.0), MeasurementOutcome(2800.0, 1800.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_oracle_refuses_large_grids_and_sentinels():

@@ -82,6 +82,30 @@ def test_parse_config_bad_width(tmp_path):
         parse_config(write_config(tmp_path, text))
 
 
+SCENARIO = "[scenario]\nlabel = a\nsigma_a = {sa}\nsigma_b = 1\nx3 = {x3}\np4 = {p4}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("seed = -3\n" + SCENARIO.format(sa=1, x3=0, p4=0), 3),
+        ("\n" + SCENARIO.format(sa="inf", x3=0, p4=0), 6),
+        ("\n" + SCENARIO.format(sa="nan", x3=0, p4=0), 6),
+        ("\n" + SCENARIO.format(sa=1, x3="nan", p4=0), 8),
+        ("\n" + SCENARIO.format(sa=1, x3=0, p4="inf"), 9),
+        ("\n" + SCENARIO.format(sa=1, x3=0, p4="-inf"), 9),
+        ("\n" + SCENARIO.format(sa=1, x3=0, p4=0) + "seed = -1\n", 10),
+    ],
+    ids=["seed", "sigma_a-inf", "sigma_a-nan", "x3-nan", "p4-inf", "p4-neg-inf", "scenario-seed"],
+)
+def test_parse_config_rejects_non_finite_and_negative(tmp_path, text, line):
+    path = write_config(tmp_path, "input = x\noutput_dir = o\n" + text)
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.path == str(path) and err.value.line == line
+    assert main(["run", str(path)]) == 1
+
+
 def test_cli_run_success_and_outputs(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, BASE.format(out=out))
@@ -126,6 +150,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
     # usage failure -> 1
     assert main(["kernel", "--sigma-a", "0.5"]) == 1
+    # a negative seed override is a usage failure
+    cfg = write_config(tmp_path, BASE.format(out=tmp_path / "o"))
+    assert main(["run", str(cfg), "--seed", "-5"]) == 1
+    assert not (tmp_path / "o").exists()
     # non-finite or non-positive profile numbers are usage failures too
     target = tmp_path / "profile.csv"
     for argv in _INVALID_PROFILE_ARGS:
@@ -206,15 +234,6 @@ def test_cli_info_prints_moments(tmp_path, capsys):
     assert "support_length = 100.5" in captured
 
 
-def test_threads_env_cap(tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    path = write_config(tmp_path, BASE.format(out=out))
-    monkeypatch.setenv("TELEPORT_THREADS", "1")
-    assert main(["run", str(path)]) == 0
-    monkeypatch.setenv("TELEPORT_THREADS", "zero")
-    assert main(["run", str(path)]) == 1
-
-
 def test_cli_image_run(tmp_path):
     from cvteleport import ImageAsset, save_image
 
@@ -248,6 +267,22 @@ def test_cli_image_run(tmp_path):
 
     back = load_image(out / "ideal.pgm")
     assert np.max(np.abs(back.pixels - img.pixels)) <= 1.0
+
+
+def test_cli_row_wise_envelope_spans_one_row(tmp_path):
+    from cvteleport import ImageAsset, save_image
+
+    img = ImageAsset(pixels=np.full((32, 24), 100.0), maxval=255)
+    img_path = tmp_path / "input.pgm"
+    save_image(img_path, img)
+    out = tmp_path / "out"
+    text = (
+        f"input = {img_path}\noutput_dir = {out}\nimage_mode = row-wise\n\n"
+        "[scenario]\nlabel = env\nsigma_a = ideal\nsigma_b = 40\nx3 = 8\np4 = 0\n"
+    )
+    assert main(["run", str(write_config(tmp_path, text, "rows.cfg"))]) == 0
+    last = (out / "env_envelope.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == 24.0  # a row has width 24 pixels
 
 
 def test_shipped_scenario_config_reproduces_frozen_fidelities(tmp_path, monkeypatch):
