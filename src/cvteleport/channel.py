@@ -219,18 +219,20 @@ def _teleport_general(
     weights = np.full(g.n, g.dx)
     weights[[0, -1]] *= 0.5
     lag = np.arange(1 - g.n, g.n) * g.dx  # x_i - v_j at tap index i - j + n - 1
-    left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)  # the wider width sets the envelopes
-    right = left * weights * psi.amplitudes
-    if sa <= sb:
-        u, w = lag / sa, lag / sb
-        taps = np.exp(-(u - w) * (u + w) + 1j * q * lag)
-    else:
-        left = left * np.exp(1j * q * c)
-        right = (right * np.exp(-1j * q * c))[::-1]
-        # Against the reversed input, lag i - j pairs x_i with v_(n-1-j).
-        total = c[0] + c[-1] + lag
-        u, w = total / sb, total / sa
-        taps = np.exp(-(u - w) * (u + w))
+    # A tiny width overflows an exponent to inf, whose exp is the exact 0 wanted.
+    with np.errstate(over="ignore"):
+        left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)  # the wider width sets both
+        right = left * weights * psi.amplitudes
+        if sa <= sb:
+            u, w = lag / sa, lag / sb
+            taps = np.exp(-(u - w) * (u + w) + 1j * q * lag)
+        else:
+            left = left * np.exp(1j * q * c)
+            right = (right * np.exp(-1j * q * c))[::-1]
+            # Against the reversed input, lag i - j pairs x_i with v_(n-1-j).
+            total = c[0] + c[-1] + lag
+            u, w = total / sb, total / sa
+            taps = np.exp(-(u - w) * (u + w))
     band = np.flatnonzero(taps)
     lo, hi = (band[0], band[-1] + 1) if band.size else (0, 1)  # no band: a zero tap
     # np.convolve(right, taps) with the zero taps left out of the sum
@@ -361,9 +363,6 @@ class OutcomeDistribution:
     def marginal_x3(self) -> np.ndarray:
         return self.density.sum(axis=1) * self.p4_step
 
-    def marginal_p4(self) -> np.ndarray:
-        return self.density.sum(axis=0) * self.x3_step
-
     def sample(self, rng: np.random.Generator, count: int):
         """Draw (x3, p4) pairs: tabulated cells plus uniform in-cell jitter."""
         x3_idx, p4_idx = _sample_cells(
@@ -458,32 +457,44 @@ class _PairCorrelation:
         d_max = min(7.0 * width_d, extent, (g.n - 1) * g.dx)
         half_steps = int(np.ceil(d_max / (2.0 * h)))
         half_steps = max(1, min(half_steps, big // 2 - 1))
-        j = np.arange(-half_steps, half_steps + 1)
 
+        # Row c of the window holds fine[c - half_steps : c + half_steps + 1]
+        # (zero-padded), so column k pairs v = c + k - half_steps with its
+        # mirror v' = c - k + half_steps.
         stride = max(1, factor // 4)
-        c = np.arange(0, big, stride)
-
-        padded = np.concatenate(
-            [
-                np.zeros(half_steps, dtype=np.complex128),
-                fine,
-                np.zeros(half_steps, dtype=np.complex128),
-            ]
-        )
-        a_idx = c[None, :] + j[:, None] + half_steps
-        b_idx = c[None, :] - j[:, None] + half_steps
-        self.table = padded[a_idx] * np.conj(padded[b_idx])  # (n_d, n_s)
-        self.d_values = 2.0 * h * j
-        self.s_values = 2.0 * g.x_min + 2.0 * h * c
+        win = np.lib.stride_tricks.sliding_window_view(
+            np.pad(fine, half_steps), 2 * half_steps + 1
+        )[::stride]
+        self.table = win * np.conj(win[:, ::-1])  # (n_s, n_d)
+        self.d_values = 2.0 * h * np.arange(-half_steps, half_steps + 1)
+        self.s_values = 2.0 * g.x_min + 2.0 * h * np.arange(0, big, stride)
         self.s_weight = 2.0 * h * stride
 
 
-def _p4_density(G, d_values, lam_d: float, p4_values) -> np.ndarray:
-    """max(0, Re sum_d G(d) exp(-lam_d*d^2) exp(-i*sqrt(2)*d*p4)): the p4 density."""
-    phase = np.exp(-lam_d * d_values**2)[:, None] * np.exp(
-        -1j * _SQRT2 * np.multiply.outer(d_values, p4_values)
+def _outcome_density(
+    psi: SampledWaveFunction, sigma_a: float, sigma_b: float, x3_values, p4_values
+) -> np.ndarray:
+    """Unnormalized density of (x3, p4) on the grid x3_values x p4_values.
+
+    max(0, Re sum_d G(x3, d) exp(-lam_d*d^2) exp(-i*sqrt(2)*d*p4)), where G is
+    the pair correlation summed over s under the envelope
+    exp(-lam_s*(s - 2*sqrt(2)*x3)^2).  An ideal sigma_b (np.inf) gives
+    lam_s = 0: the envelope is flat and any single x3 yields the p4 marginal.
+    """
+    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
+    pair = _PairCorrelation(psi, lam_d)
+    env = np.exp(
+        -lam_s * (pair.s_values[None, :] - 2.0 * _SQRT2 * x3_values[:, None]) ** 2
     )
-    return np.clip(np.real(G @ phase), 0.0, None)
+    # Real and imaginary parts apart: env is real and never promoted to complex.
+    G = (env @ pair.table.real + 1j * (env @ pair.table.imag)) * pair.s_weight
+    phase = np.exp(-lam_d * pair.d_values**2)[:, None] * np.exp(
+        -1j * _SQRT2 * np.multiply.outer(pair.d_values, p4_values)
+    )
+    density = np.clip(np.real(G @ phase), 0.0, None)
+    if not density.sum() > 0.0:
+        raise ZeroNormError("outcome density vanished on the outcome grid")
+    return density
 
 
 def build_outcome_distribution(
@@ -504,22 +515,11 @@ def build_outcome_distribution(
         raise SentinelNotMaterializableError(
             "the joint outcome distribution requires finite squeezing"
         )
-    m = moments(psi)
-    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(m, params)
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     x3_values, x3_step = _centered_grid(mean_x3, np.sqrt(var_x3), n_x3)
     p4_values, p4_step = _centered_grid(mean_p4, np.sqrt(var_p4), n_p4)
-
-    lam_d, lam_s = _lambda_coefficients(params.sigma_a, params.sigma_b)
-    pair = _PairCorrelation(psi, lam_d)
-
-    env = np.exp(
-        -lam_s * (pair.s_values[None, :] - 2.0 * _SQRT2 * x3_values[:, None]) ** 2
-    )
-    G = (env @ pair.table.T) * pair.s_weight  # (n_x3, n_d)
-    density = _p4_density(G, pair.d_values, lam_d, p4_values)
+    density = _outcome_density(psi, params.sigma_a, params.sigma_b, x3_values, p4_values)
     total = density.sum() * x3_step * p4_step
-    if total <= 0.0:
-        raise ZeroNormError("outcome density vanished on the outcome grid")
     return OutcomeDistribution(x3_values, p4_values, density / total, x3_step, p4_step)
 
 
@@ -527,6 +527,10 @@ def _centered_grid(mean: float, std: float, count: int):
     lo = mean - 6.0 * std
     step = 12.0 * std / count
     return lo + step * (np.arange(count) + 0.5), step
+
+
+#: Cells of the tabulated marginal when a single outcome coordinate is drawn.
+_MARGINAL_CELLS = 1025
 
 
 def sample_outcomes(
@@ -548,14 +552,23 @@ def sample_outcomes(
         raise IdealChannelOutcomeUnboundedError(
             "the ideal channel has a flat, improper outcome distribution"
         )
+    if not (params.a_is_ideal or params.b_is_ideal):
+        return build_outcome_distribution(psi, params).sample(rng, count)
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     if params.b_is_ideal:
-        p4 = _sample_marginal_p4(psi, params.sigma_a, rng, count)
-        return np.zeros(count), p4
-    if params.a_is_ideal:
-        x3 = _sample_marginal_x3(psi, params.sigma_b, rng, count)
-        return x3, np.zeros(count)
-    dist = build_outcome_distribution(psi, params)
-    return dist.sample(rng, count)
+        values, step = _centered_grid(mean_p4, np.sqrt(var_p4), _MARGINAL_CELLS)
+        density = _outcome_density(psi, params.sigma_a, np.inf, np.zeros(1), values)[0]
+    else:
+        # No sub-grid structure enters here: the diagonal pair correlation is
+        # just |psi(v)|^2 smoothed by the wide envelope, both resolved on the grid.
+        values, step = _centered_grid(mean_x3, np.sqrt(var_x3), _MARGINAL_CELLS)
+        lam_s = 1.0 / (2.0 * params.sigma_b**2)
+        s = 2.0 * psi.grid.points
+        env = np.exp(-lam_s * (s[None, :] - 2.0 * _SQRT2 * values[:, None]) ** 2)
+        density = env @ psi.probability()
+    idx = _sample_cells(density, rng, count)
+    drawn = values[idx] + (rng.random(count) - 0.5) * step
+    return (np.zeros(count), drawn) if params.b_is_ideal else (drawn, np.zeros(count))
 
 
 def sample_outcome(
@@ -564,29 +577,3 @@ def sample_outcome(
     """Single outcome draw (see :func:`sample_outcomes`)."""
     x3, p4 = sample_outcomes(psi, params, seed, 1)
     return MeasurementOutcome(float(x3[0]), float(p4[0]))
-
-
-def _sample_marginal_p4(psi, sigma_a, rng, count, n_cells: int = 1025):
-    m = moments(psi)
-    var_p4 = m.std_p**2 / 2.0 + 1.0 / (8.0 * sigma_a**2)
-    values, step = _centered_grid(m.mean_p / _SQRT2, np.sqrt(var_p4), n_cells)
-    lam_d = 1.0 / (8.0 * sigma_a**2)
-    pair = _PairCorrelation(psi, lam_d)
-    G = pair.table.sum(axis=1) * pair.s_weight  # correlation vs difference
-    density = _p4_density(G, pair.d_values, lam_d, values)
-    idx = _sample_cells(density, rng, count)
-    return values[idx] + (rng.random(count) - 0.5) * step
-
-
-def _sample_marginal_x3(psi, sigma_b, rng, count, n_cells: int = 1025):
-    # No sub-grid structure enters here: the diagonal pair correlation is just
-    # |psi(v)|^2 smoothed by the wide envelope, both resolved on the grid.
-    m = moments(psi)
-    var_x3 = m.std_x**2 / 2.0 + sigma_b**2 / 8.0
-    values, step = _centered_grid(m.mean_x / _SQRT2, np.sqrt(var_x3), n_cells)
-    lam_s = 1.0 / (2.0 * sigma_b**2)
-    s = 2.0 * psi.grid.points
-    env = np.exp(-lam_s * (s[None, :] - 2.0 * _SQRT2 * values[:, None]) ** 2)
-    density = env @ psi.probability()
-    idx = _sample_cells(density, rng, count)
-    return values[idx] + (rng.random(count) - 0.5) * step

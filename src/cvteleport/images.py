@@ -80,11 +80,18 @@ def load_image(path) -> ImageAsset:
         width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
     except ValueError:
         raise UnsupportedFormatError("malformed graymap header")
+    if width < 8 or height < 8:
+        raise UnsupportedFormatError(f"graymap is {width}x{height}, below 8x8")
     if maxval <= 0 or maxval > 65535:
         raise UnsupportedFormatError(f"unsupported max value {maxval}")
     maxval = 255 if maxval <= 255 else 65535
     if magic == b"P2":
-        values = np.array(data[offset - 1 :].split(), dtype=float)
+        try:
+            values = np.array(data[offset - 1 :].split(), dtype=float)
+        except ValueError:
+            raise UnsupportedFormatError("non-numeric P2 sample")
+        if not np.isfinite(values).all():
+            raise UnsupportedFormatError("non-finite P2 sample")
         if values.size != width * height:
             raise UnsupportedFormatError("P2 pixel count mismatch")
         pixels = values.reshape(height, width)

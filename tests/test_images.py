@@ -12,6 +12,7 @@ from cvteleport import (
     save_image,
     teleport_image,
 )
+from cvteleport.cli import main
 
 
 def stripes_image(h=48, w=48, maxval=255):
@@ -48,11 +49,26 @@ def test_p2_parsing(tmp_path):
     assert img.pixels[3, 4] == (3 * 13 + 4 * 7) % 256
 
 
-def test_unsupported_format(tmp_path):
-    path = tmp_path / "color.ppm"
-    path.write_bytes(b"P6\n4 4\n255\n" + bytes(48))
-    with pytest.raises(UnsupportedFormatError):
-        load_image(path)
+def test_unsupported_format(tmp_path, capsys):
+    path = tmp_path / "input.pgm"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"input = {path}\noutput_dir = {tmp_path / 'out'}\n\n[scenario]\n"
+        "label = ideal\nsigma_a = ideal\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
+    )
+    for data in [
+        b"P6\n4 4\n255\n" + bytes(48),  # colour
+        b"P5\n-8 8\n255\n" + bytes(64),
+        b"P5\n0 8\n255\n",
+        b"P5\n8 4\n255\n" + bytes(32),
+        b"P2\n8 8\n255\n" + b"1 " * 63 + b"x\n",
+        b"P2\n8 8\n255\n" + b"1 " * 63 + b"nan\n",
+    ]:
+        path.write_bytes(data)
+        with pytest.raises(UnsupportedFormatError):
+            load_image(path)
+        assert main(["run", str(config)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_minimum_size_enforced():

@@ -1,18 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cvteleport import (
+    GridSpec,
     IDEAL,
     IdealChannelOutcomeUnboundedError,
     SentinelNotMaterializableError,
     SqueezingParams,
     build_outcome_distribution,
     gaussian_packet,
+    load_signal,
     moments,
     sample_outcome,
     sample_outcomes,
 )
-from cvteleport.channel import outcome_moments
+from cvteleport.channel import _outcome_density, outcome_moments
+from cvteleport.signals import bundled_silhouette_path
 
 
 @pytest.fixture
@@ -91,7 +96,7 @@ def test_density_matches_bruteforce_integration(unit_grid):
     x5 = np.linspace(-28.0, 28.0, 1401)
     psi_v = evaluate_bandlimited(psi, v)
 
-    def brute(x3, p4):
+    def brute(x3, p4, sb):
         shifted = v - s2 * x3
         pair = np.exp(-((shifted[None, :] - x5[:, None]) ** 2) / (4 * sa**2))
         pair *= np.exp(-((shifted[None, :] + x5[:, None]) ** 2) / (4 * sb**2))
@@ -99,9 +104,17 @@ def test_density_matches_bruteforce_integration(unit_grid):
         return np.sum(np.abs(f) ** 2) * (x5[1] - x5[0])
 
     probes = [(10, 20), (32, 32), (50, 12), (20, 50)]
-    brute_vals = np.array([brute(dist.x3_values[i], dist.p4_values[j]) for i, j in probes])
+    brute_vals = np.array(
+        [brute(dist.x3_values[i], dist.p4_values[j], sb) for i, j in probes]
+    )
     table_vals = np.array([dist.density[i, j] for i, j in probes])
     ratios = brute_vals / table_vals
+    assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-9
+
+    # an ideal sigma_b is the lam_s = 0 limit: the p4 marginal, read at x3 = 0
+    p4s = dist.p4_values[[12, 20, 32, 50]]
+    brute_vals = np.array([brute(0.0, p4, np.inf) for p4 in p4s])
+    ratios = brute_vals / _outcome_density(psi, sa, np.inf, np.zeros(1), p4s)[0]
     assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-9
 
     # the chirp's symmetrized x-p covariance carries through at half weight
@@ -110,6 +123,19 @@ def test_density_matches_bruteforce_integration(unit_grid):
     mx, mp = np.sum(X3 * w), np.sum(P4 * w)
     cov = np.sum((X3 - mx) * (P4 - mp) * w)
     assert cov == pytest.approx(beta * moments(psi).std_x ** 2, rel=1e-5)
+
+
+def test_outcome_density_memory_is_bounded():
+    # the silhouette at sigma_a = 0.185, sigma_b = 8.4: a 16384 x 43 pair table
+    # under a 257 x 16384 envelope, neither gathered by index nor made complex
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
+    tracemalloc.start()
+    try:
+        build_outcome_distribution(psi, SqueezingParams(0.18518518518518517, 8.4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 95e6
 
 
 def test_build_distribution_rejects_sentinels(packet):
@@ -184,3 +210,8 @@ def test_seeded_draws_are_frozen(packet):
     assert p4.tolist() == [
         0.31862280021841344, 1.288435478396001, 0.7668925648324717, -0.7570665159352675
     ]
+    x3, p4 = sample_outcomes(packet, SqueezingParams(IDEAL, 2.5), seed=7, count=4)
+    assert x3.tolist() == [
+        0.8843082251676513, 1.8541209033452388, 1.3325779897817096, -0.19138109098602973
+    ]
+    assert p4.tolist() == [0.0, 0.0, 0.0, 0.0]
