@@ -483,9 +483,11 @@ def _outcome_density(
     """
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
     pair = _PairCorrelation(psi, lam_d)
-    env = np.exp(
-        -lam_s * (pair.s_values[None, :] - 2.0 * _SQRT2 * x3_values[:, None]) ** 2
-    )
+    # Built in place: the envelope is the largest array here (257 x n_s).
+    env = pair.s_values[None, :] - 2.0 * _SQRT2 * x3_values[:, None]
+    env **= 2
+    env *= -lam_s
+    np.exp(env, out=env)
     # Real and imaginary parts apart: env is real and never promoted to complex.
     G = (env @ pair.table.real + 1j * (env @ pair.table.imag)) * pair.s_weight
     phase = np.exp(-lam_d * pair.d_values**2)[:, None] * np.exp(

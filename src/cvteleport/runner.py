@@ -26,6 +26,7 @@ from .signals import (
     bundled_silhouette_path,
     load_signal,
     save_signal,
+    write_table,
 )
 
 log = logging.getLogger(__name__)
@@ -78,19 +79,13 @@ def write_report(path, report: FidelityReport) -> None:
 
 def write_kernel_profile(path, sigma_a: float, p4: float, window) -> None:
     prof = kernel_profile(sigma_a, p4, window)
-    lines = ["u,real,imag"] + [
-        f"{float(u)!r},{float(re)!r},{float(im)!r}"
-        for u, re, im in zip(prof.u, prof.real, prof.imag)
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack((prof.u, prof.real, prof.imag))
+    write_table(path, "u,real,imag\n", table, "%r,%r,%r\n")
 
 
 def write_envelope_profile(path, sigma_b: float, x3: float, window) -> None:
     prof = envelope_profile(sigma_b, x3, window)
-    lines = ["x,value"] + [
-        f"{float(x)!r},{float(v)!r}" for x, v in zip(prof.x, prof.values)
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, "x,value\n", np.column_stack((prof.x, prof.values)), "%r,%r\n")
 
 
 def _write_profiles(
@@ -195,12 +190,8 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
             row.error = f"{type(exc).__name__}: {exc}"
             continue
         save_image(out_dir / f"{spec.label}.pgm", result.display)
-        raw_lines = [
-            " ".join(repr(float(v)) for v in line) for line in result.raw
-        ]
-        atomic_write_text(
-            out_dir / f"{spec.label}_intensity.txt", "\n".join(raw_lines) + "\n"
-        )
+        row_format = " ".join(["%r"] * result.raw.shape[1]) + "\n"
+        write_table(out_dir / f"{spec.label}_intensity.txt", "", result.raw, row_format)
         valid = result.column_fidelities[~np.isnan(result.column_fidelities)]
         if valid.size:
             row.fidelity = float(valid.mean())

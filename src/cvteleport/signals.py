@@ -27,15 +27,27 @@ _ASSET_NAME = "silhouette.txt"
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file and rename so partial files never appear."""
+    """Write via a temp file and rename; a failure leaves neither file behind."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_table(path, head: str, table, row: str) -> None:
+    """Write ``head``, then ``row`` %-formatted with each row of the 2-D ``table``.
+
+    ``tolist()`` hands ``%r`` Python floats: numpy 2 scalars repr as np.float64(...).
+    """
+    atomic_write_text(path, head + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def parse_signal_text(text: str, path=None):
@@ -97,14 +109,12 @@ def save_signal(path, psi: SampledWaveFunction, representation: str = "x") -> No
     """Write a signal file (17 significant digits; exact round trip)."""
     if representation not in ("x", "p"):
         raise ValueError("representation must be 'x' or 'p'")
-    lines = ["# cvteleport signal"]
+    head = "# cvteleport signal\n"
     if representation == "p":
-        lines.append("# representation: p")
-    xs = psi.grid.points
+        head += "# representation: p\n"
     amps = psi.amplitudes
-    for x, a in zip(xs, amps):
-        lines.append(f"{x:.17g} {a.real:.17g} {a.imag:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack((psi.grid.points, amps.real, amps.imag))
+    write_table(path, head, table, "%.17g %.17g %.17g\n")
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +155,9 @@ def write_silhouette_asset(path, dx: float = 0.5) -> None:
     """Regenerate the bundled asset file (positions 0..100 step dx)."""
     xs = np.arange(0.0, 100.0 + dx / 2, dx)
     amps = silhouette_profile(xs)
-    lines = [
-        "# bundled silhouette test signal",
-        "# real amplitude profile on [0, 100]; calibrated to mean ~50, spread ~28",
-    ]
-    lines += [f"{x:.17g} {a:.17g}" for x, a in zip(xs, amps)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    head = "# bundled silhouette test signal\n"
+    head += "# real amplitude profile on [0, 100]; calibrated to mean ~50, spread ~28\n"
+    write_table(path, head, np.column_stack((xs, amps)), "%.17g %.17g\n")
 
 
 def bundled_silhouette_path() -> Path:

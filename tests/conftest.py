@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from cvteleport import GridSpec, SampledWaveFunction, normalize
 
@@ -27,6 +28,13 @@ def random_state(grid, rng, packets=2):
             -((xs - center) ** 2) / (4.0 * width**2) + 1j * kick * xs
         )
     return normalize(SampledWaveFunction(grid, amps))
+
+
+def pytest_configure(config):
+    # The tests run with database=None, but hypothesis still caches the
+    # constants it finds in local modules; keep that cache in pytest's own.
+    if getattr(config, "cache", None) is not None:
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 @pytest.fixture

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvteleport import ParseError, parse_config, parse_grid
+from cvteleport import (
+    ParseError,
+    envelope_profile,
+    kernel_profile,
+    parse_config,
+    parse_grid,
+)
 from cvteleport.cli import main
 from cvteleport.optics import IDEAL
 
@@ -173,6 +179,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert lines[-1].startswith("doomed,") and lines[-1].endswith(",nan,nan")
 
 
+def test_cli_failed_write_leaves_no_temp_file(tmp_path):
+    out = tmp_path / "out"
+    (out / "report.csv").mkdir(parents=True)  # renaming onto a directory fails
+    assert main(["run", str(write_config(tmp_path, BASE.format(out=out)))]) == 1
+    assert not list(out.glob("*.tmp-*"))
+
+
 def test_cli_empty_scenarios_is_config_error(tmp_path):
     path = write_config(tmp_path, f"input = bundled:silhouette\noutput_dir = {tmp_path/'o'}\n")
     assert main(["run", str(path)]) == 1
@@ -216,6 +229,11 @@ def test_cli_kernel_and_envelope_outputs(tmp_path):
     assert lines[0] == "u,real,imag"
     u, re, im = map(float, lines[1].split(","))
     assert u == -3.0
+    prof = kernel_profile(0.185185, 2.7, (-3.0, 3.0))
+    assert lines[1:] == [
+        f"{float(u)!r},{float(re)!r},{float(im)!r}"
+        for u, re, im in zip(prof.u, prof.real, prof.imag)
+    ]
 
     ecsv = tmp_path / "e.csv"
     assert main(
@@ -225,6 +243,8 @@ def test_cli_kernel_and_envelope_outputs(tmp_path):
     assert lines[0] == "x,value"
     x0, v0 = map(float, lines[1].split(","))
     assert v0 == pytest.approx(np.exp(-((0 + np.sqrt(2) * 280.0) / 280.0) ** 2))
+    prof = envelope_profile(280.0, -280.0, (0.0, 100.0))
+    assert lines[1:] == [f"{float(x)!r},{float(v)!r}" for x, v in zip(prof.x, prof.values)]
 
 
 def test_cli_info_prints_moments(tmp_path, capsys):
@@ -235,7 +255,9 @@ def test_cli_info_prints_moments(tmp_path, capsys):
 
 
 def test_cli_image_run(tmp_path):
-    from cvteleport import ImageAsset, save_image
+    from cvteleport import ImageAsset, MeasurementOutcome, SqueezingParams, save_image
+    from cvteleport import load_image, teleport_image
+    from cvteleport.channel import regime_for
 
     rng = np.random.default_rng(4)
     img = ImageAsset(
@@ -263,10 +285,18 @@ def test_cli_image_run(tmp_path):
     assert (out / "ideal.pgm").exists()
     assert (out / "blur.pgm").exists()
     assert (out / "blur_intensity.txt").exists()
-    from cvteleport import load_image
-
     back = load_image(out / "ideal.pgm")
     assert np.max(np.abs(back.pixels - img.pixels)) <= 1.0
+    # the intensity text is one repr per pixel, in both image modes
+    asset = load_image(img_path)
+    rows_out = tmp_path / "rows"
+    rows_text = text.replace(f"output_dir = {out}", f"output_dir = {rows_out}\nimage_mode = row-wise")
+    assert main(["run", str(write_config(tmp_path, rows_text, "rows.cfg"))]) == 2
+    regime = regime_for(SqueezingParams(1.2, IDEAL))
+    for mode, directory in (("column-wise", out), ("row-wise", rows_out)):
+        raw = teleport_image(asset, regime, MeasurementOutcome(0.0, 0.4), mode).raw
+        want = "".join(" ".join(repr(float(v)) for v in line) + "\n" for line in raw)
+        assert (directory / "blur_intensity.txt").read_text() == want
 
 
 def test_cli_row_wise_envelope_spans_one_row(tmp_path):

@@ -135,7 +135,7 @@ def test_outcome_density_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 95e6
+    assert peak < 60e6
 
 
 def test_build_distribution_rejects_sentinels(packet):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cvteleport import (
     GridSpec,
     GridTooNarrowError,
     NonUniformSpacingError,
     ParseError,
+    SampledWaveFunction,
     gaussian_packet,
     load_signal,
     moments,
@@ -17,6 +21,7 @@ from cvteleport.signals import (
     load_bundled_silhouette,
     parse_signal_text,
     write_silhouette_asset,
+    write_table,
 )
 
 from conftest import rel_l2
@@ -138,3 +143,44 @@ def test_silhouette_generator_reproduces_bundled_asset(tmp_path):
     pos2, amps2 = parse_signal_text(regenerated.read_text())
     assert np.array_equal(pos, pos2)
     assert np.max(np.abs(amps2 - amps)) <= 1e-15
+
+
+# Finite floats, with the values whose text is easiest to get wrong drawn often.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1e300, -1e300]
+_FINITE = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+_TABLES = arrays(
+    np.float64, st.tuples(st.integers(0, 6), st.integers(1, 4)), elements=_FINITE
+)
+_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@_SETTINGS
+@given(table=_TABLES)
+@example(table=np.array([_EDGE_FLOATS[:4], _EDGE_FLOATS[3:]]))
+def test_write_table_matches_per_element_formatting(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "t.txt"
+    cols = table.shape[1]
+    write_table(path, "# head\n", table, " ".join(["%.17g"] * cols) + "\n")
+    want = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in table)
+    assert path.read_bytes() == ("# head\n" + want).encode()
+    write_table(path, "", table, ",".join(["%r"] * cols) + "\n")
+    want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+    assert path.read_bytes() == want.encode()
+
+
+@_SETTINGS
+@given(
+    parts=arrays(np.float64, st.sampled_from([16, 32, 64]), elements=_FINITE),
+    dx=st.sampled_from([0.125, 0.1, 0.5, 3.0]),
+)
+def test_save_signal_round_trips_bit_for_bit(tmp_path_factory, parts, dx):
+    # (re, im) pairs viewed as complex, so signed zeros reach the file as drawn
+    grid = GridSpec(-1.0, dx, len(parts) // 2)
+    psi = SampledWaveFunction(grid, parts.view(np.complex128))
+    path = tmp_path_factory.mktemp("signal") / "s.txt"
+    save_signal(path, psi)
+    pos, back = parse_signal_text(path.read_text())
+    assert np.array_equal(pos.view(np.int64), grid.points.view(np.int64))
+    assert np.array_equal(back.view(np.int64), psi.amplitudes.view(np.int64))
