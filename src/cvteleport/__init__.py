@@ -23,6 +23,7 @@ from .errors import (
     IdealChannelOutcomeUnboundedError,
     NonUniformSpacingError,
     OracleGridTooLargeError,
+    OutcomeTooLargeError,
     ParseError,
     SentinelNotMaterializableError,
     ShiftOffGridError,

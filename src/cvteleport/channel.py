@@ -35,6 +35,7 @@ from .errors import (
     GridTooNarrowError,
     IdealChannelOutcomeUnboundedError,
     OracleGridTooLargeError,
+    OutcomeTooLargeError,
     SentinelNotMaterializableError,
     ZeroNormError,
 )
@@ -56,6 +57,10 @@ _TWO_PI = 2.0 * np.pi
 
 #: Largest grid the full three-mode oracle will accept (memory scales as n^3).
 ORACLE_MAX_POINTS = 64
+
+#: Largest estimated size of the arrays behind one outcome density (pair
+#: table plus sum-coordinate envelope); the fig9b joint density needs 178 MB.
+OUTCOME_MAX_BYTES = 1 << 30
 
 #: Fraction of output mass tolerated in the outermost grid bins.
 _EDGE_MASS_LIMIT = 1e-4
@@ -416,39 +421,57 @@ def _lambda_coefficients(sigma_a: float, sigma_b: float):
     return (a + b) / 2.0, 2.0 * a * b / (a + b)
 
 
-def _upsample(psi: SampledWaveFunction, factor: int) -> np.ndarray:
-    """Band-limited upsampling by an integer factor (zero-padded spectrum)."""
-    if factor == 1:
-        return np.array(psi.amplitudes)
-    g = psi.grid
-    n, big = g.n, g.n * factor
-    phi = to_momentum(psi)
-    raw = np.fft.ifftshift(phi.amplitudes * np.exp(1j * phi.grid.points * g.x_min))
-    spectrum = np.zeros(big, dtype=np.complex128)
-    half = n // 2
-    spectrum[:half] = raw[:half]
-    spectrum[big - half :] = raw[half:]
-    return np.fft.ifft(spectrum) * (big * g.dp / np.sqrt(_TWO_PI))
+def _require_outcome_budget(nbytes: int) -> None:
+    """Refuse an outcome density whose arrays would exceed OUTCOME_MAX_BYTES."""
+    if nbytes > OUTCOME_MAX_BYTES:
+        raise OutcomeTooLargeError(
+            f"the outcome density needs about {nbytes / 1e6:.0f} MB, over the "
+            f"{OUTCOME_MAX_BYTES / 1e6:.0f} MB budget; use a grid with fewer points"
+        )
+
+
+def _sum_envelope(s_values, x3_values, lam_s: float) -> np.ndarray:
+    """exp(-lam_s*(s - 2*sqrt(2)*x3)^2) on x3_values x s_values, built in place.
+
+    The envelope is the largest array of an outcome density, so it never
+    passes through a temporary of its own size.
+    """
+    env = s_values[None, :] - 2.0 * _SQRT2 * x3_values[:, None]
+    env **= 2
+    env *= -lam_s
+    return np.exp(env, out=env)
 
 
 class _PairCorrelation:
     """psi(v) * conj(psi(v')) tabulated on sum/difference lattices.
 
-    v = (s+d)/2 and v' = (s-d)/2 run over a band-limited upsampling of the
-    input so that difference-coordinate structure narrower than the grid
-    spacing (strong squeezing) is resolved exactly.
+    v = (s+d)/2 and v' = (s-d)/2 run over the band-limited interpolant of the
+    input at spacing h = dx/factor, so that difference-coordinate structure
+    narrower than the grid spacing (strong squeezing) is resolved exactly.
+    Row m and column o (|o| <= half_steps) pair the fine samples
+    c = stride*m + o and stride*m - o, so the factor*n interpolant is never
+    formed.  For each residue r = o mod stride the samples
+    fine[stride*m + r] are one inverse FFT of length rows = factor*n/stride of
+    the native spectrum twiddled by exp(2*pi*i*k*r/(factor*n)); column o reads
+    that phase shifted by floor(o/stride) rows, zero past either end.  That is
+    at most min(stride, n_d) short transforms, and one when factor <= 4.
+
+    The table, and the envelope of ``n_x3`` rows later contracted with it,
+    are estimated before anything is allocated; over OUTCOME_MAX_BYTES the
+    constructor raises OutcomeTooLargeError.
     """
 
-    def __init__(self, psi: SampledWaveFunction, lam_d: float):
+    def __init__(self, psi: SampledWaveFunction, lam_d: float, n_x3: int):
         g = psi.grid
         width_d = 1.0 / np.sqrt(2.0 * lam_d) if lam_d > 0 else np.inf
         factor = 2
         if width_d < 3.0 * g.dx:
             factor = int(2 ** np.ceil(np.log2(3.0 * g.dx / width_d)))
             factor = int(min(max(factor, 2), 1024))
-        fine = _upsample(psi, factor)
         h = g.dx / factor
         big = g.n * factor
+        stride = max(1, factor // 4)
+        rows = big // stride
 
         # The product psi(v)*conj(psi(v-d)) vanishes once |d| exceeds the
         # support extent, so the difference lattice never needs to span more.
@@ -457,15 +480,39 @@ class _PairCorrelation:
         d_max = min(7.0 * width_d, extent, (g.n - 1) * g.dx)
         half_steps = int(np.ceil(d_max / (2.0 * h)))
         half_steps = max(1, min(half_steps, big // 2 - 1))
+        n_d = 2 * half_steps + 1
+        _require_outcome_budget(rows * n_d * 16 + n_x3 * rows * 8)
 
-        # Row c of the window holds fine[c - half_steps : c + half_steps + 1]
-        # (zero-padded), so column k pairs v = c + k - half_steps with its
-        # mirror v' = c - k + half_steps.
-        stride = max(1, factor // 4)
-        win = np.lib.stride_tricks.sliding_window_view(
-            np.pad(fine, half_steps), 2 * half_steps + 1
-        )[::stride]
-        self.table = win * np.conj(win[:, ::-1])  # (n_s, n_d)
+        phi = to_momentum(psi)
+        raw = np.fft.ifftshift(phi.amplitudes * np.exp(1j * phi.grid.points * g.x_min))
+        k = np.fft.ifftshift(np.arange(g.n) - g.n // 2)  # signed frequency of raw
+        scale = rows * g.dp / np.sqrt(_TWO_PI)
+
+        def polyphase(r):
+            """fine[stride*m + r] for m in [0, rows): one short inverse FFT."""
+            spectrum = np.zeros(rows, dtype=np.complex128)
+            twiddled = raw * np.exp(1j * (_TWO_PI * r / big) * k) if r else raw
+            spectrum[: g.n // 2] = twiddled[: g.n // 2]
+            spectrum[rows - g.n // 2 :] = twiddled[g.n // 2 :]
+            return np.fft.ifft(spectrum) * scale
+
+        # Column j holds o = j - half_steps: fine[stride*m + o] times the
+        # conjugate of fine[stride*m - o], whose residues are r and -r.
+        shift, residue = np.divmod(np.arange(-half_steps, half_steps + 1), stride)
+        self.table = np.zeros((rows, n_d), dtype=np.complex128)  # (n_s, n_d)
+        for r in range(stride // 2 + 1):
+            cols = np.flatnonzero((residue == r) | (residue == -r % stride))
+            if cols.size == 0:
+                continue
+            phases = {rr: polyphase(rr) for rr in {r, -r % stride}}
+            for j in cols:
+                a, b = shift[j], shift[-1 - j]
+                lo, hi = max(0, -a, -b), rows - max(0, a, b)
+                np.multiply(
+                    phases[residue[j]][lo + a : hi + a],
+                    np.conj(phases[residue[-1 - j]][lo + b : hi + b]),
+                    out=self.table[lo:hi, j],
+                )
         self.d_values = 2.0 * h * np.arange(-half_steps, half_steps + 1)
         self.s_values = 2.0 * g.x_min + 2.0 * h * np.arange(0, big, stride)
         self.s_weight = 2.0 * h * stride
@@ -482,14 +529,10 @@ def _outcome_density(
     lam_s = 0: the envelope is flat and any single x3 yields the p4 marginal.
     """
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    pair = _PairCorrelation(psi, lam_d)
-    # Built in place: the envelope is the largest array here (257 x n_s).
-    env = pair.s_values[None, :] - 2.0 * _SQRT2 * x3_values[:, None]
-    env **= 2
-    env *= -lam_s
-    np.exp(env, out=env)
-    # Real and imaginary parts apart: env is real and never promoted to complex.
-    G = (env @ pair.table.real + 1j * (env @ pair.table.imag)) * pair.s_weight
+    pair = _PairCorrelation(psi, lam_d, len(x3_values))
+    env = _sum_envelope(pair.s_values, x3_values, lam_s)
+    # One real matmul over the interleaved real and imaginary table columns.
+    G = (env @ pair.table.view(np.float64)).view(np.complex128) * pair.s_weight
     phase = np.exp(-lam_d * pair.d_values**2)[:, None] * np.exp(
         -1j * _SQRT2 * np.multiply.outer(pair.d_values, p4_values)
     )
@@ -565,8 +608,8 @@ def sample_outcomes(
         # just |psi(v)|^2 smoothed by the wide envelope, both resolved on the grid.
         values, step = _centered_grid(mean_x3, np.sqrt(var_x3), _MARGINAL_CELLS)
         lam_s = 1.0 / (2.0 * params.sigma_b**2)
-        s = 2.0 * psi.grid.points
-        env = np.exp(-lam_s * (s[None, :] - 2.0 * _SQRT2 * values[:, None]) ** 2)
+        _require_outcome_budget(_MARGINAL_CELLS * psi.grid.n * 8)
+        env = _sum_envelope(2.0 * psi.grid.points, values, lam_s)
         density = env @ psi.probability()
     idx = _sample_cells(density, rng, count)
     drawn = values[idx] + (rng.random(count) - 0.5) * step

@@ -29,6 +29,10 @@ class OracleGridTooLargeError(TeleportError):
     """The full-state oracle is restricted to small grids (memory is n^3)."""
 
 
+class OutcomeTooLargeError(TeleportError):
+    """An outcome density would need more memory than its budget allows."""
+
+
 class IdealChannelOutcomeUnboundedError(TeleportError):
     """The doubly ideal channel has an improper outcome distribution."""
 

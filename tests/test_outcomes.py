@@ -2,21 +2,35 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport import (
     GridSpec,
     IDEAL,
     IdealChannelOutcomeUnboundedError,
+    OutcomeTooLargeError,
+    SampledWaveFunction,
+    SampleWithSeed,
+    Scenario,
     SentinelNotMaterializableError,
     SqueezingParams,
     build_outcome_distribution,
     gaussian_packet,
     load_signal,
     moments,
+    run_sweep,
     sample_outcome,
     sample_outcomes,
+    to_momentum,
 )
-from cvteleport.channel import _outcome_density, outcome_moments
+from cvteleport.channel import (
+    OUTCOME_MAX_BYTES,
+    _PairCorrelation,
+    _lambda_coefficients,
+    _outcome_density,
+    outcome_moments,
+)
 from cvteleport.signals import bundled_silhouette_path
 
 
@@ -136,6 +150,128 @@ def test_outcome_density_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 60e6
+
+
+def _whole_grid_pair_table(psi, pair):
+    """The pair table by the direct route, on the lattices ``pair`` chose.
+
+    Upsample the whole input by `factor` through its zero-padded spectrum,
+    then pair each window of the zero-padded result with its mirror.
+    """
+    g = psi.grid
+    h = (pair.d_values[1] - pair.d_values[0]) / 2.0
+    factor = int(round(g.dx / h))
+    stride = int(round(pair.s_weight / (2.0 * h)))
+    half_steps = pair.d_values.size // 2
+    big, half = g.n * factor, g.n // 2
+    phi = to_momentum(psi)
+    raw = np.fft.ifftshift(phi.amplitudes * np.exp(1j * phi.grid.points * g.x_min))
+    spectrum = np.zeros(big, dtype=np.complex128)
+    spectrum[:half] = raw[:half]
+    spectrum[big - half :] = raw[half:]
+    fine = np.fft.ifft(spectrum) * (big * g.dp / np.sqrt(2.0 * np.pi))
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.pad(fine, half_steps), 2 * half_steps + 1
+    )[::stride]
+    return factor, stride, win * np.conj(win[:, ::-1])
+
+
+def _check_pair_table(psi, sigma_a, sigma_b):
+    pair = _PairCorrelation(psi, _lambda_coefficients(sigma_a, sigma_b)[0], 1)
+    factor, stride, reference = _whole_grid_pair_table(psi, pair)
+    shape = (pair.s_values.size, pair.d_values.size)
+    assert pair.table.shape == reference.shape == shape
+    err = np.max(np.abs(pair.table - reference))
+    assert err <= 1e-14 * np.max(np.abs(reference))
+    return factor, stride, pair.d_values.size
+
+
+@pytest.mark.parametrize(
+    "grid, sigma_a, sigma_b, factor, stride, n_d",
+    [
+        # fig9b: 41 residues of stride 64, each one 65536-point transform
+        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 256, 64, 41),
+        # more columns than residues: each phase serves about 21 columns
+        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 8, 2, 43),
+        # a resolved sigma_a: one transform, the whole fine grid
+        (GridSpec(-1024.0, 0.5, 4096), 5.0, 5.0, 2, 1, 199),
+        # sigma_a asks for factor 2048, clamped to 1024
+        (GridSpec(-1024.0, 0.5, 4096), 0.0004, 8.4, 1024, 256, 13),
+    ],
+    ids=["fig9b", "moderate", "resolved", "clamped"],
+)
+def test_pair_table_matches_whole_grid_upsampling(
+    grid, sigma_a, sigma_b, factor, stride, n_d
+):
+    psi = load_signal(bundled_silhouette_path(), grid)
+    assert _check_pair_table(psi, sigma_a, sigma_b) == (factor, stride, n_d)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    log2_n=st.integers(4, 8),
+    dx=st.floats(0.05, 1.0),
+    log_sigma_a=st.floats(-7.0, 1.5),
+    sigma_b=st.floats(0.1, 50.0),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_table_matches_whole_grid_upsampling_on_random_inputs(
+    log2_n, dx, log_sigma_a, sigma_b, sparse, seed
+):
+    rng = np.random.default_rng(seed)
+    n = 2**log2_n
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if sparse:
+        amps[rng.random(n) < 0.8] = 0.0
+        amps[n // 2] = 1.0
+    psi = SampledWaveFunction(GridSpec(-n * dx / 2.0, dx, n), amps)
+    _check_pair_table(psi, float(np.exp(log_sigma_a)), sigma_b)
+
+
+def test_pair_table_memory_is_bounded():
+    # fig9b: a 65536 x 41 table (43 MB) from 41 short transforms; the
+    # whole-grid route peaked at 178 MB on its 4.2M-point upsampling
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
+    lam_d = _lambda_coefficients(1 / 180.0, 280.0)[0]
+    tracemalloc.start()
+    try:
+        _PairCorrelation(psi, lam_d, 257)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120e6
+
+
+def test_outcome_density_over_budget_fails_before_allocating():
+    # sigma_a = sigma_b = 5 on 262144 points: a 524288 x 199 pair table
+    # (1.67 GB) under a 257 x 524288 envelope (1.08 GB); the x3-only and
+    # p4-only draws on this grid are over the budget as well
+    grid = GridSpec(-65536.0, 0.5, 262144)
+    psi = load_signal(bundled_silhouette_path(), grid)
+    assert 524288 * 199 * 16 + 257 * 524288 * 8 > OUTCOME_MAX_BYTES > 178e6
+    tracemalloc.start()
+    try:
+        for params in [
+            SqueezingParams(5.0, 5.0),
+            SqueezingParams(IDEAL, 5.0),
+            SqueezingParams(5.0, IDEAL),
+        ]:
+            with pytest.raises(OutcomeTooLargeError, match="budget"):
+                sample_outcomes(psi, params, seed=1, count=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+    params, draw = SqueezingParams(5.0, 5.0), SampleWithSeed(1)
+    scenarios = [
+        Scenario("too_big", params, draw),
+        Scenario("fits", params, draw, GridSpec(-128.0, 0.5, 512)),
+    ]
+    report = run_sweep(scenarios, psi)
+    assert report.by_label("too_big").error.startswith("OutcomeTooLargeError: ")
+    assert not report.by_label("fits").failed
 
 
 def test_build_distribution_rejects_sentinels(packet):
