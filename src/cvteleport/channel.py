@@ -12,8 +12,9 @@ The regimes are limits of this kernel: both widths ideal gives the exact
 identity; ideal sigma_b leaves a convolution with the narrow oscillatory
 Gaussian k(u) = exp(i*sqrt(2)*p4*u) * exp(-(u/(2 sigma_a))^2); ideal sigma_a
 leaves multiplication by the wide envelope exp(-((x5-sqrt(2)*x3)/sigma_b)^2).
-With both widths finite the trapezoid sum of the kernel factors exactly into
-two Gaussian envelopes around one banded convolution (`_teleport_general`).
+Each regime carries both widths, the ideal ones as class-level limits
+(sigma_a = 0, sigma_b = inf), and one function (`_apply_kernel`) evaluates
+the kernel at those widths: two Gaussian envelopes around one convolution.
 `oracle_teleport` never uses the kernel: it evolves the full three-mode state
 step by step (beam splitter, corrections, homodyne slice) on a small grid and
 is the independent reference the kernel path is tested against.
@@ -82,12 +83,16 @@ class MeasurementOutcome:
 class Ideal:
     """Both source beams ideal: the channel is the exact identity."""
 
+    sigma_a = 0.0
+    sigma_b = np.inf
+
 
 @dataclass(frozen=True)
 class ConvolutionOnly:
     """Finite x-squeezing only: convolution with a narrow oscillatory Gaussian."""
 
     sigma_a: float
+    sigma_b = np.inf
 
     def __post_init__(self):
         _require_width("sigma_a", self.sigma_a)
@@ -97,6 +102,7 @@ class ConvolutionOnly:
 class MultiplicationOnly:
     """Finite p-squeezing only: multiplication by a wide Gaussian envelope."""
 
+    sigma_a = 0.0
     sigma_b: float
 
     def __post_init__(self):
@@ -151,85 +157,58 @@ def teleport(
 ) -> SampledWaveFunction:
     """Teleported state for one measurement outcome, normalized.
 
+    Every regime is the kernel at its two widths (``sigma_a`` = 0 and
+    ``sigma_b`` = inf are the ideal limits); both ideal is the exact identity.
     Raises ZeroNormError when the kernel annihilates the state (a physically
     improbable outcome rendered numerically void rather than silently
     renormalized noise) and GridTooNarrowError when the output leaks into the
     outermost grid bins.
     """
-    if isinstance(regime, Ideal):
+    sigma_a, sigma_b = regime.sigma_a, regime.sigma_b
+    if sigma_a == 0.0 and sigma_b == np.inf:
         return SampledWaveFunction(psi.grid, psi.amplitudes)
-    if isinstance(regime, ConvolutionOnly):
-        raw = _teleport_convolution(psi, regime.sigma_a, outcome.p4)
-    elif isinstance(regime, MultiplicationOnly):
-        raw = psi.amplitudes * envelope(regime.sigma_b, outcome.x3, psi.grid.points)
-    elif isinstance(regime, General):
-        raw = _teleport_general(psi, regime, outcome)
-    else:
-        raise TypeError(f"unknown kernel regime: {regime!r}")
-    return _finish(psi.grid, raw)
+    return _finish(psi.grid, _apply_kernel(psi, sigma_a, sigma_b, outcome))
 
 
-def _teleport_convolution(
-    psi: SampledWaveFunction, sigma_a: float, p4: float
+def _apply_kernel(
+    psi: SampledWaveFunction, sigma_a: float, sigma_b: float, outcome: MeasurementOutcome
 ) -> np.ndarray:
-    """FFT convolution with k(u), via the kernel's exact transform.
-
-    Convolving with k(u) multiplies the momentum spectrum by the Gaussian
-    window exp(-sigma_a^2 (p - sqrt(2) p4)^2).  The window is applied with its
-    exponent offset by the in-band minimum, so strongly off-band outcomes
-    (huge p4, tiny sigma_a) tilt the spectrum exactly instead of underflowing;
-    the dropped factor is a positive constant absorbed by normalization.
-    """
-    phi = to_momentum(psi)
-    exponent = (sigma_a * (phi.grid.points - _SQRT2 * p4)) ** 2
-    window = np.exp(-(exponent - exponent.min()))
-    filtered = SampledWaveFunction(phi.grid, phi.amplitudes * window)
-    return _position_transform_along(filtered.amplitudes, phi.grid, psi.grid, axis=0)
-
-
-def convolve_sampled_kernel(
-    psi: SampledWaveFunction, sigma_a: float, p4: float
-) -> SampledWaveFunction:
-    """Direct convolution with the kernel sampled on the grid.
-
-    Equivalent to the spectral route whenever the kernel is resolved
-    (sigma_a a few grid steps or more); kept as the cross-check path.
-    """
-    g = psi.grid
-    u = (np.arange(2 * g.n - 1) - (g.n - 1)) * g.dx
-    kernel = convolution_kernel(sigma_a, p4, u)
-    full = np.convolve(psi.amplitudes, kernel)
-    return _finish(g, full[g.n - 1 : 2 * g.n - 1] * g.dx)
-
-
-def _teleport_general(
-    psi: SampledWaveFunction, regime: General, outcome: MeasurementOutcome
-) -> np.ndarray:
-    """Trapezoid sum of the kernel: two Gaussian envelopes around one convolution.
+    """The kernel applied to psi: two Gaussian envelopes around one convolution.
 
     With A = 1/(4 sigma_a^2), B = 1/(4 sigma_b^2), c = x - sqrt(2)*x3 and
     q = sqrt(2)*p4 the kernel factors exactly as
       A >= B: exp(-2B c_x^2) exp(-(A-B)(x-v)^2 + iq(x-v)) exp(-2B c_v^2),
       A <  B: exp(-2A c_x^2 + iq c_x) exp(-(B-A)(c_x+c_v)^2) exp(-2A c_v^2 - iq c_v);
-    no factor exceeds 1, so none underflows where the kernel does not.  The
-    Toeplitz (Hankel on the reversed input) middle factor is a direct
-    convolution over its nonzero taps, with exponents (u - w)(u + w) finite
-    for any width: an FFT would smear rounding over envelopes spanning e^-100,
-    and a sub-grid sigma_a is a single tap.
+    no factor exceeds 1, so none underflows where the kernel does not.
+
+    sigma_b = inf (B = 0) leaves no envelope, and the middle factor acts
+    through its exact transform: the momentum spectrum times the window
+    exp(-sigma_a^2 (p - q)^2), its exponent offset by the in-band minimum so
+    strongly off-band outcomes (huge p4, tiny sigma_a) tilt the spectrum
+    exactly instead of underflowing.  Otherwise the Toeplitz (Hankel on the
+    reversed input) middle factor is a direct sum over its nonzero taps, with
+    exponents (u - w)(u + w) finite for any width: an FFT would smear rounding
+    over envelopes spanning e^-100, and sigma_a = 0 (or far below the grid
+    step) leaves the single tap at lag 0.  The sum carries no dx or trapezoid
+    end weights: normalization absorbs the constant dx.
     """
     g = psi.grid
-    sa, sb = 2.0 * regime.sigma_a, 2.0 * regime.sigma_b
-    c = g.points - _SQRT2 * outcome.x3
     q = _SQRT2 * outcome.p4
-    weights = np.full(g.n, g.dx)
-    weights[[0, -1]] *= 0.5
+    if sigma_b == np.inf:
+        phi = to_momentum(psi)
+        exponent = (sigma_a * (phi.grid.points - q)) ** 2
+        window = np.exp(-(exponent - exponent.min()))
+        return _position_transform_along(phi.amplitudes * window, phi.grid, g, axis=0)
+    sa, sb = 2.0 * sigma_a, 2.0 * sigma_b
+    c = g.points - _SQRT2 * outcome.x3
     lag = np.arange(1 - g.n, g.n) * g.dx  # x_i - v_j at tap index i - j + n - 1
-    # A tiny width overflows an exponent to inf, whose exp is the exact 0 wanted.
-    with np.errstate(over="ignore"):
+    # A tiny or zero width sends an exponent to inf, whose exp is the exact 0 wanted.
+    with np.errstate(over="ignore", divide="ignore"):
         left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)  # the wider width sets both
-        right = left * weights * psi.amplitudes
+        right = left * psi.amplitudes
         if sa <= sb:
-            u, w = lag / sa, lag / sb
+            u = np.divide(lag, sa, out=np.zeros_like(lag), where=lag != 0.0)
+            w = lag / sb
             taps = np.exp(-(u - w) * (u + w) + 1j * q * lag)
         else:
             left = left * np.exp(1j * q * c)
@@ -245,6 +224,21 @@ def _teleport_general(
     part = np.convolve(right, taps[lo:hi])
     full[lo : lo + part.size] = part
     return left * full[g.n - 1 : 2 * g.n - 1]
+
+
+def convolve_sampled_kernel(
+    psi: SampledWaveFunction, sigma_a: float, p4: float
+) -> SampledWaveFunction:
+    """Direct convolution with the kernel sampled on the grid.
+
+    Equivalent to the spectral route whenever the kernel is resolved
+    (sigma_a a few grid steps or more); kept as the cross-check path.
+    """
+    g = psi.grid
+    u = (np.arange(2 * g.n - 1) - (g.n - 1)) * g.dx
+    kernel = convolution_kernel(sigma_a, p4, u)
+    full = np.convolve(psi.amplitudes, kernel)
+    return _finish(g, full[g.n - 1 : 2 * g.n - 1] * g.dx)
 
 
 def _finish(grid: GridSpec, raw: np.ndarray) -> SampledWaveFunction:

@@ -35,6 +35,11 @@ _SCENARIO_KEYS = {"label", "sigma_a", "sigma_b", "x3", "p4", "seed", "grid"}
 #: Outcome-coordinate spelling that requests sampling.
 SAMPLE = "sample"
 
+#: Largest grid a config may request.  A run peaks at about 260 bytes per
+#: grid point (tracemalloc, n = 65536), so 2^21 points stay under the 1 GiB
+#: that ``channel.OUTCOME_MAX_BYTES`` allows an outcome density.
+MAX_GRID_POINTS = 1 << 21
+
 
 @dataclass
 class ScenarioSpec:
@@ -72,9 +77,14 @@ def parse_grid(spec: str, path=None, line=None) -> GridSpec:
         raise ParseError(f"grid must be xmin:xmax:n, got {spec!r}", path, line)
     try:
         x_min, x_max, n = float(parts[0]), float(parts[1]), int(parts[2])
-        return GridSpec.from_bounds(x_min, x_max, n)
+        grid = GridSpec.from_bounds(x_min, x_max, n)
     except ValueError as exc:
         raise ParseError(f"bad grid {spec!r}: {exc}", path, line)
+    if n > MAX_GRID_POINTS:
+        raise ParseError(
+            f"grid {spec!r} has {n} points, over the limit of {MAX_GRID_POINTS}", path, line
+        )
+    return grid
 
 
 def _parse_width(value: str, key: str, path, line):
@@ -121,6 +131,7 @@ def parse_config(path) -> RunConfig:
 
     globals_raw: dict[str, str] = {}
     seed = 0
+    grid = parse_grid("-256:256:1024")
     scenario_raws: list[dict] = []
     current: dict | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -142,6 +153,8 @@ def parse_config(path) -> RunConfig:
                 raise ParseError(f"unknown key {key!r}", pstr, lineno)
             if key == "seed":
                 seed = _parse_seed(value, "seed", pstr, lineno)
+            elif key == "grid":
+                grid = parse_grid(value, pstr, lineno)
             globals_raw[key] = value
         else:
             if key not in _SCENARIO_KEYS:
@@ -152,7 +165,6 @@ def parse_config(path) -> RunConfig:
         raise ParseError("missing required key 'input'", pstr)
     if "output_dir" not in globals_raw:
         raise ParseError("missing required key 'output_dir'", pstr)
-    grid = parse_grid(globals_raw.get("grid", "-256:256:1024"), pstr)
     image_mode = globals_raw.get("image_mode", "column-wise")
     if image_mode not in ("column-wise", "row-wise"):
         raise ParseError("image_mode must be column-wise or row-wise", pstr)

@@ -139,12 +139,18 @@ def normalize(psi: SampledWaveFunction) -> SampledWaveFunction:
     """Scale to unit L2 norm under the dx measure.
 
     Raises ZeroNormError when the squared norm is below 1e-300; the global
-    phase of the amplitudes is untouched.
+    phase of the amplitudes is untouched.  Amplitudes whose squared norm
+    overflows are first divided by their largest real or imaginary part.
     """
-    norm_sq = np.sum(np.abs(psi.amplitudes) ** 2) * psi.grid.dx
+    amps = psi.amplitudes
+    with np.errstate(over="ignore"):
+        norm_sq = np.sum(np.abs(amps) ** 2) * psi.grid.dx
+    if norm_sq == np.inf:
+        amps = amps / np.abs(amps.view(np.float64)).max()
+        norm_sq = np.sum(np.abs(amps) ** 2) * psi.grid.dx
     if norm_sq < ZERO_NORM_FLOOR:
         raise ZeroNormError("cannot normalize a wave function with vanishing norm")
-    return SampledWaveFunction(psi.grid, psi.amplitudes / np.sqrt(norm_sq))
+    return SampledWaveFunction(psi.grid, amps / np.sqrt(norm_sq))
 
 
 def _momentum_transform_along(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:

@@ -67,6 +67,8 @@ def parse_signal_text(text: str, path=None):
             numbers = [float(tok) for tok in tokens]
         except ValueError:
             raise ParseError(f"non-numeric value in {tokens!r}", path=path, line=lineno)
+        if not all(map(math.isfinite, numbers)):
+            raise ParseError(f"non-finite value in {tokens!r}", path=path, line=lineno)
         positions.append(numbers[0])
         values.append(complex(numbers[1], numbers[2] if len(numbers) == 3 else 0.0))
     if len(positions) < 2:
@@ -100,7 +102,8 @@ def load_signal(path, grid: GridSpec) -> SampledWaveFunction:
             f"signal spans [{pos[0]:g}, {pos[-1]:g}] but the grid covers "
             f"[{grid.x_min:g}, {grid.x_max:g}]"
         )
-    scale = float(np.sqrt(np.sum(np.abs(values) ** 2) * (pos[1] - pos[0])))
+    # hypot scales internally, so huge amplitudes give no overflow (inf at worst)
+    scale = math.hypot(*values.view(np.float64).tolist()) * math.sqrt(pos[1] - pos[0])
     log.debug("loaded %s: %d samples, raw L2 scale %.6g", path, len(pos), scale)
     return place_samples(pos, values, grid)
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport import (
     ConvolutionOnly,
@@ -16,6 +18,7 @@ from cvteleport import (
     SampledWaveFunction,
     SentinelNotMaterializableError,
     SqueezingParams,
+    TeleportError,
     ZeroNormError,
     gaussian_packet,
     moments,
@@ -116,6 +119,64 @@ def test_general_to_multiplication_limit():
     gen = teleport(psi, General(1e-3 * g.dx, 40.0), out)
     mult = teleport(psi, MultiplicationOnly(40.0), out)
     assert rel_l2(mult, gen) < 1e-3
+
+
+def _teleported(psi, regime, outcome):
+    """The output amplitudes, or the type of the TeleportError raised instead."""
+    try:
+        return teleport(psi, regime, outcome).amplitudes
+    except TeleportError as exc:
+        return type(exc)
+
+
+_random_grids = dict(log2_n=st.integers(6, 10), dx=st.floats(0.05, 1.0))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    **_random_grids,
+    log_a=st.floats(-30.0, 0.0),
+    log_b=st.floats(np.log(0.02), np.log(2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_general_with_one_tap_sigma_a_is_multiplication(log2_n, dx, log_a, log_b, seed):
+    # sigma_a <= dx/60 leaves only the lag-0 tap: every other tap is below e^-899
+    rng = np.random.default_rng(seed)
+    g = GridSpec(-(2**log2_n) * dx / 2.0, dx, 2**log2_n)
+    psi = random_state(g, rng)
+    sigma_a, sigma_b = np.exp(log_a) * dx / 60.0, np.exp(log_b) * g.span
+    out = MeasurementOutcome(rng.uniform(-0.2, 0.2) * g.span, rng.uniform(-1, 1) / dx)
+    mult = _teleported(psi, MultiplicationOnly(sigma_b), out)
+    gen = _teleported(psi, General(sigma_a, sigma_b), out)
+    if isinstance(mult, type):
+        assert gen is mult
+    else:
+        assert np.array_equal(gen, mult)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    **_random_grids,
+    regime=st.sampled_from(["ideal", "convolution", "multiplication", "general"]),
+    log_a=st.floats(np.log(1e-3), np.log(10.0)),
+    log_b=st.floats(np.log(0.01), np.log(2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_teleport_output_has_unit_norm(log2_n, dx, regime, log_a, log_b, seed):
+    rng = np.random.default_rng(seed)
+    g = GridSpec(-(2**log2_n) * dx / 2.0, dx, 2**log2_n)
+    psi = random_state(g, rng)
+    sigma_a, sigma_b = np.exp(log_a) * dx, np.exp(log_b) * g.span
+    regime = {
+        "ideal": Ideal(),
+        "convolution": ConvolutionOnly(sigma_a),
+        "multiplication": MultiplicationOnly(sigma_b),
+        "general": General(sigma_a, sigma_b),
+    }[regime]
+    out = MeasurementOutcome(rng.uniform(-0.2, 0.2) * g.span, rng.uniform(-1, 1) / dx)
+    amplitudes = _teleported(psi, regime, out)
+    if not isinstance(amplitudes, type):
+        assert abs(np.sum(np.abs(amplitudes) ** 2) * dx - 1.0) <= 1e-12
 
 
 def test_general_matches_oracle_across_parameters():

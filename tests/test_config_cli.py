@@ -14,6 +14,7 @@ from cvteleport import (
     parse_grid,
 )
 from cvteleport.cli import main
+from cvteleport.config import MAX_GRID_POINTS
 from cvteleport.optics import IDEAL
 
 
@@ -62,6 +63,12 @@ def test_parse_grid_spec():
         parse_grid("0:10")
     with pytest.raises(ParseError):
         parse_grid("0:10:100")  # not a power of two
+    assert parse_grid(f"0:1:{MAX_GRID_POINTS}").n == MAX_GRID_POINTS  # allocates nothing
+    with pytest.raises(ParseError, match="over the limit"):
+        parse_grid(f"0:1:{2 * MAX_GRID_POINTS}")
+    with pytest.raises(ParseError, match="over the limit") as err:
+        parse_grid("0:1:1099511627776", "run.cfg", 3)
+    assert (err.value.path, err.value.line) == ("run.cfg", 3)
 
 
 def test_parse_config_rejects_unknown_keys(tmp_path):
@@ -101,8 +108,13 @@ SCENARIO = "[scenario]\nlabel = a\nsigma_a = {sa}\nsigma_b = 1\nx3 = {x3}\np4 = 
         ("\n" + SCENARIO.format(sa=1, x3=0, p4="inf"), 9),
         ("\n" + SCENARIO.format(sa=1, x3=0, p4="-inf"), 9),
         ("\n" + SCENARIO.format(sa=1, x3=0, p4=0) + "seed = -1\n", 10),
+        ("grid = 0:1:1099511627776\n" + SCENARIO.format(sa=1, x3=0, p4=0), 3),
+        ("\n" + SCENARIO.format(sa=1, x3=0, p4=0) + "grid = 0:1:4194304\n", 10),
     ],
-    ids=["seed", "sigma_a-inf", "sigma_a-nan", "x3-nan", "p4-inf", "p4-neg-inf", "scenario-seed"],
+    ids=[
+        "seed", "sigma_a-inf", "sigma_a-nan", "x3-nan", "p4-inf", "p4-neg-inf",
+        "scenario-seed", "grid-too-large", "scenario-grid-too-large",
+    ],
 )
 def test_parse_config_rejects_non_finite_and_negative(tmp_path, text, line):
     path = write_config(tmp_path, "input = x\noutput_dir = o\n" + text)
@@ -207,7 +219,7 @@ def test_cli_seed_override_changes_sampled_outcomes(tmp_path):
     assert row1 != row2
 
 
-def test_cli_grid_override(tmp_path):
+def test_cli_grid_override(tmp_path, capsys):
     out = tmp_path / "out"
     text = (
         "input = bundled:silhouette\ngrid = -256:256:1024\noutput_dir = {out}\n\n"
@@ -218,6 +230,15 @@ def test_cli_grid_override(tmp_path):
     assert main(["run", str(path)]) == 2
     # a wider override grid satisfies it
     assert main(["run", str(path), "--grid", "-1024:1024:4096"]) == 0
+    # an override over the point limit is refused before anything is allocated
+    huge = "0:1:1099511627776"
+    for argv in (
+        ["run", str(path), "--grid", huge],
+        ["info", "bundled:silhouette", "--grid", huge],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error: grid '{huge}' has"), argv
 
 
 def test_cli_kernel_and_envelope_outputs(tmp_path):

@@ -47,6 +47,16 @@ def test_normalize_idempotent(unit_grid):
     assert np.max(np.abs(again.amplitudes - psi.amplitudes)) < 1e-14
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e308, 1.5e308j])
+def test_normalize_huge_amplitudes(unit_grid, rng, scale):
+    # the squared norm overflows; the state must still reach unit norm, not zeros
+    psi = random_state(unit_grid, rng)
+    peak = np.abs(psi.amplitudes.view(np.float64)).max()
+    huge = SampledWaveFunction(unit_grid, psi.amplitudes / peak * scale)
+    expected = psi.amplitudes * (scale / abs(scale))  # the phase of scale stays
+    assert np.max(np.abs(normalize(huge).amplitudes - expected)) <= 1e-15
+
+
 def test_normalize_zero_raises():
     g = GridSpec(0.0, 0.5, 8)
     with pytest.raises(ZeroNormError):

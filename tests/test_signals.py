@@ -16,6 +16,7 @@ from cvteleport import (
     save_signal,
     to_momentum,
 )
+from cvteleport.cli import main
 from cvteleport.signals import (
     bundled_silhouette_path,
     load_bundled_silhouette,
@@ -54,10 +55,41 @@ def test_gaussian_two_column_file(tmp_path):
     assert m.std_x == pytest.approx(1 / np.sqrt(2), abs=1e-6)
 
 
-def test_parse_error_reports_line():
+def test_parse_error_reports_line(tmp_path, capsys):
     with pytest.raises(ParseError) as err:
         parse_signal_text("0 1\n0.5 bogus\n1.0 1\n", path="x.txt")
     assert err.value.line == 2
+    signal, cfg = tmp_path / "bad.txt", tmp_path / "bad.cfg"
+    cfg.write_text(
+        f"input = {signal}\noutput_dir = {tmp_path / 'out'}\n\n[scenario]\n"
+        "label = m\nsigma_a = ideal\nsigma_b = 50\nx3 = 0\np4 = 0\n"
+    )
+    for line in ("0.5 nan", "0.5 -inf", "0.5 1 nan", "0.5 1 inf", "nan 1", "inf 1"):
+        text = f"0 1\n{line}\n1.0 1\n"
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_signal_text(text, path="x.txt")
+        assert (err.value.path, err.value.line) == ("x.txt", 2), line
+        signal.write_text(text)
+        for argv in (["run", str(cfg)], ["info", str(signal)]):
+            capsys.readouterr()
+            assert main(argv) == 1, (line, argv)
+            assert capsys.readouterr().err.startswith(f"error: {signal}:2:"), (line, argv)
+
+
+def test_huge_amplitudes_run_and_info(tmp_path, capsys):
+    # amplitudes whose squared norm overflows load as the unscaled state
+    g = GridSpec(0.0, 0.5, 256)
+    psi = gaussian_packet(g, 50.0, 10.0)
+    signal, cfg = tmp_path / "huge.txt", tmp_path / "huge.cfg"
+    save_signal(signal, SampledWaveFunction(g, psi.amplitudes * 1e200))
+    assert np.max(np.abs(load_signal(signal, g).amplitudes - psi.amplitudes)) <= 1e-15
+    cfg.write_text(
+        f"input = {signal}\noutput_dir = {tmp_path / 'out'}\n\n[scenario]\n"
+        "label = m\nsigma_a = 0.5\nsigma_b = 10\nx3 = 0\np4 = 0\n"
+    )
+    assert main(["run", str(cfg)]) == 0
+    assert main(["info", str(signal)]) == 0
+    assert "mean_x = 50\n" in capsys.readouterr().out
 
 
 def test_wrong_column_count():
