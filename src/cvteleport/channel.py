@@ -28,6 +28,7 @@ and makes the conjugate outcome coordinate improper.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ from .grid import (
 )
 from .optics import SqueezingParams, epr_state
 
+log = logging.getLogger(__name__)
+
 _SQRT2 = np.sqrt(2.0)
 _TWO_PI = 2.0 * np.pi
 
@@ -60,7 +63,8 @@ _TWO_PI = 2.0 * np.pi
 ORACLE_MAX_POINTS = 64
 
 #: Largest estimated size of the arrays behind one outcome density (pair
-#: table plus sum-coordinate envelope); the fig9b joint density needs 178 MB.
+#: table plus sum-coordinate envelope, over the envelope's window of s rows);
+#: the fig9b joint density needs about 89 MB.
 OUTCOME_MAX_BYTES = 1 << 30
 
 #: Fraction of output mass tolerated in the outermost grid bins.
@@ -436,6 +440,23 @@ def _sum_envelope(s_values, x3_values, lam_s: float) -> np.ndarray:
     return np.exp(env, out=env)
 
 
+def _envelope_window(s_values, x3_values, lam_s: float) -> slice:
+    """The contiguous s rows where some x3 row's envelope reaches float64 eps.
+
+    exp(-lam_s*(s - t)^2) with t = 2*sqrt(2)*x3 falls below eps times its
+    peak once |s - t| exceeds R = sqrt(ln(1/eps)/lam_s), so rows outside
+    [min t - R, max t + R] add less than one ulp of any row's peak and are
+    left out.  A flat envelope (lam_s = 0) keeps the whole lattice.
+    """
+    if lam_s == 0.0:
+        return slice(0, len(s_values))
+    t = 2.0 * _SQRT2 * np.asarray(x3_values)
+    reach = np.sqrt(-np.log(np.finfo(np.float64).eps) / lam_s)
+    lo = np.searchsorted(s_values, t.min() - reach, side="left")
+    hi = np.searchsorted(s_values, t.max() + reach, side="right")
+    return slice(int(lo), int(hi))
+
+
 class _PairCorrelation:
     """psi(v) * conj(psi(v')) tabulated on sum/difference lattices.
 
@@ -450,12 +471,14 @@ class _PairCorrelation:
     that phase shifted by floor(o/stride) rows, zero past either end.  That is
     at most min(stride, n_d) short transforms, and one when factor <= 4.
 
-    The table, and the envelope of ``n_x3`` rows later contracted with it,
-    are estimated before anything is allocated; over OUTCOME_MAX_BYTES the
-    constructor raises OutcomeTooLargeError.
+    Only the s rows inside the sum envelope's window for ``x3_values`` (see
+    `_envelope_window`) are filled and kept.  The table, and the envelope
+    later contracted with it, are estimated over those rows before anything
+    is allocated and logged at DEBUG with the lattice; over OUTCOME_MAX_BYTES
+    the constructor raises OutcomeTooLargeError.
     """
 
-    def __init__(self, psi: SampledWaveFunction, lam_d: float, n_x3: int):
+    def __init__(self, psi: SampledWaveFunction, lam_d: float, x3_values, lam_s: float):
         g = psi.grid
         width_d = 1.0 / np.sqrt(2.0 * lam_d) if lam_d > 0 else np.inf
         factor = 2
@@ -475,7 +498,15 @@ class _PairCorrelation:
         half_steps = int(np.ceil(d_max / (2.0 * h)))
         half_steps = max(1, min(half_steps, big // 2 - 1))
         n_d = 2 * half_steps + 1
-        _require_outcome_budget(rows * n_d * 16 + n_x3 * rows * 8)
+        s_values = 2.0 * g.x_min + 2.0 * h * np.arange(0, big, stride)
+        window = _envelope_window(s_values, x3_values, lam_s)
+        kept = window.stop - window.start
+        nbytes = kept * n_d * 16 + len(x3_values) * kept * 8
+        log.debug(
+            "outcome density: factor %d, stride %d, %d of %d s rows, n_d %d, about %.1f MB",
+            factor, stride, kept, rows, n_d, nbytes / 1e6,
+        )
+        _require_outcome_budget(nbytes)
 
         phi = to_momentum(psi)
         raw = np.fft.ifftshift(phi.amplitudes * np.exp(1j * phi.grid.points * g.x_min))
@@ -493,7 +524,7 @@ class _PairCorrelation:
         # Column j holds o = j - half_steps: fine[stride*m + o] times the
         # conjugate of fine[stride*m - o], whose residues are r and -r.
         shift, residue = np.divmod(np.arange(-half_steps, half_steps + 1), stride)
-        self.table = np.zeros((rows, n_d), dtype=np.complex128)  # (n_s, n_d)
+        self.table = np.zeros((kept, n_d), dtype=np.complex128)  # (n_s, n_d)
         for r in range(stride // 2 + 1):
             cols = np.flatnonzero((residue == r) | (residue == -r % stride))
             if cols.size == 0:
@@ -501,14 +532,15 @@ class _PairCorrelation:
             phases = {rr: polyphase(rr) for rr in {r, -r % stride}}
             for j in cols:
                 a, b = shift[j], shift[-1 - j]
-                lo, hi = max(0, -a, -b), rows - max(0, a, b)
+                lo = max(window.start, -a, -b)
+                hi = max(lo, min(window.stop, rows - max(0, a, b)))
                 np.multiply(
                     phases[residue[j]][lo + a : hi + a],
                     np.conj(phases[residue[-1 - j]][lo + b : hi + b]),
-                    out=self.table[lo:hi, j],
+                    out=self.table[lo - window.start : hi - window.start, j],
                 )
         self.d_values = 2.0 * h * np.arange(-half_steps, half_steps + 1)
-        self.s_values = 2.0 * g.x_min + 2.0 * h * np.arange(0, big, stride)
+        self.s_values = s_values[window]
         self.s_weight = 2.0 * h * stride
 
 
@@ -519,11 +551,12 @@ def _outcome_density(
 
     max(0, Re sum_d G(x3, d) exp(-lam_d*d^2) exp(-i*sqrt(2)*d*p4)), where G is
     the pair correlation summed over s under the envelope
-    exp(-lam_s*(s - 2*sqrt(2)*x3)^2).  An ideal sigma_b (np.inf) gives
+    exp(-lam_s*(s - 2*sqrt(2)*x3)^2), over the s rows where some x3's envelope
+    reaches float64 eps of its peak.  An ideal sigma_b (np.inf) gives
     lam_s = 0: the envelope is flat and any single x3 yields the p4 marginal.
     """
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    pair = _PairCorrelation(psi, lam_d, len(x3_values))
+    pair = _PairCorrelation(psi, lam_d, x3_values, lam_s)
     env = _sum_envelope(pair.s_values, x3_values, lam_s)
     # One real matmul over the interleaved real and imaginary table columns.
     G = (env @ pair.table.view(np.float64)).view(np.complex128) * pair.s_weight
@@ -602,9 +635,11 @@ def sample_outcomes(
         # just |psi(v)|^2 smoothed by the wide envelope, both resolved on the grid.
         values, step = _centered_grid(mean_x3, np.sqrt(var_x3), _MARGINAL_CELLS)
         lam_s = 1.0 / (2.0 * params.sigma_b**2)
-        _require_outcome_budget(_MARGINAL_CELLS * psi.grid.n * 8)
-        env = _sum_envelope(2.0 * psi.grid.points, values, lam_s)
-        density = env @ psi.probability()
+        s_values = 2.0 * psi.grid.points
+        window = _envelope_window(s_values, values, lam_s)
+        _require_outcome_budget(_MARGINAL_CELLS * (window.stop - window.start) * 8)
+        env = _sum_envelope(s_values[window], values, lam_s)
+        density = env @ psi.probability()[window]
     idx = _sample_cells(density, rng, count)
     drawn = values[idx] + (rng.random(count) - 0.5) * step
     return (np.zeros(count), drawn) if params.b_is_ideal else (drawn, np.zeros(count))

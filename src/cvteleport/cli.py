@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    teleport run <config> [--seed N] [--grid xmin:xmax:n]
+    teleport [-v | -vv] run <config> [--seed N] [--grid xmin:xmax:n]
     teleport kernel --sigma-a S --p4 P --window A:B -o out.csv
     teleport envelope --sigma-b S --x3 X --window A:B -o out.csv
     teleport info <signal> [--grid xmin:xmax:n]
@@ -88,6 +88,9 @@ def _parse_window(text: str):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="teleport", description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "-v", "--verbose", action="count", default=0, help="log INFO (-v) or DEBUG (-vv)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a scenario configuration")
@@ -120,6 +123,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    logging.getLogger().setLevel(max(logging.DEBUG, logging.WARNING - 10 * args.verbose))
     try:
         return _dispatch(args)
     except TeleportError as exc:

@@ -1,4 +1,6 @@
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +149,50 @@ def test_cli_run_is_byte_identical(tmp_path):
     assert (out1 / "sampled_teleported.txt").read_bytes() == (
         out2 / "sampled_teleported.txt"
     ).read_bytes()
+
+
+SAMPLED = (
+    "\n[scenario]\nlabel = sampled\nsigma_a = 0.5\nsigma_b = 40\n"
+    "x3 = sample\np4 = sample\nseed = 3\ngrid = -1024:1024:4096\n"
+)
+_DENSITY_LINE = re.compile(
+    r"outcome density: factor \d+, stride \d+, \d+ of \d+ s rows, n_d \d+, about [0-9.]+ MB"
+)
+
+
+def test_cli_vv_logs_the_outcome_density_path(tmp_path, caplog):
+    cfg = write_config(tmp_path, (BASE + SAMPLED).format(out=tmp_path / "o"))
+    root = logging.getLogger()
+    level = root.level
+    try:
+        assert main(["-vv", "run", str(cfg)]) == 0
+    finally:
+        root.setLevel(level)  # main sets the root level from -v
+    lines = [r.getMessage() for r in caplog.records if r.name == "cvteleport.channel"]
+    assert len(lines) == 1 and _DENSITY_LINE.fullmatch(lines[0]), lines
+
+
+def test_cli_verbosity_changes_only_the_log(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    runs = []
+    for flags in ([], ["-v"], ["-vv"]):
+        out = tmp_path / f"out{len(flags) and flags[0]}"
+        cfg = write_config(tmp_path, (BASE + SAMPLED).format(out=out), f"{out.name}.cfg")
+        done = subprocess.run(
+            [sys.executable, "-m", "cvteleport.cli", *flags, "run", str(cfg)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stderr, (out / "report.csv").read_bytes()))
+    (quiet, report), (info, info_report), (debug, debug_report) = runs
+    assert report == info_report == debug_report
+    # this run logs nothing at WARNING or INFO; -vv adds the DEBUG lines
+    assert quiet == info == ""
+    assert len(_DENSITY_LINE.findall(debug)) == 1
 
 
 _INVALID_PROFILE_ARGS = [

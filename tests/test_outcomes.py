@@ -27,8 +27,12 @@ from cvteleport import (
 from cvteleport.channel import (
     OUTCOME_MAX_BYTES,
     _PairCorrelation,
+    _SQRT2,
+    _centered_grid,
+    _envelope_window,
     _lambda_coefficients,
     _outcome_density,
+    _sum_envelope,
     outcome_moments,
 )
 from cvteleport.signals import bundled_silhouette_path
@@ -139,17 +143,30 @@ def test_density_matches_bruteforce_integration(unit_grid):
     assert cov == pytest.approx(beta * moments(psi).std_x ** 2, rel=1e-5)
 
 
-def test_outcome_density_memory_is_bounded():
-    # the silhouette at sigma_a = 0.185, sigma_b = 8.4: a 16384 x 43 pair table
-    # under a 257 x 16384 envelope, neither gathered by index nor made complex
-    psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
+def _peak_bytes(call, *args):
     tracemalloc.start()
     try:
-        build_outcome_distribution(psi, SqueezingParams(0.18518518518518517, 8.4))
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60e6
+
+
+def test_outcome_density_memory_is_bounded():
+    # the silhouette at sigma_a = 0.185, sigma_b = 8.4: the envelope reaches
+    # 3273 of 16384 s rows, so a 3273 x 43 pair table under a 257 x 3273
+    # envelope (peak 11.1 MB; the whole lattice peaked at 47 MB)
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
+    params = SqueezingParams(0.18518518518518517, 8.4)
+    assert _peak_bytes(build_outcome_distribution, psi, params) < 20e6
+
+
+def test_fig9b_outcome_density_memory_is_bounded():
+    # 32670 of 65536 s rows: the windowed table and envelope peak at 91 MB,
+    # where the whole lattice peaked at 180 MB
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
+    params = SqueezingParams(1 / 180.0, 280.0)
+    assert _peak_bytes(build_outcome_distribution, psi, params) < 140e6
 
 
 def _whole_grid_pair_table(psi, pair):
@@ -177,7 +194,8 @@ def _whole_grid_pair_table(psi, pair):
 
 
 def _check_pair_table(psi, sigma_a, sigma_b):
-    pair = _PairCorrelation(psi, _lambda_coefficients(sigma_a, sigma_b)[0], 1)
+    lam_d = _lambda_coefficients(sigma_a, sigma_b)[0]
+    pair = _PairCorrelation(psi, lam_d, np.zeros(1), 0.0)  # lam_s = 0: every s row
     factor, stride, reference = _whole_grid_pair_table(psi, pair)
     shape = (pair.s_values.size, pair.d_values.size)
     assert pair.table.shape == reference.shape == shape
@@ -234,40 +252,101 @@ def test_pair_table_memory_is_bounded():
     # whole-grid route peaked at 178 MB on its 4.2M-point upsampling
     psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
     lam_d = _lambda_coefficients(1 / 180.0, 280.0)[0]
-    tracemalloc.start()
-    try:
-        _PairCorrelation(psi, lam_d, 257)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 120e6
+    assert _peak_bytes(_PairCorrelation, psi, lam_d, np.zeros(257), 0.0) < 120e6
+
+
+def _windowed_against_whole_lattice(psi, sigma_a, sigma_b, n_out=257):
+    """`_outcome_density` against the same contraction over every s row.
+
+    Asserts agreement to 1e-14 of the density maximum and returns the rows
+    the envelope's window kept and the rows of the whole lattice.
+    """
+    params = SqueezingParams(sigma_a, sigma_b)
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
+    x3_values = _centered_grid(mean_x3, np.sqrt(var_x3), n_out)[0]
+    p4_values = _centered_grid(mean_p4, np.sqrt(var_p4), n_out)[0]
+    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
+    whole = _PairCorrelation(psi, lam_d, np.zeros(1), 0.0)
+    env = _sum_envelope(whole.s_values, x3_values, lam_s)
+    G = (env @ whole.table.view(np.float64)).view(np.complex128) * whole.s_weight
+    phase = np.exp(-lam_d * whole.d_values**2)[:, None] * np.exp(
+        -1j * _SQRT2 * np.multiply.outer(whole.d_values, p4_values)
+    )
+    reference = np.clip(np.real(G @ phase), 0.0, None)
+    density = _outcome_density(psi, sigma_a, sigma_b, x3_values, p4_values)
+    assert np.max(np.abs(density - reference)) <= 1e-14 * reference.max()
+    window = _envelope_window(whole.s_values, x3_values, lam_s)
+    return window.stop - window.start, whole.s_values.size
+
+
+@pytest.mark.parametrize(
+    "grid, sigma_a, sigma_b, kept, rows",
+    [
+        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 32670, 65536),
+        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 3273, 16384),
+    ],
+    ids=["fig9b", "moderate"],
+)
+def test_windowed_density_matches_whole_lattice(grid, sigma_a, sigma_b, kept, rows):
+    psi = load_signal(bundled_silhouette_path(), grid)
+    assert _windowed_against_whole_lattice(psi, sigma_a, sigma_b) == (kept, rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    log2_n=st.integers(9, 12),
+    dx_frac=st.floats(0.0, 1.0),
+    log_sigma_a=st.floats(-6.0, 1.0),
+    log_sigma_b=st.floats(-1.0, 3.0),
+    width=st.floats(0.5, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windowed_density_matches_whole_lattice_on_localized_inputs(
+    log2_n, dx_frac, log_sigma_a, log_sigma_b, width, seed
+):
+    # Noise under a Gaussian of the given width.  The window spans about
+    # 14.5 hypot(sigma_a, sigma_b) + 6 width in x, so the smallest dx is
+    # chosen to leave part of the grid outside it.
+    n = 2**log2_n
+    sigma_a, sigma_b = float(np.exp(log_sigma_a)), float(np.exp(log_sigma_b))
+    min_dx = max(0.1, (16.0 * np.hypot(sigma_a, sigma_b) + 10.0 * width) / n)
+    dx = min_dx + dx_frac * (1.0 - min_dx)
+    grid = GridSpec(-n * dx / 2.0, dx, n)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi = SampledWaveFunction(grid, amps * np.exp(-((grid.points / width) ** 2)))
+    kept, rows = _windowed_against_whole_lattice(psi, sigma_a, sigma_b, n_out=33)
+    assert 0 < kept < rows
 
 
 def test_outcome_density_over_budget_fails_before_allocating():
-    # sigma_a = sigma_b = 5 on 262144 points: a 524288 x 199 pair table
-    # (1.67 GB) under a 257 x 524288 envelope (1.08 GB); the x3-only and
-    # p4-only draws on this grid are over the budget as well
+    # On 262144 points, sigma_a = sigma_b = 5 has a 524288-row s lattice, but
+    # its envelope reaches only a few thousand rows: the joint and the x3-only
+    # draws fit.  At sigma_b = 5000 the window holds most of the lattice, and
+    # the joint (about 1.9 GB) and x3-only (about 1.2 GB) draws are over the
+    # budget; the p4-only draw has a flat envelope and keeps every row of its
+    # 524288 x 281 table (2.4 GB).
     grid = GridSpec(-65536.0, 0.5, 262144)
     psi = load_signal(bundled_silhouette_path(), grid)
-    assert 524288 * 199 * 16 + 257 * 524288 * 8 > OUTCOME_MAX_BYTES > 178e6
-    tracemalloc.start()
-    try:
+    assert 524288 * 281 * 16 > OUTCOME_MAX_BYTES > 90e6
+    for params in [SqueezingParams(5.0, 5.0), SqueezingParams(IDEAL, 5.0)]:
+        assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 60e6
+
+    def refuse_all():
         for params in [
-            SqueezingParams(5.0, 5.0),
-            SqueezingParams(IDEAL, 5.0),
+            SqueezingParams(5.0, 5000.0),
+            SqueezingParams(IDEAL, 5000.0),
             SqueezingParams(5.0, IDEAL),
         ]:
             with pytest.raises(OutcomeTooLargeError, match="budget"):
                 sample_outcomes(psi, params, seed=1, count=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 50e6
 
-    params, draw = SqueezingParams(5.0, 5.0), SampleWithSeed(1)
+    assert _peak_bytes(refuse_all) < 50e6
+
+    draw = SampleWithSeed(1)
     scenarios = [
-        Scenario("too_big", params, draw),
-        Scenario("fits", params, draw, GridSpec(-128.0, 0.5, 512)),
+        Scenario("too_big", SqueezingParams(5.0, 5000.0), draw),
+        Scenario("fits", SqueezingParams(5.0, 5.0), draw, GridSpec(-128.0, 0.5, 512)),
     ]
     report = run_sweep(scenarios, psi)
     assert report.by_label("too_big").error.startswith("OutcomeTooLargeError: ")
