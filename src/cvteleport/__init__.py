@@ -67,7 +67,7 @@ from .analysis import (
     l2_distortion,
     run_sweep,
 )
-from .config import RunConfig, ScenarioSpec, parse_config, parse_grid
+from .config import RunConfig, parse_config, parse_grid
 from .images import ImageAsset, ImageTeleportResult, load_image, save_image, teleport_image
 from .runner import run
 from .signals import (

@@ -23,7 +23,6 @@ from .grid import (
     SampledWaveFunction,
     inner_product,
     moments,
-    normalize,
     resample,
 )
 from .optics import SqueezingParams
@@ -88,10 +87,10 @@ class SampleWithSeed:
     """Marker asking the sweep to draw the outcome itself.
 
     Either coordinate may be pinned; only the remaining one is taken from
-    the sampled pair.
+    the sampled pair.  A seed of None must be filled in before the sweep.
     """
 
-    seed: int
+    seed: int | None
     fixed_x3: float | None = None
     fixed_p4: float | None = None
 
@@ -112,14 +111,21 @@ class ScenarioResult:
     regime: str
     sigma_a: object
     sigma_b: object
-    x3: float | None
-    p4: float | None
-    fidelity: float
-    l2_distortion: float | None
+    x3: float | None = None
+    p4: float | None = None
+    fidelity: float = float("nan")
+    l2_distortion: float | None = None
     input_moments: MomentSummary | None = None
     output_moments: MomentSummary | None = None
     output: SampledWaveFunction | None = None
     error: str | None = None
+
+    @classmethod
+    def of(cls, scenario: Scenario, **fields) -> ScenarioResult:
+        """A row naming the scenario, its regime and widths; the rest from ``fields``."""
+        params = scenario.params
+        regime = type(regime_for(params)).__name__
+        return cls(scenario.label, regime, params.sigma_a, params.sigma_b, **fields)
 
     @property
     def failed(self) -> bool:
@@ -165,40 +171,28 @@ def _run_one(
     input_state: SampledWaveFunction,
     enforce_span_rule: bool = False,
 ) -> ScenarioResult:
+    request = scenario.outcome
+    if isinstance(request, SampleWithSeed) and request.seed is None:
+        raise ValueError(f"scenario {scenario.label!r}: a sampled outcome needs a seed")
     params = scenario.params
-    regime = regime_for(params)
-    row = ScenarioResult(
-        label=scenario.label,
-        regime=type(regime).__name__,
-        sigma_a=params.sigma_a,
-        sigma_b=params.sigma_b,
-        x3=None,
-        p4=None,
-        fidelity=float("nan"),
-        l2_distortion=float("nan"),
-    )
+    row = ScenarioResult.of(scenario, l2_distortion=float("nan"))
     try:
-        state = (
-            resample(input_state, scenario.grid)
-            if scenario.grid is not None and scenario.grid != input_state.grid
-            else normalize(input_state)
-        )
-        if isinstance(scenario.outcome, SampleWithSeed):
-            request = scenario.outcome
+        state = resample(input_state, scenario.grid or input_state.grid)
+        if isinstance(request, SampleWithSeed):
             drawn = sample_outcome(state, params, request.seed)
             outcome = MeasurementOutcome(
                 drawn.x3 if request.fixed_x3 is None else request.fixed_x3,
                 drawn.p4 if request.fixed_p4 is None else request.fixed_p4,
             )
         else:
-            outcome = scenario.outcome
+            outcome = request
         row.x3, row.p4 = outcome.x3, outcome.p4
         row.input_moments = moments(state)
         if enforce_span_rule:
             validate_span(
                 state.grid, row.input_moments.support_length, outcome.x3, params.sigma_b
             )
-        tele = teleport(state, regime, outcome)
+        tele = teleport(state, regime_for(params), outcome)
         row.output = tele
         row.fidelity = fidelity(state, tele)
         row.l2_distortion = l2_distortion(state, tele)

@@ -14,9 +14,11 @@ Example::
     x3 = 0
     p4 = 180
 
-Sentinel widths are spelled exactly ``ideal``; outcome coordinates may be
-``sample`` to draw them from the outcome distribution using the scenario seed
-(or one derived from the master seed and the scenario index).
+Each key appears at most once per section.  Sentinel widths are spelled
+exactly ``ideal``; an outcome coordinate may be ``sample``.  The scenarios
+come back as ``analysis.Scenario`` objects: a ``MeasurementOutcome`` for fixed
+coordinates, else a ``SampleWithSeed`` whose seed, when the scenario sets
+none, the runner derives from the master seed and the scenario index.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .analysis import SampleWithSeed, Scenario
+from .channel import MeasurementOutcome
 from .errors import ParseError
 from .grid import GridSpec
 from .optics import IDEAL, SqueezingParams
@@ -42,30 +46,11 @@ MAX_GRID_POINTS = 1 << 21
 
 
 @dataclass
-class ScenarioSpec:
-    label: str
-    sigma_a: object  # float or IDEAL
-    sigma_b: object
-    x3: object  # float or SAMPLE
-    p4: object
-    seed: int | None = None
-    grid: GridSpec | None = None
-
-    @property
-    def params(self) -> SqueezingParams:
-        return SqueezingParams(self.sigma_a, self.sigma_b)
-
-    @property
-    def needs_sampling(self) -> bool:
-        return self.x3 == SAMPLE or self.p4 == SAMPLE
-
-
-@dataclass
 class RunConfig:
     input_path: str
     grid: GridSpec
     output_dir: str
-    scenarios: list[ScenarioSpec] = field(default_factory=list)
+    scenarios: list[Scenario] = field(default_factory=list)
     seed: int = 0
     image_mode: str = "column-wise"
 
@@ -99,9 +84,10 @@ def _parse_width(value: str, key: str, path, line):
     return width
 
 
-def _parse_coordinate(value: str, key: str, path, line):
+def _parse_coordinate(value: str, key: str, path, line) -> float | None:
+    """A finite coordinate, or None when it is to be sampled."""
     if value == SAMPLE:
-        return SAMPLE
+        return None
     try:
         coordinate = float(value)
     except ValueError:
@@ -129,7 +115,7 @@ def parse_config(path) -> RunConfig:
     text = path.read_text(encoding="utf-8")
     pstr = str(path)
 
-    globals_raw: dict[str, str] = {}
+    globals_raw: dict[str, tuple[str, int]] = {}
     seed = 0
     grid = parse_grid("-256:256:1024")
     scenario_raws: list[dict] = []
@@ -148,26 +134,28 @@ def parse_config(path) -> RunConfig:
             raise ParseError("expected 'key = value'", pstr, lineno)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if current is None:
-            if key not in _GLOBAL_KEYS:
-                raise ParseError(f"unknown key {key!r}", pstr, lineno)
-            if key == "seed":
-                seed = _parse_seed(value, "seed", pstr, lineno)
-            elif key == "grid":
-                grid = parse_grid(value, pstr, lineno)
-            globals_raw[key] = value
-        else:
-            if key not in _SCENARIO_KEYS:
-                raise ParseError(f"unknown scenario key {key!r}", pstr, lineno)
-            current[key] = (value, lineno)
+        section = globals_raw if current is None else current
+        if current is None and key not in _GLOBAL_KEYS:
+            raise ParseError(f"unknown key {key!r}", pstr, lineno)
+        if current is not None and key not in _SCENARIO_KEYS:
+            raise ParseError(f"unknown scenario key {key!r}", pstr, lineno)
+        if key in section:
+            raise ParseError(
+                f"key {key!r} given twice (first at line {section[key][1]})", pstr, lineno
+            )
+        if current is None and key == "seed":
+            seed = _parse_seed(value, "seed", pstr, lineno)
+        elif current is None and key == "grid":
+            grid = parse_grid(value, pstr, lineno)
+        section[key] = (value, lineno)
 
     if "input" not in globals_raw:
         raise ParseError("missing required key 'input'", pstr)
     if "output_dir" not in globals_raw:
         raise ParseError("missing required key 'output_dir'", pstr)
-    image_mode = globals_raw.get("image_mode", "column-wise")
+    image_mode, mode_line = globals_raw.get("image_mode", ("column-wise", None))
     if image_mode not in ("column-wise", "row-wise"):
-        raise ParseError("image_mode must be column-wise or row-wise", pstr)
+        raise ParseError("image_mode must be column-wise or row-wise", pstr, mode_line)
 
     scenarios = []
     labels = set()
@@ -190,14 +178,16 @@ def parse_config(path) -> RunConfig:
         if "seed" in raw:
             scen_seed = _parse_seed(raw["seed"][0], "scenario seed", pstr, raw["seed"][1])
         scen_grid = parse_grid(raw["grid"][0], pstr, raw["grid"][1]) if "grid" in raw else None
-        scenarios.append(
-            ScenarioSpec(label, sigma_a, sigma_b, x3, p4, scen_seed, scen_grid)
-        )
+        if x3 is None or p4 is None:
+            outcome = SampleWithSeed(scen_seed, fixed_x3=x3, fixed_p4=p4)
+        else:
+            outcome = MeasurementOutcome(x3, p4)
+        scenarios.append(Scenario(label, SqueezingParams(sigma_a, sigma_b), outcome, scen_grid))
 
     return RunConfig(
-        input_path=globals_raw["input"],
+        input_path=globals_raw["input"][0],
         grid=grid,
-        output_dir=globals_raw["output_dir"],
+        output_dir=globals_raw["output_dir"][0],
         scenarios=scenarios,
         seed=seed,
         image_mode=image_mode,

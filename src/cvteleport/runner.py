@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ from .analysis import (
     kernel_profile,
     run_sweep,
 )
-from .channel import MeasurementOutcome, regime_for
-from .config import SAMPLE, RunConfig, ScenarioSpec
+from .channel import regime_for
+from .config import RunConfig
 from .errors import ParseError, TeleportError
 from .grid import to_momentum
+from .optics import IDEAL
 from .images import load_image, save_image, teleport_image
 from .signals import (
     atomic_write_text,
@@ -43,13 +45,6 @@ def resolve_input_path(spec: str) -> Path:
     if spec == "bundled:silhouette":
         return bundled_silhouette_path()
     return Path(spec)
-
-
-def scenario_seed(config_seed: int, spec: ScenarioSpec, index: int) -> int:
-    """Per-scenario random seed: explicit, or derived from (master, index)."""
-    if spec.seed is not None:
-        return spec.seed
-    return int(np.random.SeedSequence((config_seed, index)).generate_state(1)[0])
 
 
 def _is_graymap(path: Path) -> bool:
@@ -88,38 +83,33 @@ def write_envelope_profile(path, sigma_b: float, x3: float, window) -> None:
     write_table(path, "x,value\n", np.column_stack((prof.x, prof.values)), "%r,%r\n")
 
 
-def _write_profiles(
-    out_dir: Path, spec: ScenarioSpec, x3: float | None, p4: float | None, window
-) -> None:
-    if not spec.params.a_is_ideal and p4 is not None:
-        sa = spec.params.sigma_a
+def _write_profiles(out_dir: Path, row: ScenarioResult, window) -> None:
+    if row.sigma_a is not IDEAL:
+        sa = row.sigma_a
         window_a = (-12.0 * sa, 12.0 * sa)
-        write_kernel_profile(out_dir / f"{spec.label}_kernel.csv", sa, p4, window_a)
-    if not spec.params.b_is_ideal and x3 is not None:
-        sb = spec.params.sigma_b
-        write_envelope_profile(out_dir / f"{spec.label}_envelope.csv", sb, x3, window)
+        write_kernel_profile(out_dir / f"{row.label}_kernel.csv", sa, row.p4, window_a)
+    if row.sigma_b is not IDEAL:
+        sb = row.sigma_b
+        write_envelope_profile(out_dir / f"{row.label}_envelope.csv", sb, row.x3, window)
 
 
-def _build_scenarios(config: RunConfig) -> list[Scenario]:
-    scenarios = []
-    for index, spec in enumerate(config.scenarios):
-        if spec.needs_sampling:
-            outcome = SampleWithSeed(
-                seed=scenario_seed(config.seed, spec, index),
-                fixed_x3=None if spec.x3 == SAMPLE else spec.x3,
-                fixed_p4=None if spec.p4 == SAMPLE else spec.p4,
-            )
-        else:
-            outcome = MeasurementOutcome(spec.x3, spec.p4)
-        scenarios.append(
-            Scenario(
-                label=spec.label,
-                params=spec.params,
-                outcome=outcome,
-                grid=spec.grid or config.grid,
-            )
+def _seeded(scenario: Scenario, config_seed: int, index: int) -> Scenario:
+    """The scenario, with a seed from (master seed, index) if it draws without one."""
+    outcome = scenario.outcome
+    if not isinstance(outcome, SampleWithSeed) or outcome.seed is not None:
+        return scenario
+    seed = int(np.random.SeedSequence((config_seed, index)).generate_state(1)[0])
+    return replace(scenario, outcome=replace(outcome, seed=seed))
+
+
+def _log_row(row: ScenarioResult) -> None:
+    if row.failed:
+        log.error("scenario %s failed: %s", row.label, row.error)
+    else:
+        log.info(
+            "scenario %s: %s, x3 %r, p4 %r, fidelity %r",
+            row.label, row.regime, row.x3, row.p4, row.fidelity,
         )
-    return scenarios
 
 
 def run(config: RunConfig) -> int:
@@ -140,12 +130,12 @@ def run(config: RunConfig) -> int:
 
 def _run_signal(config: RunConfig, input_path: Path, out_dir: Path) -> int:
     state = load_signal(input_path, config.grid)
-    scenarios = _build_scenarios(config)
+    scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
     report = run_sweep(scenarios, state, enforce_span_rule=True)
     write_report(out_dir / "report.csv", report)
-    for spec, row in zip(config.scenarios, report.rows):
+    for row in report.rows:
+        _log_row(row)
         if row.failed:
-            log.error("scenario %s failed: %s", row.label, row.error)
             continue
         save_signal(out_dir / f"{row.label}_teleported.txt", row.output)
         save_signal(
@@ -155,47 +145,38 @@ def _run_signal(config: RunConfig, input_path: Path, out_dir: Path) -> int:
         )
         mid, half = row.input_moments.mean_x, 0.75 * row.input_moments.support_length
         window = (mid - half, mid + half)
-        _write_profiles(out_dir, spec, row.x3, row.p4, window)
+        _write_profiles(out_dir, row, window)
     return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK
 
 
 def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
-    for spec in config.scenarios:
-        if spec.needs_sampling:
+    for scenario in config.scenarios:
+        if isinstance(scenario.outcome, SampleWithSeed):
             raise ParseError(
-                f"scenario {spec.label!r}: sampled outcomes are not supported "
+                f"scenario {scenario.label!r}: sampled outcomes are not supported "
                 "for image inputs"
             )
     asset = load_image(input_path)
     line_length = asset.height if config.image_mode == "column-wise" else asset.width
     rows = []
-    for spec in config.scenarios:
-        regime = regime_for(spec.params)
-        outcome = MeasurementOutcome(spec.x3, spec.p4)
-        row = ScenarioResult(
-            label=spec.label,
-            regime=type(regime).__name__,
-            sigma_a=spec.sigma_a,
-            sigma_b=spec.sigma_b,
-            x3=float(spec.x3),
-            p4=float(spec.p4),
-            fidelity=float("nan"),
-            l2_distortion=None,
-        )
+    for scenario in config.scenarios:
+        outcome = scenario.outcome
+        row = ScenarioResult.of(scenario, x3=outcome.x3, p4=outcome.p4)
         rows.append(row)
+        regime = regime_for(scenario.params)
         try:
             result = teleport_image(asset, regime, outcome, config.image_mode)
         except TeleportError as exc:
-            log.error("scenario %s failed: %s", spec.label, exc)
             row.error = f"{type(exc).__name__}: {exc}"
-            continue
-        save_image(out_dir / f"{spec.label}.pgm", result.display)
-        row_format = " ".join(["%r"] * result.raw.shape[1]) + "\n"
-        write_table(out_dir / f"{spec.label}_intensity.txt", "", result.raw, row_format)
-        valid = result.column_fidelities[~np.isnan(result.column_fidelities)]
-        if valid.size:
-            row.fidelity = float(valid.mean())
-        _write_profiles(out_dir, spec, spec.x3, spec.p4, (0.0, float(line_length)))
+        else:
+            save_image(out_dir / f"{row.label}.pgm", result.display)
+            row_format = " ".join(["%r"] * result.raw.shape[1]) + "\n"
+            write_table(out_dir / f"{row.label}_intensity.txt", "", result.raw, row_format)
+            valid = result.column_fidelities[~np.isnan(result.column_fidelities)]
+            if valid.size:
+                row.fidelity = float(valid.mean())
+            _write_profiles(out_dir, row, (0.0, float(line_length)))
+        _log_row(row)
     report = FidelityReport(rows=rows)
     write_report(out_dir / "report.csv", report)
     return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK

@@ -143,6 +143,14 @@ def test_sample_with_fixed_coordinate(unit_grid):
     assert row.p4 != 0.0
 
 
+def test_run_sweep_refuses_an_unseeded_draw(unit_grid):
+    # a missing seed must never fall through to an OS-entropy generator
+    psi = gaussian_packet(unit_grid, 0.5, 1.0)
+    scenario = Scenario("unseeded", SqueezingParams(0.5, 2.0), SampleWithSeed(None))
+    with pytest.raises(ValueError, match="needs a seed"):
+        run_sweep([scenario], psi)
+
+
 def test_fidelity_monotone_in_squeezing(unit_grid):
     # fixed probable outcome; stronger squeezing never lowers fidelity
     psi = gaussian_packet(unit_grid, 0.0, 1.5)

@@ -54,8 +54,8 @@ def test_parse_config_basics(tmp_path):
     assert cfg.seed == 11
     assert cfg.grid.n == 1024
     assert len(cfg.scenarios) == 2
-    assert cfg.scenarios[0].sigma_a is IDEAL
-    assert cfg.scenarios[1].p4 == 2.7
+    assert cfg.scenarios[0].params.sigma_a is IDEAL
+    assert cfg.scenarios[1].outcome.p4 == 2.7
 
 
 def test_parse_grid_spec():
@@ -126,6 +126,29 @@ def test_parse_config_rejects_non_finite_and_negative(tmp_path, text, line):
     assert main(["run", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("seed = 1\nseed = 2\n" + SCENARIO.format(sa=1, x3=0, p4=0), 4),
+        ("input = y\n" + SCENARIO.format(sa=1, x3=0, p4=0), 3),
+        (SCENARIO.format(sa=1, x3=0, p4=0) + "sigma_a = 2\n", 9),
+        (SCENARIO.format(sa=1, x3=0, p4=0) + "seed = 1\nseed = 1\n", 10),
+        ("image_mode = diagonal\n" + SCENARIO.format(sa=1, x3=0, p4=0), 3),
+    ],
+    ids=["global-seed", "global-input", "scenario-sigma_a", "scenario-seed", "image_mode"],
+)
+def test_parse_config_reports_repeated_keys_and_bad_image_mode_at_their_line(
+    tmp_path, capsys, text, line
+):
+    path = write_config(tmp_path, "input = x\noutput_dir = o\n" + text)
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.path == str(path) and err.value.line == line
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}:")
+
+
 def test_cli_run_success_and_outputs(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, BASE.format(out=out))
@@ -160,6 +183,15 @@ _DENSITY_LINE = re.compile(
 )
 
 
+def _scenario_lines(report: str, regimes: dict) -> list[str]:
+    """The INFO line each report row should log, in report order."""
+    rows = [line.split(",") for line in report.splitlines()[1:]]
+    return [
+        f"scenario {label}: {regimes[label]}, x3 {x3}, p4 {p4}, fidelity {fid}"
+        for label, _, _, x3, p4, fid, _ in rows
+    ]
+
+
 def test_cli_vv_logs_the_outcome_density_path(tmp_path, caplog):
     cfg = write_config(tmp_path, (BASE + SAMPLED).format(out=tmp_path / "o"))
     root = logging.getLogger()
@@ -190,9 +222,76 @@ def test_cli_verbosity_changes_only_the_log(tmp_path):
         runs.append((done.stderr, (out / "report.csv").read_bytes()))
     (quiet, report), (info, info_report), (debug, debug_report) = runs
     assert report == info_report == debug_report
-    # this run logs nothing at WARNING or INFO; -vv adds the DEBUG lines
-    assert quiet == info == ""
+    # nothing at WARNING; -v logs one line per scenario and no density line
+    assert quiet == ""
+    regimes = {"ideal": "Ideal", "conv": "ConvolutionOnly", "sampled": "General"}
+    assert info.splitlines() == _scenario_lines(report.decode(), regimes)
+    assert not _DENSITY_LINE.search(info)
+    # -vv adds the DEBUG lines, among them the one density line
+    assert [line for line in debug.splitlines() if line.startswith("scenario ")] == (
+        info.splitlines()
+    )
     assert len(_DENSITY_LINE.findall(debug)) == 1
+
+
+def test_cli_v_logs_one_line_per_image_scenario(tmp_path, caplog):
+    from cvteleport import ImageAsset, save_image
+
+    img_path = tmp_path / "input.pgm"
+    save_image(img_path, ImageAsset(pixels=np.full((16, 12), 100.0), maxval=255))
+    out = tmp_path / "out"
+    text = (
+        f"input = {img_path}\noutput_dir = {out}\n\n"
+        "[scenario]\nlabel = blur\nsigma_a = 1.2\nsigma_b = ideal\nx3 = 0\np4 = 0.4\n\n"
+        "[scenario]\nlabel = spill\nsigma_a = 20\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
+    )
+    root = logging.getLogger()
+    level = root.level
+    try:
+        assert main(["-v", "run", str(write_config(tmp_path, text, "img.cfg"))]) == 2
+    finally:
+        root.setLevel(level)
+    records = [r for r in caplog.records if r.name == "cvteleport.runner"]
+    report = (out / "report.csv").read_text()
+    assert [r.levelname for r in records] == ["INFO", "ERROR"]
+    regimes = {"blur": "ConvolutionOnly", "spill": "ConvolutionOnly"}
+    assert records[0].getMessage() == _scenario_lines(report, regimes)[0]
+    assert records[1].getMessage().startswith("scenario spill failed: ")
+
+
+#: x3 and p4 of the derived-seed config below, as report.csv spells them.  An
+#: unseeded draw takes its seed from SeedSequence((master seed, scenario index)).
+DERIVED_SEED_OUTCOMES = {
+    None: [
+        ("both", "28.794411016275948", "-0.15987001656024621"),
+        ("fixed", "0.0", "0.0"),
+        ("seeded", "-0.14892090362406418", "0.4782492968832362"),
+        ("p4_only", "0.25", "-0.702718655243616"),
+    ],
+    5: [
+        ("both", "55.75786366407171", "0.7951226189467685"),
+        ("fixed", "0.0", "0.0"),
+        ("seeded", "-0.14892090362406418", "0.4782492968832362"),
+        ("p4_only", "0.25", "0.07726041557752727"),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_cli_derived_seeds_are_pinned(tmp_path, seed):
+    scenario = "\n[scenario]\nlabel = {}\nsigma_a = 0.5\nsigma_b = 40\nx3 = {}\np4 = {}\n"
+    out = tmp_path / "out"
+    text = (
+        f"input = bundled:silhouette\ngrid = -1024:1024:4096\noutput_dir = {out}\nseed = 11\n"
+        + scenario.format("both", "sample", "sample")
+        + scenario.format("fixed", 0, 0)
+        + scenario.format("seeded", "sample", "sample") + "seed = 3\n"
+        + scenario.format("p4_only", 0.25, "sample")
+    )
+    argv = ["run", str(write_config(tmp_path, text))]
+    assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[3], r[4]) for r in rows] == DERIVED_SEED_OUTCOMES[seed]
 
 
 _INVALID_PROFILE_ARGS = [
