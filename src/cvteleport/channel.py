@@ -62,10 +62,17 @@ _TWO_PI = 2.0 * np.pi
 #: Largest grid the full three-mode oracle will accept (memory scales as n^3).
 ORACLE_MAX_POINTS = 64
 
-#: Largest estimated size of the arrays behind one outcome density (pair
-#: table plus sum-coordinate envelope, over the envelope's window of s rows);
-#: the fig9b joint density needs about 89 MB.
+#: Largest estimated size of the arrays behind one outcome density: the pair
+#: table over the envelope's window of s rows, plus one block of the
+#: sum-coordinate envelope; the fig9b joint density needs about 26 MB.
 OUTCOME_MAX_BYTES = 1 << 30
+
+#: Envelope elements (float64) built at once while an outcome density is
+#: contracted: about 4 MB, whatever the window or the outcome grid.
+_ENVELOPE_BLOCK = 1 << 19
+
+#: Below this exponent np.exp is exactly 0 (the smallest subnormal is e^-744.4).
+_EXP_UNDERFLOW = -746.0
 
 #: Fraction of output mass tolerated in the outermost grid bins.
 _EDGE_MASS_LIMIT = 1e-4
@@ -213,20 +220,29 @@ def _apply_kernel(
         if sa <= sb:
             u = np.divide(lag, sa, out=np.zeros_like(lag), where=lag != 0.0)
             w = lag / sb
-            taps = np.exp(-(u - w) * (u + w) + 1j * q * lag)
         else:
             left = left * np.exp(1j * q * c)
             right = (right * np.exp(-1j * q * c))[::-1]
             # Against the reversed input, lag i - j pairs x_i with v_(n-1-j).
             total = c[0] + c[-1] + lag
             u, w = total / sb, total / sa
-            taps = np.exp(-(u - w) * (u + w))
+        exponent = -(u - w) * (u + w)
+    # Complex taps only where the real exponent leaves exp nonzero, then
+    # trimmed to the nonzero ones: MultiplicationOnly keeps one of 2n - 1.
+    live = np.flatnonzero(exponent > _EXP_UNDERFLOW)
+    start, stop = (live[0], live[-1] + 1) if live.size else (0, 1)
+    if sa <= sb:
+        taps = np.exp(exponent[start:stop] + 1j * q * lag[start:stop])
+    else:
+        taps = np.exp(exponent[start:stop])
     band = np.flatnonzero(taps)
-    lo, hi = (band[0], band[-1] + 1) if band.size else (0, 1)  # no band: a zero tap
+    if band.size:  # else the output is zero and _finish raises ZeroNormError
+        taps = taps[band[0] : band[-1] + 1]
+        start += band[0]
     # np.convolve(right, taps) with the zero taps left out of the sum
     full = np.zeros(3 * g.n - 2, dtype=np.complex128)
-    part = np.convolve(right, taps[lo:hi])
-    full[lo : lo + part.size] = part
+    part = np.convolve(right, taps)
+    full[start : start + part.size] = part
     return left * full[g.n - 1 : 2 * g.n - 1]
 
 
@@ -428,16 +444,32 @@ def _require_outcome_budget(nbytes: int) -> None:
         )
 
 
-def _sum_envelope(s_values, x3_values, lam_s: float) -> np.ndarray:
-    """exp(-lam_s*(s - 2*sqrt(2)*x3)^2) on x3_values x s_values, built in place.
+def _envelope_block_rows(n_x3: int) -> int:
+    """s rows per envelope block: about _ENVELOPE_BLOCK elements for n_x3 rows."""
+    return max(1, _ENVELOPE_BLOCK // n_x3)
 
-    The envelope is the largest array of an outcome density, so it never
-    passes through a temporary of its own size.
+
+def _contract_envelope(s_values, x3_values, lam_s: float, table) -> np.ndarray:
+    """sum_s exp(-lam_s*(s - 2*sqrt(2)*x3)^2) * table[s] for each x3: (n_x3, cols).
+
+    The x3_values x s_values envelope is never formed whole.  It is built in
+    place one block of s rows at a time, in one reused buffer of about
+    _ENVELOPE_BLOCK elements, and each block is contracted with its rows of
+    ``table`` as it is made.
     """
-    env = s_values[None, :] - 2.0 * _SQRT2 * x3_values[:, None]
-    env **= 2
-    env *= -lam_s
-    return np.exp(env, out=env)
+    t = 2.0 * _SQRT2 * x3_values[:, None]
+    step = _envelope_block_rows(t.shape[0])
+    out = np.zeros((t.shape[0], table.shape[1]))
+    buffer = np.empty((t.shape[0], min(step, len(s_values))))
+    for lo in range(0, len(s_values), step):
+        rows = s_values[lo : lo + step]
+        env = buffer[:, : rows.size]
+        np.subtract(rows[None, :], t, out=env)
+        env **= 2
+        env *= -lam_s
+        np.exp(env, out=env)
+        out += env @ table[lo : lo + step]
+    return out
 
 
 def _envelope_window(s_values, x3_values, lam_s: float) -> slice:
@@ -472,10 +504,11 @@ class _PairCorrelation:
     at most min(stride, n_d) short transforms, and one when factor <= 4.
 
     Only the s rows inside the sum envelope's window for ``x3_values`` (see
-    `_envelope_window`) are filled and kept.  The table, and the envelope
-    later contracted with it, are estimated over those rows before anything
-    is allocated and logged at DEBUG with the lattice; over OUTCOME_MAX_BYTES
-    the constructor raises OutcomeTooLargeError.
+    `_envelope_window`) are filled and kept.  The table over those rows, plus
+    the one envelope block that `_contract_envelope` builds at a time, are
+    estimated before anything is allocated and logged at DEBUG with the
+    lattice; over OUTCOME_MAX_BYTES the constructor raises
+    OutcomeTooLargeError.
     """
 
     def __init__(self, psi: SampledWaveFunction, lam_d: float, x3_values, lam_s: float):
@@ -501,7 +534,8 @@ class _PairCorrelation:
         s_values = 2.0 * g.x_min + 2.0 * h * np.arange(0, big, stride)
         window = _envelope_window(s_values, x3_values, lam_s)
         kept = window.stop - window.start
-        nbytes = kept * n_d * 16 + len(x3_values) * kept * 8
+        block = min(kept, _envelope_block_rows(len(x3_values)))
+        nbytes = kept * n_d * 16 + len(x3_values) * block * 8
         log.debug(
             "outcome density: factor %d, stride %d, %d of %d s rows, n_d %d, about %.1f MB",
             factor, stride, kept, rows, n_d, nbytes / 1e6,
@@ -557,9 +591,9 @@ def _outcome_density(
     """
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
     pair = _PairCorrelation(psi, lam_d, x3_values, lam_s)
-    env = _sum_envelope(pair.s_values, x3_values, lam_s)
-    # One real matmul over the interleaved real and imaginary table columns.
-    G = (env @ pair.table.view(np.float64)).view(np.complex128) * pair.s_weight
+    # Real matmuls over the interleaved real and imaginary table columns.
+    G = _contract_envelope(pair.s_values, x3_values, lam_s, pair.table.view(np.float64))
+    G = G.view(np.complex128) * pair.s_weight
     phase = np.exp(-lam_d * pair.d_values**2)[:, None] * np.exp(
         -1j * _SQRT2 * np.multiply.outer(pair.d_values, p4_values)
     )
@@ -637,9 +671,8 @@ def sample_outcomes(
         lam_s = 1.0 / (2.0 * params.sigma_b**2)
         s_values = 2.0 * psi.grid.points
         window = _envelope_window(s_values, values, lam_s)
-        _require_outcome_budget(_MARGINAL_CELLS * (window.stop - window.start) * 8)
-        env = _sum_envelope(s_values[window], values, lam_s)
-        density = env @ psi.probability()[window]
+        weights = psi.probability()[window, None]
+        density = _contract_envelope(s_values[window], values, lam_s, weights)[:, 0]
     idx = _sample_cells(density, rng, count)
     drawn = values[idx] + (rng.random(count) - 0.5) * step
     return (np.zeros(count), drawn) if params.b_is_ideal else (drawn, np.zeros(count))

@@ -15,7 +15,8 @@ Example::
     p4 = 180
 
 Each key appears at most once per section.  Sentinel widths are spelled
-exactly ``ideal``; an outcome coordinate may be ``sample``.  The scenarios
+exactly ``ideal``; an outcome coordinate may be ``sample``, and a scenario
+``seed`` is accepted only where one of them is.  The scenarios
 come back as ``analysis.Scenario`` objects: a ``MeasurementOutcome`` for fixed
 coordinates, else a ``SampleWithSeed`` whose seed, when the scenario sets
 none, the runner derives from the master seed and the scenario index.
@@ -180,6 +181,11 @@ def parse_config(path) -> RunConfig:
         scen_grid = parse_grid(raw["grid"][0], pstr, raw["grid"][1]) if "grid" in raw else None
         if x3 is None or p4 is None:
             outcome = SampleWithSeed(scen_seed, fixed_x3=x3, fixed_p4=p4)
+        elif scen_seed is not None:
+            raise ParseError(
+                f"scenario {label!r} sets a seed but samples neither x3 nor p4",
+                pstr, raw["seed"][1],
+            )
         else:
             outcome = MeasurementOutcome(x3, p4)
         scenarios.append(Scenario(label, SqueezingParams(sigma_a, sigma_b), outcome, scen_grid))

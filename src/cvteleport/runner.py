@@ -156,6 +156,11 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
                 f"scenario {scenario.label!r}: sampled outcomes are not supported "
                 "for image inputs"
             )
+        if scenario.grid is not None:
+            raise ParseError(
+                f"scenario {scenario.label!r}: a scenario grid is not supported "
+                "for image inputs, whose grid follows the image"
+            )
     asset = load_image(input_path)
     line_length = asset.height if config.image_mode == "column-wise" else asset.width
     rows = []

@@ -31,7 +31,12 @@ from cvteleport import (
     validate_span,
 )
 from cvteleport.analysis import fidelity
-from cvteleport.channel import convolution_kernel, convolve_sampled_kernel, envelope
+from cvteleport.channel import (
+    _apply_kernel,
+    convolution_kernel,
+    convolve_sampled_kernel,
+    envelope,
+)
 
 from conftest import random_state, rel_l2
 
@@ -200,11 +205,13 @@ def test_general_matches_oracle_across_parameters():
 def _dense_quadrature(psi, sa, sb, outcome):
     """The kernel of the module docstring as an n x n trapezoid sum."""
     X, V = psi.grid.points[:, None], psi.grid.points[None, :]
-    kernel = (
-        np.exp(-(((X - V) / (2 * sa)) ** 2))
-        * np.exp(-(((X + V - 2 * SQRT2 * outcome.x3) / (2 * sb)) ** 2))
-        * np.exp(-1j * SQRT2 * (V - X) * outcome.p4)
-    )
+    # a tiny width overflows the squares to inf, whose exp is the exact 0 wanted
+    with np.errstate(over="ignore"):
+        kernel = (
+            np.exp(-(((X - V) / (2 * sa)) ** 2))
+            * np.exp(-(((X + V - 2 * SQRT2 * outcome.x3) / (2 * sb)) ** 2))
+            * np.exp(-1j * SQRT2 * (V - X) * outcome.p4)
+        )
     weights = np.full(psi.grid.n, psi.grid.dx)
     weights[[0, -1]] /= 2
     return normalize(SampledWaveFunction(psi.grid, kernel @ (weights * psi.amplitudes)))
@@ -237,6 +244,59 @@ def test_general_matches_dense_quadrature(sa, sb, outcome, grid, packet):
     out = MeasurementOutcome(*outcome)
     reference = _dense_quadrature(psi, sa, sb, out)
     assert rel_l2(reference, teleport(psi, General(sa, sb), out)) <= 1e-12
+
+
+def _apply_kernel_over_every_tap(psi, sigma_a, sigma_b, outcome):
+    """`_apply_kernel` as it was before the band: every tap through the complex exp."""
+    g = psi.grid
+    q = SQRT2 * outcome.p4
+    sa, sb = 2.0 * sigma_a, 2.0 * sigma_b
+    c = g.points - SQRT2 * outcome.x3
+    lag = np.arange(1 - g.n, g.n) * g.dx
+    with np.errstate(over="ignore", divide="ignore"):
+        left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)
+        right = left * psi.amplitudes
+        if sa <= sb:
+            u = np.divide(lag, sa, out=np.zeros_like(lag), where=lag != 0.0)
+            w = lag / sb
+            taps = np.exp(-(u - w) * (u + w) + 1j * q * lag)
+        else:
+            left = left * np.exp(1j * q * c)
+            right = (right * np.exp(-1j * q * c))[::-1]
+            total = c[0] + c[-1] + lag
+            u, w = total / sb, total / sa
+            taps = np.exp(-(u - w) * (u + w))
+    band = np.flatnonzero(taps)
+    lo, hi = (band[0], band[-1] + 1) if band.size else (0, 1)
+    full = np.zeros(3 * g.n - 2, dtype=np.complex128)
+    part = np.convolve(right, taps[lo:hi])
+    full[lo : lo + part.size] = part
+    return left * full[g.n - 1 : 2 * g.n - 1]
+
+
+@pytest.mark.parametrize(
+    "sigma_a, sigma_b, outcome",
+    [
+        (0.0, 8.4, (4.2, 0.0)),  # MultiplicationOnly, fig7c
+        (0.0, 8.4, (33.0, 0.7)),  # MultiplicationOnly, off-centre
+        (1 / 180, 20.0, (120.0, 450.0)),  # sub-grid sigma_a
+        (0.6, 2.5, (0.5, 0.4)),  # a < b, every tap live
+        (2.5, 0.6, (0.5, 0.4)),  # a > b, the reversed branch
+        (1e-160, 20.0, (0.0, 1.0)),  # overflowing exponents
+    ],
+    ids=["mult", "mult-off", "subgrid", "a<b", "a>b", "tiny-a"],
+)
+def test_kernel_band_matches_every_tap_bitwise(sigma_a, sigma_b, outcome):
+    # the band changes which taps are evaluated, never a bit of the output,
+    # the sign of its zero samples included
+    g = GridSpec(-256.0, 0.5, 1024)
+    psi = _compact_packet(g, 25.0, 6.0, 0.3, half=25.0)
+    out = MeasurementOutcome(*outcome)
+    got = _apply_kernel(psi, sigma_a, sigma_b, out)
+    want = _apply_kernel_over_every_tap(psi, sigma_a, sigma_b, out)
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
 def test_general_memory_stays_linear():

@@ -509,6 +509,39 @@ def test_cli_image_rejects_sampling(tmp_path):
     assert main(["run", str(path)]) == 1
 
 
+def test_cli_image_rejects_a_scenario_grid_and_keeps_the_global_seed(tmp_path, capsys):
+    from cvteleport import ImageAsset, save_image
+
+    img_path = tmp_path / "input.pgm"
+    save_image(img_path, ImageAsset(pixels=np.full((16, 16), 100.0), maxval=255))
+    text = (
+        f"input = {img_path}\noutput_dir = {tmp_path / 'o'}\nseed = 4\n\n"
+        "[scenario]\nlabel = s\nsigma_a = 1\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
+    )
+    assert main(["run", str(write_config(tmp_path, text, "img.cfg"))]) == 0
+    capsys.readouterr()
+    gridded = write_config(tmp_path, text + "grid = -8:8:64\n", "grid.cfg")
+    assert main(["run", str(gridded)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario 's': a scenario grid is not supported")
+
+
+@pytest.mark.parametrize(
+    "x3, p4, line",
+    [("0", "0", 9), ("0.25", "-1.5", 9), ("sample", "0", None), ("0", "sample", None)],
+)
+def test_parse_config_refuses_a_seed_that_cannot_take_effect(tmp_path, x3, p4, line):
+    # a scenario seed only picks sampled coordinates; with both fixed it is an error
+    text = "input = x\noutput_dir = o\n" + SCENARIO.format(sa=1, x3=x3, p4=p4) + "seed = 3\n"
+    path = write_config(tmp_path, text)
+    if line is None:
+        assert parse_config(path).scenarios[0].outcome.seed == 3
+        return
+    with pytest.raises(ParseError, match="sets a seed but samples neither") as err:
+        parse_config(path)
+    assert err.value.path == str(path) and err.value.line == line
+
+
 def test_cli_run_imports_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a full run must not pull in scipy
     out = tmp_path / "out"

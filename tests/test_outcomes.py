@@ -26,13 +26,15 @@ from cvteleport import (
 )
 from cvteleport.channel import (
     OUTCOME_MAX_BYTES,
+    _MARGINAL_CELLS,
     _PairCorrelation,
     _SQRT2,
     _centered_grid,
+    _contract_envelope,
+    _envelope_block_rows,
     _envelope_window,
     _lambda_coefficients,
     _outcome_density,
-    _sum_envelope,
     outcome_moments,
 )
 from cvteleport.signals import bundled_silhouette_path
@@ -143,6 +145,40 @@ def test_density_matches_bruteforce_integration(unit_grid):
     assert cov == pytest.approx(beta * moments(psi).std_x ** 2, rel=1e-5)
 
 
+def _one_shot_envelope(s_values, x3_values, lam_s):
+    """exp(-lam_s*(s - 2*sqrt(2)*x3)^2) on x3_values x s_values, whole."""
+    t = 2.0 * _SQRT2 * np.asarray(x3_values)[:, None]
+    return np.exp(-lam_s * (s_values[None, :] - t) ** 2)
+
+
+@pytest.mark.parametrize(
+    "n_x3, blocks, extra_rows, lam_s, cols",
+    [
+        (257, 0, 1000, 0.01, 82),  # a window smaller than one block
+        (257, 1, 0, 0.01, 82),  # exactly one block
+        (257, 1, 1, 0.01, 82),  # one block and one row
+        (1, 0, 2500, 0.0, 82),  # the flat p4-only envelope at x3 = 0
+        (_MARGINAL_CELLS, 3, 5, 1.0 / (2.0 * 8.4**2), 1),  # the x3-only marginal
+    ],
+    ids=["under-one-block", "one-block", "one-block-plus-one", "flat", "x3-only"],
+)
+def test_blocked_contraction_matches_one_shot(n_x3, blocks, extra_rows, lam_s, cols):
+    rows = blocks * _envelope_block_rows(n_x3) + extra_rows
+    rng = np.random.default_rng(rows)
+    s_values = -512.0 + 0.5 * np.arange(rows)
+    if n_x3 == 1:
+        x3_values = np.zeros(1)
+    else:
+        x3_values = np.linspace(s_values[0], s_values[-1], n_x3) / (2.0 * _SQRT2)
+    table = rng.normal(size=(rows, cols))
+    if cols == 1:  # the marginal contracts probabilities
+        table = np.abs(table)
+    reference = _one_shot_envelope(s_values, x3_values, lam_s) @ table
+    got = _contract_envelope(s_values, x3_values, lam_s, table)
+    assert got.shape == reference.shape == (n_x3, cols)
+    assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
 def _peak_bytes(call, *args):
     tracemalloc.start()
     try:
@@ -154,19 +190,20 @@ def _peak_bytes(call, *args):
 
 def test_outcome_density_memory_is_bounded():
     # the silhouette at sigma_a = 0.185, sigma_b = 8.4: the envelope reaches
-    # 3273 of 16384 s rows, so a 3273 x 43 pair table under a 257 x 3273
-    # envelope (peak 11.1 MB; the whole lattice peaked at 47 MB)
+    # 3273 of 16384 s rows, so a 3273 x 43 pair table (2.3 MB) contracted in
+    # 257 x 2040 envelope blocks (4.2 MB)
     psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
     params = SqueezingParams(0.18518518518518517, 8.4)
-    assert _peak_bytes(build_outcome_distribution, psi, params) < 20e6
+    assert _peak_bytes(build_outcome_distribution, psi, params) < 10e6
 
 
 def test_fig9b_outcome_density_memory_is_bounded():
-    # 32670 of 65536 s rows: the windowed table and envelope peak at 91 MB,
-    # where the whole lattice peaked at 180 MB
+    # 32670 of 65536 s rows: a 32670 x 41 pair table (21.4 MB) and one
+    # 257 x 2040 envelope block, where the whole 257 x 32670 envelope (67 MB)
+    # peaked at 91 MB and the whole lattice at 180 MB
     psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
     params = SqueezingParams(1 / 180.0, 280.0)
-    assert _peak_bytes(build_outcome_distribution, psi, params) < 140e6
+    assert _peak_bytes(build_outcome_distribution, psi, params) < 45e6
 
 
 def _whole_grid_pair_table(psi, pair):
@@ -267,7 +304,7 @@ def _windowed_against_whole_lattice(psi, sigma_a, sigma_b, n_out=257):
     p4_values = _centered_grid(mean_p4, np.sqrt(var_p4), n_out)[0]
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
     whole = _PairCorrelation(psi, lam_d, np.zeros(1), 0.0)
-    env = _sum_envelope(whole.s_values, x3_values, lam_s)
+    env = _one_shot_envelope(whole.s_values, x3_values, lam_s)
     G = (env @ whole.table.view(np.float64)).view(np.complex128) * whole.s_weight
     phase = np.exp(-lam_d * whole.d_values**2)[:, None] * np.exp(
         -1j * _SQRT2 * np.multiply.outer(whole.d_values, p4_values)
@@ -322,22 +359,21 @@ def test_windowed_density_matches_whole_lattice_on_localized_inputs(
 def test_outcome_density_over_budget_fails_before_allocating():
     # On 262144 points, sigma_a = sigma_b = 5 has a 524288-row s lattice, but
     # its envelope reaches only a few thousand rows: the joint and the x3-only
-    # draws fit.  At sigma_b = 5000 the window holds most of the lattice, and
-    # the joint (about 1.9 GB) and x3-only (about 1.2 GB) draws are over the
-    # budget; the p4-only draw has a flat envelope and keeps every row of its
-    # 524288 x 281 table (2.4 GB).
+    # draws fit.  At sigma_b = 5000 the window holds 289349 rows, and the
+    # joint draw's 289349 x 281 pair table alone (1.30 GB) is over the budget;
+    # the p4-only draw has a flat envelope and keeps every row of its
+    # 524288 x 281 table (2.4 GB).  The x3-only draw has no table: it
+    # contracts the input's probabilities in 1025 x 511 envelope blocks
+    # (4.2 MB), where its whole 1025 x 144849 envelope was 1.19 GB, so it runs.
     grid = GridSpec(-65536.0, 0.5, 262144)
     psi = load_signal(bundled_silhouette_path(), grid)
-    assert 524288 * 281 * 16 > OUTCOME_MAX_BYTES > 90e6
+    assert 289349 * 281 * 16 > OUTCOME_MAX_BYTES > 90e6
     for params in [SqueezingParams(5.0, 5.0), SqueezingParams(IDEAL, 5.0)]:
         assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 60e6
+    assert _peak_bytes(sample_outcomes, psi, SqueezingParams(IDEAL, 5000.0), 1, 1) < 30e6
 
     def refuse_all():
-        for params in [
-            SqueezingParams(5.0, 5000.0),
-            SqueezingParams(IDEAL, 5000.0),
-            SqueezingParams(5.0, IDEAL),
-        ]:
+        for params in [SqueezingParams(5.0, 5000.0), SqueezingParams(5.0, IDEAL)]:
             with pytest.raises(OutcomeTooLargeError, match="budget"):
                 sample_outcomes(psi, params, seed=1, count=1)
 
