@@ -64,7 +64,7 @@ ORACLE_MAX_POINTS = 64
 
 #: Largest estimated size of the arrays behind one outcome density: the pair
 #: table over the envelope's window of s rows, plus one block of the
-#: sum-coordinate envelope; the fig9b joint density needs about 26 MB.
+#: sum-coordinate envelope; the fig9b joint density needs about 15 MB.
 OUTCOME_MAX_BYTES = 1 << 30
 
 #: Envelope elements (float64) built at once while an outcome density is
@@ -489,6 +489,20 @@ def _envelope_window(s_values, x3_values, lam_s: float) -> slice:
     return slice(int(lo), int(hi))
 
 
+def _dx_rows_alias_free(lam_s: float, dx: float) -> bool:
+    """Whether s rows spaced dx sum the enveloped pair correlation exactly.
+
+    In s the pair correlation is band-limited to |w| <= pi/dx (where the
+    input's interpolant has decayed before the grid's ends), and the
+    envelope's spectrum falls off as exp(-w^2/(4*lam_s)).  Rows spaced dx
+    alias the product's spectrum from 2*pi/dx, a gap of pi/dx beyond the
+    band, so the sum misses the integral by less than eps of the peak while
+    exp(-(pi/dx)^2/(4*lam_s)) <= eps.  The bound depends on the float
+    format alone, as `_envelope_window` does.
+    """
+    return lam_s * dx**2 <= np.pi**2 / (4.0 * -np.log(np.finfo(np.float64).eps))
+
+
 class _PairCorrelation:
     """psi(v) * conj(psi(v')) tabulated on sum/difference lattices.
 
@@ -497,11 +511,14 @@ class _PairCorrelation:
     narrower than the grid spacing (strong squeezing) is resolved exactly.
     Row m and column o (|o| <= half_steps) pair the fine samples
     c = stride*m + o and stride*m - o, so the factor*n interpolant is never
-    formed.  For each residue r = o mod stride the samples
-    fine[stride*m + r] are one inverse FFT of length rows = factor*n/stride of
-    the native spectrum twiddled by exp(2*pi*i*k*r/(factor*n)); column o reads
-    that phase shifted by floor(o/stride) rows, zero past either end.  That is
-    at most min(stride, n_d) short transforms, and one when factor <= 4.
+    formed.  The s rows are spaced 2*h*stride: dx (stride = factor/2) when
+    `_dx_rows_alias_free` holds for lam_s, else dx/2 (stride = factor/4); at
+    factor 2 both give stride 1, and the bound always holds there.  For each
+    residue r = o mod stride the samples fine[stride*m + r] are one inverse
+    FFT of length rows = factor*n/stride of the native spectrum twiddled by
+    exp(2*pi*i*k*r/(factor*n)); column o reads that phase shifted by
+    floor(o/stride) rows, zero past either end.  That is at most
+    min(stride, n_d) short transforms, and one when stride is 1.
 
     Only the s rows inside the sum envelope's window for ``x3_values`` (see
     `_envelope_window`) are filled and kept.  The table over those rows, plus
@@ -520,7 +537,8 @@ class _PairCorrelation:
             factor = int(min(max(factor, 2), 1024))
         h = g.dx / factor
         big = g.n * factor
-        stride = max(1, factor // 4)
+        coarse = _dx_rows_alias_free(lam_s, g.dx)
+        stride = max(1, factor // (2 if coarse else 4))
         rows = big // stride
 
         # The product psi(v)*conj(psi(v-d)) vanishes once |d| exceeds the
@@ -537,8 +555,9 @@ class _PairCorrelation:
         block = min(kept, _envelope_block_rows(len(x3_values)))
         nbytes = kept * n_d * 16 + len(x3_values) * block * 8
         log.debug(
-            "outcome density: factor %d, stride %d, %d of %d s rows, n_d %d, about %.1f MB",
-            factor, stride, kept, rows, n_d, nbytes / 1e6,
+            "outcome density: factor %d, stride %d, s spacing %s, %d of %d s rows, "
+            "n_d %d, about %.1f MB",
+            factor, stride, "dx" if coarse else "dx/2", kept, rows, n_d, nbytes / 1e6,
         )
         _require_outcome_budget(nbytes)
 
@@ -670,9 +689,15 @@ def sample_outcomes(
         values, step = _centered_grid(mean_x3, np.sqrt(var_x3), _MARGINAL_CELLS)
         lam_s = 1.0 / (2.0 * params.sigma_b**2)
         s_values = 2.0 * psi.grid.points
+        weights = psi.probability()
+        # Rows outside the input's support weigh exactly 0: leave them out too.
+        nz = np.flatnonzero(weights)
         window = _envelope_window(s_values, values, lam_s)
-        weights = psi.probability()[window, None]
-        density = _contract_envelope(s_values[window], values, lam_s, weights)[:, 0]
+        lo = max(window.start, nz[0])
+        window = slice(lo, max(lo, min(window.stop, nz[-1] + 1)))
+        density = _contract_envelope(
+            s_values[window], values, lam_s, weights[window, None]
+        )[:, 0]
     idx = _sample_cells(density, rng, count)
     drawn = values[idx] + (rng.random(count) - 0.5) * step
     return (np.zeros(count), drawn) if params.b_is_ideal else (drawn, np.zeros(count))

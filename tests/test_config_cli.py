@@ -179,7 +179,8 @@ SAMPLED = (
     "x3 = sample\np4 = sample\nseed = 3\ngrid = -1024:1024:4096\n"
 )
 _DENSITY_LINE = re.compile(
-    r"outcome density: factor \d+, stride \d+, \d+ of \d+ s rows, n_d \d+, about [0-9.]+ MB"
+    r"outcome density: factor \d+, stride \d+, s spacing dx(/2)?, \d+ of \d+ s rows, "
+    r"n_d \d+, about [0-9.]+ MB"
 )
 
 

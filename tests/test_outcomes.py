@@ -1,4 +1,6 @@
+import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from cvteleport import (
     sample_outcomes,
     to_momentum,
 )
+from cvteleport import channel
 from cvteleport.channel import (
     OUTCOME_MAX_BYTES,
     _MARGINAL_CELLS,
@@ -31,10 +34,12 @@ from cvteleport.channel import (
     _SQRT2,
     _centered_grid,
     _contract_envelope,
+    _dx_rows_alias_free,
     _envelope_block_rows,
     _envelope_window,
     _lambda_coefficients,
     _outcome_density,
+    _sample_cells,
     outcome_moments,
 )
 from cvteleport.signals import bundled_silhouette_path
@@ -190,33 +195,37 @@ def _peak_bytes(call, *args):
 
 def test_outcome_density_memory_is_bounded():
     # the silhouette at sigma_a = 0.185, sigma_b = 8.4: the envelope reaches
-    # 3273 of 16384 s rows, so a 3273 x 43 pair table (2.3 MB) contracted in
-    # 257 x 2040 envelope blocks (4.2 MB)
+    # 1637 of 8192 s rows spaced dx, so a 1637 x 43 pair table (1.1 MB)
+    # contracted in 257 x 2040 envelope blocks (4.2 MB); peak 4.9 MB
     psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
     params = SqueezingParams(0.18518518518518517, 8.4)
-    assert _peak_bytes(build_outcome_distribution, psi, params) < 10e6
+    assert _peak_bytes(build_outcome_distribution, psi, params) < 8e6
 
 
 def test_fig9b_outcome_density_memory_is_bounded():
-    # 32670 of 65536 s rows: a 32670 x 41 pair table (21.4 MB) and one
-    # 257 x 2040 envelope block, where the whole 257 x 32670 envelope (67 MB)
-    # peaked at 91 MB and the whole lattice at 180 MB
+    # 16335 of 32768 s rows spaced dx: a 16335 x 41 pair table (10.7 MB) and
+    # one 257 x 2040 envelope block, peak 15.6 MB, where the same window on
+    # rows spaced dx/2 peaked at 28 MB, the whole 257 x 32670 envelope at
+    # 91 MB and the whole lattice at 180 MB
     psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
     params = SqueezingParams(1 / 180.0, 280.0)
-    assert _peak_bytes(build_outcome_distribution, psi, params) < 45e6
+    assert _peak_bytes(build_outcome_distribution, psi, params) < 25e6
 
 
-def _whole_grid_pair_table(psi, pair):
-    """The pair table by the direct route, on the lattices ``pair`` chose.
+def _lattice(psi, pair):
+    """The upsampling factor and the s-row stride that ``pair`` chose."""
+    h = (pair.d_values[1] - pair.d_values[0]) / 2.0
+    return int(round(psi.grid.dx / h)), int(round(pair.s_weight / (2.0 * h)))
+
+
+def _whole_grid_pair_table(psi, factor, stride, half_steps):
+    """The pair table by the direct route, on every s row of the lattice.
 
     Upsample the whole input by `factor` through its zero-padded spectrum,
-    then pair each window of the zero-padded result with its mirror.
+    then pair each window of the zero-padded result with its mirror, keeping
+    every `stride`-th window.
     """
     g = psi.grid
-    h = (pair.d_values[1] - pair.d_values[0]) / 2.0
-    factor = int(round(g.dx / h))
-    stride = int(round(pair.s_weight / (2.0 * h)))
-    half_steps = pair.d_values.size // 2
     big, half = g.n * factor, g.n // 2
     phi = to_momentum(psi)
     raw = np.fft.ifftshift(phi.amplitudes * np.exp(1j * phi.grid.points * g.x_min))
@@ -227,13 +236,14 @@ def _whole_grid_pair_table(psi, pair):
     win = np.lib.stride_tricks.sliding_window_view(
         np.pad(fine, half_steps), 2 * half_steps + 1
     )[::stride]
-    return factor, stride, win * np.conj(win[:, ::-1])
+    return win * np.conj(win[:, ::-1])
 
 
 def _check_pair_table(psi, sigma_a, sigma_b):
     lam_d = _lambda_coefficients(sigma_a, sigma_b)[0]
     pair = _PairCorrelation(psi, lam_d, np.zeros(1), 0.0)  # lam_s = 0: every s row
-    factor, stride, reference = _whole_grid_pair_table(psi, pair)
+    factor, stride = _lattice(psi, pair)
+    reference = _whole_grid_pair_table(psi, factor, stride, pair.d_values.size // 2)
     shape = (pair.s_values.size, pair.d_values.size)
     assert pair.table.shape == reference.shape == shape
     err = np.max(np.abs(pair.table - reference))
@@ -244,14 +254,14 @@ def _check_pair_table(psi, sigma_a, sigma_b):
 @pytest.mark.parametrize(
     "grid, sigma_a, sigma_b, factor, stride, n_d",
     [
-        # fig9b: 41 residues of stride 64, each one 65536-point transform
-        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 256, 64, 41),
-        # more columns than residues: each phase serves about 21 columns
-        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 8, 2, 43),
+        # fig9b: 41 residues of stride 128, each one 32768-point transform
+        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 256, 128, 41),
+        # more columns than residues: each phase serves about 11 columns
+        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 8, 4, 43),
         # a resolved sigma_a: one transform, the whole fine grid
         (GridSpec(-1024.0, 0.5, 4096), 5.0, 5.0, 2, 1, 199),
         # sigma_a asks for factor 2048, clamped to 1024
-        (GridSpec(-1024.0, 0.5, 4096), 0.0004, 8.4, 1024, 256, 13),
+        (GridSpec(-1024.0, 0.5, 4096), 0.0004, 8.4, 1024, 512, 13),
     ],
     ids=["fig9b", "moderate", "resolved", "clamped"],
 )
@@ -285,31 +295,51 @@ def test_pair_table_matches_whole_grid_upsampling_on_random_inputs(
 
 
 def test_pair_table_memory_is_bounded():
-    # fig9b: a 65536 x 41 table (43 MB) from 41 short transforms; the
-    # whole-grid route peaked at 178 MB on its 4.2M-point upsampling
+    # fig9b: a 32768 x 41 table (21.5 MB) from 41 short transforms, peak
+    # 25.3 MB; the whole-grid route peaked at 178 MB on its 4.2M-point
+    # upsampling
     psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
     lam_d = _lambda_coefficients(1 / 180.0, 280.0)[0]
-    assert _peak_bytes(_PairCorrelation, psi, lam_d, np.zeros(257), 0.0) < 120e6
+    assert _peak_bytes(_PairCorrelation, psi, lam_d, np.zeros(257), 0.0) < 40e6
+
+
+def _outcome_values(psi, sigma_a, sigma_b, n_out):
+    """The x3 and p4 rows of the outcome grid; x3 = 0 alone for an ideal sigma_b."""
+    params = SqueezingParams(sigma_a, IDEAL if sigma_b == np.inf else sigma_b)
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
+    p4_values = _centered_grid(mean_p4, np.sqrt(var_p4), n_out)[0]
+    if sigma_b == np.inf:
+        return np.zeros(1), p4_values
+    return _centered_grid(mean_x3, np.sqrt(var_x3), n_out)[0], p4_values
+
+
+def _density_from(G, lam_d, d_values, p4_values):
+    """The density from the envelope-summed pair correlation G: (n_x3, n_p4)."""
+    phase = np.exp(-lam_d * d_values**2)[:, None] * np.exp(
+        -1j * _SQRT2 * np.multiply.outer(d_values, p4_values)
+    )
+    return np.clip(np.real(G @ phase), 0.0, None)
 
 
 def _windowed_against_whole_lattice(psi, sigma_a, sigma_b, n_out=257):
     """`_outcome_density` against the same contraction over every s row.
 
-    Asserts agreement to 1e-14 of the density maximum and returns the rows
-    the envelope's window kept and the rows of the whole lattice.
+    The reference is `_PairCorrelation` with the window opened to every row
+    of the lattice that lam_s picks.  Asserts agreement to 1e-14 of the
+    density maximum and returns the rows the envelope's window kept and the
+    rows of the whole lattice.
     """
-    params = SqueezingParams(sigma_a, sigma_b)
-    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
-    x3_values = _centered_grid(mean_x3, np.sqrt(var_x3), n_out)[0]
-    p4_values = _centered_grid(mean_p4, np.sqrt(var_p4), n_out)[0]
+    x3_values, p4_values = _outcome_values(psi, sigma_a, sigma_b, n_out)
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    whole = _PairCorrelation(psi, lam_d, np.zeros(1), 0.0)
+
+    def every_row(s_values, x3_values, lam_s):
+        return slice(0, len(s_values))
+
+    with mock.patch.object(channel, "_envelope_window", every_row):
+        whole = _PairCorrelation(psi, lam_d, x3_values, lam_s)
     env = _one_shot_envelope(whole.s_values, x3_values, lam_s)
     G = (env @ whole.table.view(np.float64)).view(np.complex128) * whole.s_weight
-    phase = np.exp(-lam_d * whole.d_values**2)[:, None] * np.exp(
-        -1j * _SQRT2 * np.multiply.outer(whole.d_values, p4_values)
-    )
-    reference = np.clip(np.real(G @ phase), 0.0, None)
+    reference = _density_from(G, lam_d, whole.d_values, p4_values)
     density = _outcome_density(psi, sigma_a, sigma_b, x3_values, p4_values)
     assert np.max(np.abs(density - reference)) <= 1e-14 * reference.max()
     window = _envelope_window(whole.s_values, x3_values, lam_s)
@@ -319,10 +349,12 @@ def _windowed_against_whole_lattice(psi, sigma_a, sigma_b, n_out=257):
 @pytest.mark.parametrize(
     "grid, sigma_a, sigma_b, kept, rows",
     [
-        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 32670, 65536),
-        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 3273, 16384),
+        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 16335, 32768),
+        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 1637, 8192),
+        # lam_s over the bound: rows spaced dx/2
+        (GridSpec(-512.0, 0.5, 2048), 0.3, 0.3, 2702, 8192),
     ],
-    ids=["fig9b", "moderate"],
+    ids=["fig9b", "moderate", "half-dx"],
 )
 def test_windowed_density_matches_whole_lattice(grid, sigma_a, sigma_b, kept, rows):
     psi = load_signal(bundled_silhouette_path(), grid)
@@ -356,6 +388,130 @@ def test_windowed_density_matches_whole_lattice_on_localized_inputs(
     assert 0 < kept < rows
 
 
+def _half_dx_density(psi, sigma_a, sigma_b, x3_values, p4_values):
+    """The outcome density over every s row spaced dx/2.
+
+    The pair table comes from `_whole_grid_pair_table` at the upsampling
+    factor `_PairCorrelation` picks, with stride factor/4: the lattice it
+    keeps where `_dx_rows_alias_free` fails.
+    """
+    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
+    pair = _PairCorrelation(psi, lam_d, x3_values, lam_s)
+    factor = _lattice(psi, pair)[0]
+    stride = factor // 4
+    table = _whole_grid_pair_table(psi, factor, stride, pair.d_values.size // 2)
+    step = 2.0 * psi.grid.dx / factor * stride
+    s_values = 2.0 * psi.grid.x_min + step * np.arange(table.shape[0])
+    G = _contract_envelope(s_values, x3_values, lam_s, table.view(np.float64))
+    return _density_from(G.view(np.complex128) * step, lam_d, pair.d_values, p4_values)
+
+
+def _check_dx_rows(psi, sigma_a, sigma_b, n_out):
+    """Rows spaced dx where the bound holds, within 1e-14 of the dx/2 reference."""
+    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
+    assert _dx_rows_alias_free(lam_s, psi.grid.dx)
+    x3_values, p4_values = _outcome_values(psi, sigma_a, sigma_b, n_out)
+    factor, stride = _lattice(psi, _PairCorrelation(psi, lam_d, x3_values, lam_s))
+    assert factor >= 4 and stride == factor // 2
+    density = _outcome_density(psi, sigma_a, sigma_b, x3_values, p4_values)
+    reference = _half_dx_density(psi, sigma_a, sigma_b, x3_values, p4_values)
+    assert np.max(np.abs(density - reference)) <= 1e-14 * reference.max()
+
+
+@pytest.mark.parametrize(
+    "grid, sigma_a, sigma_b, n_out",
+    [
+        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 257),
+        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 257),
+        # the p4-only marginal: lam_s = 0, a flat envelope
+        (GridSpec(-256.0, 0.5, 1024), 0.18518518518518517, np.inf, _MARGINAL_CELLS),
+    ],
+    ids=["fig9b", "moderate", "p4-only"],
+)
+def test_dx_rows_match_half_dx_reference(grid, sigma_a, sigma_b, n_out):
+    psi = load_signal(bundled_silhouette_path(), grid)
+    _check_dx_rows(psi, sigma_a, sigma_b, n_out)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    log2_n=st.integers(8, 9),
+    dx=st.floats(0.05, 1.0),
+    log_ratio=st.floats(-4.6, -0.4),
+    log_reach=st.floats(-3.0, -0.001),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dx_rows_match_half_dx_reference_on_random_inputs(
+    log2_n, dx, log_ratio, log_reach, seed
+):
+    # Complex noise under a Gaussian fills the band up to its edge, where the
+    # alias is largest.  sigma_a/dx runs from 0.01 to 0.67, so the factor is
+    # 4 to 256, and sigma_b puts lam_s at exp(log_reach) of the bound, from
+    # 0.05 to 1.  The envelope's window then stays inside the grid, where the
+    # input's interpolant has decayed: an envelope that reaches the grid's
+    # ends also sums the interpolant's cut there, which no s lattice sums
+    # exactly, so noise under a flat envelope is left out.
+    rng = np.random.default_rng(seed)
+    n = 2**log2_n
+    grid = GridSpec(-n * dx / 2.0, dx, n)
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi = SampledWaveFunction(grid, amps * np.exp(-((32.0 * grid.points / (n * dx)) ** 2)))
+    sigma_a = dx * float(np.exp(log_ratio))
+    a = 1.0 / (4.0 * sigma_a**2)
+    bound = np.pi**2 / (4.0 * -np.log(np.finfo(np.float64).eps) * dx**2)
+    lam_s = float(np.exp(log_reach)) * bound
+    # lam_s = 2ab/(a+b) solved for b = 1/(4 sigma_b^2)
+    sigma_b = 1.0 / (2.0 * np.sqrt(lam_s * a / (2.0 * a - lam_s)))
+    _check_dx_rows(psi, sigma_a, sigma_b, n_out=33)
+
+
+def test_rows_stay_half_dx_where_the_bound_fails():
+    # sigma_a = sigma_b = 0.3 on dx = 0.5: lam_s*dx^2 = 0.69, ten times the
+    # bound, so the rows stay spaced dx/2 and the density is bitwise the one
+    # recorded before rows spaced dx existed.
+    psi = gaussian_packet(GridSpec(-32.0, 0.5, 128), 1.0, 3.0, 0.4)
+    lam_d, lam_s = _lambda_coefficients(0.3, 0.3)
+    assert not _dx_rows_alias_free(lam_s, psi.grid.dx)
+    x3_values, p4_values = _outcome_values(psi, 0.3, 0.3, 33)
+    factor, stride = _lattice(psi, _PairCorrelation(psi, lam_d, x3_values, lam_s))
+    assert (factor, stride) == (4, 1)
+    density = _outcome_density(psi, 0.3, 0.3, x3_values, p4_values)
+    assert hashlib.sha256(density.tobytes()).hexdigest() == (
+        "ef67aa3db17340221974751b029c0231e824308847eede3bfa419b9778bc10a7"
+    )
+    reference = _half_dx_density(psi, 0.3, 0.3, x3_values, p4_values)
+    assert np.max(np.abs(density - reference)) <= 1e-14 * reference.max()
+
+
+def test_x3_only_marginal_contracts_only_the_input_support():
+    # The 4096-point x3-only scenario: the envelope's window holds 821 rows,
+    # of which the silhouette's 201 samples are the only nonzero weights.
+    # Leaving the zero rows out keeps the marginal and the draws.
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
+    calls = []
+
+    def spy(*args):
+        calls.append((args, _contract_envelope(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(channel, "_contract_envelope", spy):
+        x3, _ = sample_outcomes(psi, SqueezingParams(IDEAL, 8.4), seed=1, count=1000)
+    ((s_values, values, lam_s, weights), density), = calls
+    assert weights.shape == (201, 1) and weights[0, 0] > 0.0 and weights[-1, 0] > 0.0
+    s_all = 2.0 * psi.grid.points
+    window = _envelope_window(s_all, values, lam_s)
+    assert window.stop - window.start == 821
+    reference = _contract_envelope(
+        s_all[window], values, lam_s, psi.probability()[window, None]
+    )
+    assert np.max(np.abs(density - reference)) <= 1e-15 * reference.max()
+    mean_x3, var_x3 = outcome_moments(moments(psi), SqueezingParams(IDEAL, 8.4))[:2]
+    step = _centered_grid(mean_x3, np.sqrt(var_x3), _MARGINAL_CELLS)[1]
+    rng = np.random.default_rng(1)
+    cells = _sample_cells(reference[:, 0], rng, 1000)
+    assert np.array_equal(x3, values[cells] + (rng.random(1000) - 0.5) * step)
+
+
 def test_outcome_density_over_budget_fails_before_allocating():
     # On 262144 points, sigma_a = sigma_b = 5 has a 524288-row s lattice, but
     # its envelope reaches only a few thousand rows: the joint and the x3-only
@@ -363,8 +519,9 @@ def test_outcome_density_over_budget_fails_before_allocating():
     # joint draw's 289349 x 281 pair table alone (1.30 GB) is over the budget;
     # the p4-only draw has a flat envelope and keeps every row of its
     # 524288 x 281 table (2.4 GB).  The x3-only draw has no table: it
-    # contracts the input's probabilities in 1025 x 511 envelope blocks
-    # (4.2 MB), where its whole 1025 x 144849 envelope was 1.19 GB, so it runs.
+    # contracts the input's probabilities over their 201 nonzero rows of the
+    # window's 144849, where its whole 1025 x 144849 envelope was 1.19 GB, so
+    # it runs.
     grid = GridSpec(-65536.0, 0.5, 262144)
     psi = load_signal(bundled_silhouette_path(), grid)
     assert 289349 * 281 * 16 > OUTCOME_MAX_BYTES > 90e6
