@@ -63,8 +63,8 @@ _TWO_PI = 2.0 * np.pi
 ORACLE_MAX_POINTS = 64
 
 #: Largest estimated size of the arrays behind one outcome density: the pair
-#: table over the envelope's window of s rows, plus one block of the
-#: sum-coordinate envelope; the fig9b joint density needs about 15 MB.
+#: table over the envelope's window of s rows (a marginal's padded or refined
+#: lattice), plus one envelope block; the fig9b joint density needs about 15 MB.
 OUTCOME_MAX_BYTES = 1 << 30
 
 #: Envelope elements (float64) built at once while an outcome density is
@@ -212,9 +212,19 @@ def _apply_kernel(
         return _position_transform_along(phi.amplitudes * window, phi.grid, g, axis=0)
     sa, sb = 2.0 * sigma_a, 2.0 * sigma_b
     c = g.points - _SQRT2 * outcome.x3
-    lag = np.arange(1 - g.n, g.n) * g.dx  # x_i - v_j at tap index i - j + n - 1
     # A tiny or zero width sends an exponent to inf, whose exp is the exact 0 wanted.
     with np.errstate(over="ignore", divide="ignore"):
+        # The real exponent below is -lag^2 (1/sa^2 - 1/sb^2) (Toeplitz) or the
+        # same around lag -(c_0 + c_-1) (Hankel), above -746 only within
+        # `reach` lags of that peak: evaluate it there and one lag beyond.
+        narrow, wide = min(sa, sb), max(sa, sb)
+        reach = np.sqrt(-_EXP_UNDERFLOW) * narrow / np.sqrt(1.0 - (narrow / wide) ** 2)
+        reach /= g.dx
+        peak = g.n - 1 - (0.0 if sa <= sb else (c[0] + c[-1]) / g.dx)
+        start = int(np.clip(np.floor(peak - reach) - 1, 0, 2 * g.n - 2))
+        stop = int(np.clip(np.ceil(peak + reach) + 2, start + 1, 2 * g.n - 1))
+        # x_i - v_j at tap index i - j + n - 1, for the indices in [start, stop)
+        lag = np.arange(start + 1 - g.n, stop + 1 - g.n) * g.dx
         left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)  # the wider width sets both
         right = left * psi.amplitudes
         if sa <= sb:
@@ -230,11 +240,12 @@ def _apply_kernel(
     # Complex taps only where the real exponent leaves exp nonzero, then
     # trimmed to the nonzero ones: MultiplicationOnly keeps one of 2n - 1.
     live = np.flatnonzero(exponent > _EXP_UNDERFLOW)
-    start, stop = (live[0], live[-1] + 1) if live.size else (0, 1)
+    lo, hi = (live[0], live[-1] + 1) if live.size else (0, 1)
     if sa <= sb:
-        taps = np.exp(exponent[start:stop] + 1j * q * lag[start:stop])
+        taps = np.exp(exponent[lo:hi] + 1j * q * lag[lo:hi])
     else:
-        taps = np.exp(exponent[start:stop])
+        taps = np.exp(exponent[lo:hi])
+    start += lo
     band = np.flatnonzero(taps)
     if band.size:  # else the output is zero and _finish raises ZeroNormError
         taps = taps[band[0] : band[-1] + 1]
@@ -449,43 +460,40 @@ def _envelope_block_rows(n_x3: int) -> int:
     return max(1, _ENVELOPE_BLOCK // n_x3)
 
 
-def _contract_envelope(s_values, x3_values, lam_s: float, table) -> np.ndarray:
-    """sum_s exp(-lam_s*(s - 2*sqrt(2)*x3)^2) * table[s] for each x3: (n_x3, cols).
+def _contract_envelope(rows, centres, lam: float, table) -> np.ndarray:
+    """sum_r exp(-lam*(r - c)^2) * table[r] for each envelope centre c: (n_c, cols).
 
-    The x3_values x s_values envelope is never formed whole.  It is built in
-    place one block of s rows at a time, in one reused buffer of about
+    The centres x rows envelope is never formed whole.  It is built in place
+    one block of rows at a time, in one reused buffer of about
     _ENVELOPE_BLOCK elements, and each block is contracted with its rows of
     ``table`` as it is made.
     """
-    t = 2.0 * _SQRT2 * x3_values[:, None]
+    t = np.asarray(centres)[:, None]
     step = _envelope_block_rows(t.shape[0])
     out = np.zeros((t.shape[0], table.shape[1]))
-    buffer = np.empty((t.shape[0], min(step, len(s_values))))
-    for lo in range(0, len(s_values), step):
-        rows = s_values[lo : lo + step]
-        env = buffer[:, : rows.size]
-        np.subtract(rows[None, :], t, out=env)
+    buffer = np.empty((t.shape[0], min(step, len(rows))))
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        env = buffer[:, : block.size]
+        np.subtract(block[None, :], t, out=env)
         env **= 2
-        env *= -lam_s
+        env *= -lam
         np.exp(env, out=env)
         out += env @ table[lo : lo + step]
     return out
 
 
-def _envelope_window(s_values, x3_values, lam_s: float) -> slice:
-    """The contiguous s rows where some x3 row's envelope reaches float64 eps.
+def _envelope_window(rows, centres, lam: float) -> slice:
+    """The contiguous rows where some centre's envelope reaches float64 eps.
 
-    exp(-lam_s*(s - t)^2) with t = 2*sqrt(2)*x3 falls below eps times its
-    peak once |s - t| exceeds R = sqrt(ln(1/eps)/lam_s), so rows outside
-    [min t - R, max t + R] add less than one ulp of any row's peak and are
-    left out.  A flat envelope (lam_s = 0) keeps the whole lattice.
+    exp(-lam*(r - c)^2) falls below eps times its peak once |r - c| exceeds
+    R = sqrt(ln(1/eps)/lam), so rows outside [min c - R, max c + R] add less
+    than one ulp of any centre's peak and are left out.
     """
-    if lam_s == 0.0:
-        return slice(0, len(s_values))
-    t = 2.0 * _SQRT2 * np.asarray(x3_values)
-    reach = np.sqrt(-np.log(np.finfo(np.float64).eps) / lam_s)
-    lo = np.searchsorted(s_values, t.min() - reach, side="left")
-    hi = np.searchsorted(s_values, t.max() + reach, side="right")
+    centres = np.asarray(centres)
+    reach = np.sqrt(-np.log(np.finfo(np.float64).eps) / lam)
+    lo = np.searchsorted(rows, centres.min() - reach, side="left")
+    hi = np.searchsorted(rows, centres.max() + reach, side="right")
     return slice(int(lo), int(hi))
 
 
@@ -520,17 +528,17 @@ class _PairCorrelation:
     floor(o/stride) rows, zero past either end.  That is at most
     min(stride, n_d) short transforms, and one when stride is 1.
 
-    Only the s rows inside the sum envelope's window for ``x3_values`` (see
-    `_envelope_window`) are filled and kept.  The table over those rows, plus
-    the one envelope block that `_contract_envelope` builds at a time, are
-    estimated before anything is allocated and logged at DEBUG with the
-    lattice; over OUTCOME_MAX_BYTES the constructor raises
-    OutcomeTooLargeError.
+    Only the s rows inside the sum envelope's window around ``centres``
+    (2*sqrt(2)*x3 for each x3 row, see `_envelope_window`) are filled and
+    kept.  The table over those rows, plus the one envelope block that
+    `_contract_envelope` builds at a time, are estimated before anything is
+    allocated and logged at DEBUG with the lattice; over OUTCOME_MAX_BYTES
+    the constructor raises OutcomeTooLargeError.
     """
 
-    def __init__(self, psi: SampledWaveFunction, lam_d: float, x3_values, lam_s: float):
+    def __init__(self, psi: SampledWaveFunction, lam_d: float, centres, lam_s: float):
         g = psi.grid
-        width_d = 1.0 / np.sqrt(2.0 * lam_d) if lam_d > 0 else np.inf
+        width_d = 1.0 / np.sqrt(2.0 * lam_d)
         factor = 2
         if width_d < 3.0 * g.dx:
             factor = int(2 ** np.ceil(np.log2(3.0 * g.dx / width_d)))
@@ -550,10 +558,10 @@ class _PairCorrelation:
         half_steps = max(1, min(half_steps, big // 2 - 1))
         n_d = 2 * half_steps + 1
         s_values = 2.0 * g.x_min + 2.0 * h * np.arange(0, big, stride)
-        window = _envelope_window(s_values, x3_values, lam_s)
+        window = _envelope_window(s_values, centres, lam_s)
         kept = window.stop - window.start
-        block = min(kept, _envelope_block_rows(len(x3_values)))
-        nbytes = kept * n_d * 16 + len(x3_values) * block * 8
+        block = min(kept, _envelope_block_rows(len(centres)))
+        nbytes = kept * n_d * 16 + len(centres) * block * 8
         log.debug(
             "outcome density: factor %d, stride %d, s spacing %s, %d of %d s rows, "
             "n_d %d, about %.1f MB",
@@ -605,13 +613,13 @@ def _outcome_density(
     max(0, Re sum_d G(x3, d) exp(-lam_d*d^2) exp(-i*sqrt(2)*d*p4)), where G is
     the pair correlation summed over s under the envelope
     exp(-lam_s*(s - 2*sqrt(2)*x3)^2), over the s rows where some x3's envelope
-    reaches float64 eps of its peak.  An ideal sigma_b (np.inf) gives
-    lam_s = 0: the envelope is flat and any single x3 yields the p4 marginal.
+    reaches float64 eps of its peak.
     """
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    pair = _PairCorrelation(psi, lam_d, x3_values, lam_s)
+    centres = 2.0 * _SQRT2 * x3_values
+    pair = _PairCorrelation(psi, lam_d, centres, lam_s)
     # Real matmuls over the interleaved real and imaginary table columns.
-    G = _contract_envelope(pair.s_values, x3_values, lam_s, pair.table.view(np.float64))
+    G = _contract_envelope(pair.s_values, centres, lam_s, pair.table.view(np.float64))
     G = G.view(np.complex128) * pair.s_weight
     phase = np.exp(-lam_d * pair.d_values**2)[:, None] * np.exp(
         -1j * _SQRT2 * np.multiply.outer(pair.d_values, p4_values)
@@ -680,27 +688,81 @@ def sample_outcomes(
     if not (params.a_is_ideal or params.b_is_ideal):
         return build_outcome_distribution(psi, params).sample(rng, count)
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
-    if params.b_is_ideal:
-        values, step = _centered_grid(mean_p4, np.sqrt(var_p4), _MARGINAL_CELLS)
-        density = _outcome_density(psi, params.sigma_a, np.inf, np.zeros(1), values)[0]
-    else:
-        # No sub-grid structure enters here: the diagonal pair correlation is
-        # just |psi(v)|^2 smoothed by the wide envelope, both resolved on the grid.
-        values, step = _centered_grid(mean_x3, np.sqrt(var_x3), _MARGINAL_CELLS)
-        lam_s = 1.0 / (2.0 * params.sigma_b**2)
-        s_values = 2.0 * psi.grid.points
-        weights = psi.probability()
-        # Rows outside the input's support weigh exactly 0: leave them out too.
-        nz = np.flatnonzero(weights)
-        window = _envelope_window(s_values, values, lam_s)
-        lo = max(window.start, nz[0])
-        window = slice(lo, max(lo, min(window.stop, nz[-1] + 1)))
-        density = _contract_envelope(
-            s_values[window], values, lam_s, weights[window, None]
-        )[:, 0]
-    idx = _sample_cells(density, rng, count)
+    mean, var = (mean_p4, var_p4) if params.b_is_ideal else (mean_x3, var_x3)
+    values, step = _centered_grid(mean, np.sqrt(var), _MARGINAL_CELLS)
+    idx = _sample_cells(_marginal_density(psi, params, values), rng, count)
     drawn = values[idx] + (rng.random(count) - 0.5) * step
     return (np.zeros(count), drawn) if params.b_is_ideal else (drawn, np.zeros(count))
+
+
+def _marginal_density(
+    psi: SampledWaveFunction, params: SqueezingParams, values
+) -> np.ndarray:
+    """Unnormalized density of the one random outcome coordinate at ``values``.
+
+    With one ideal width it is a 1-D weight smoothed by one Gaussian,
+    sum_r weight(r) * exp(-lam*(r - c)^2):
+      x3 (ideal sigma_a): |psi(x)|^2 on rows r = 2x, lam = 1/(2 sigma_b^2)
+        and c = 2*sqrt(2)*x3, the diagonal of the joint density's pair table;
+      p4 (ideal sigma_b): |phi(k)|^2 on rows r = k, lam = 2 sigma_a^2 and
+        c = sqrt(2)*p4.
+    Each weight sits on a lattice ``factor`` times finer than the grid's, the
+    smallest power of two that sums it exactly.  The x3 rows are |psi|^2 of
+    the band-limited interpolant at dx/factor, once `_dx_rows_alias_free`
+    holds there (factor 1 keeps the native samples).  The p4 rows are the
+    spectrum of the input zero-padded to factor*n points, whose span holds the
+    input's extent plus 2*sqrt(lam*ln(1/eps)), the reach of the Gaussian's
+    transform, so the autocorrelation behind |phi|^2 never wraps onto itself
+    under it.  Each doubling of the factor is checked against
+    OUTCOME_MAX_BYTES before anything is allocated.  Rows outside the
+    envelope's window or with a zero weight are left out of the sum, and the
+    path is logged at DEBUG.
+    """
+    g = psi.grid
+    p4_only = params.b_is_ideal
+    if p4_only:
+        lam, centres = 2.0 * params.sigma_a**2, _SQRT2 * values
+        support = np.flatnonzero(psi.amplitudes)
+        reach = 2.0 * np.sqrt(lam * -np.log(np.finfo(np.float64).eps))
+        span_needed = (support[-1] - support[0] + 1) * g.dx + reach
+    else:
+        lam, centres = 1.0 / (2.0 * params.sigma_b**2), 2.0 * _SQRT2 * values
+    # Per lattice point: the transform and its input (complex), the weights
+    # and the rows; plus one envelope block.
+    block_bytes = len(values) * _envelope_block_rows(len(values)) * 8
+    factor = 1
+    while not (
+        g.span * factor >= span_needed
+        if p4_only
+        else _dx_rows_alias_free(lam, g.dx / factor)
+    ):
+        factor *= 2
+        _require_outcome_budget(g.n * factor * 48 + block_bytes)
+    if p4_only:
+        weights = np.fft.fftshift(np.abs(np.fft.fft(psi.amplitudes, g.n * factor)) ** 2)
+        rows = GridSpec(g.x_min, g.dx, g.n * factor).conjugate().points
+    elif factor == 1:
+        weights, rows = psi.probability(), 2.0 * g.points
+    else:  # the interpolant's spectrum is the native one, zero-padded
+        spectrum = np.fft.fft(psi.amplitudes)
+        fine = np.zeros(g.n * factor, dtype=np.complex128)
+        fine[: g.n // 2] = spectrum[: g.n // 2]
+        fine[-(g.n // 2) :] = spectrum[g.n // 2 :]
+        weights = np.abs(np.fft.ifft(fine)) ** 2
+        rows = 2.0 * GridSpec(g.x_min, g.dx / factor, g.n * factor).points
+    # Rows whose weight is exactly 0 add nothing either: leave them out too.
+    nz = np.flatnonzero(weights)
+    window = _envelope_window(rows, centres, lam)
+    lo = max(window.start, nz[0])
+    window = slice(lo, max(lo, min(window.stop, nz[-1] + 1)))
+    log.debug(
+        "outcome marginal: %s, lattice factor %d, %d of %d rows",
+        "p4" if p4_only else "x3", factor, window.stop - window.start, rows.size,
+    )
+    density = _contract_envelope(rows[window], centres, lam, weights[window, None])[:, 0]
+    if not density.sum() > 0.0:
+        raise ZeroNormError("outcome density vanished on the outcome grid")
+    return density
 
 
 def sample_outcome(

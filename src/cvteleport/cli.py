@@ -18,7 +18,7 @@ import logging
 import math
 import sys
 
-from .config import parse_config, parse_grid
+from .config import DEFAULT_GRID, parse_config, parse_grid
 from .errors import TeleportError
 from .grid import moments
 from .runner import (
@@ -29,8 +29,6 @@ from .runner import (
     write_kernel_profile,
 )
 from .signals import load_signal
-
-DEFAULT_GRID = "-256:256:1024"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario configuration")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=_seed, help="override the master seed")
-    p_run.add_argument("--grid", help="override the default grid (xmin:xmax:n)")
+    p_run.add_argument(
+        "--grid", help="override the config's grid, signal inputs only (xmin:xmax:n)"
+    )
 
     p_kernel = sub.add_parser("kernel", help="emit a convolution kernel profile")
     p_kernel.add_argument("--sigma-a", type=_width, required=True)

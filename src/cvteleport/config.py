@@ -16,7 +16,9 @@ Example::
 
 Each key appears at most once per section.  Sentinel widths are spelled
 exactly ``ideal``; an outcome coordinate may be ``sample``, and a scenario
-``seed`` is accepted only where one of them is.  The scenarios
+``seed`` is accepted only where one of them is.  The global ``grid`` (signal
+inputs) and ``image_mode`` (image inputs) stay unset in ``RunConfig`` unless
+given, so the runner can refuse the one its input cannot use.  The scenarios
 come back as ``analysis.Scenario`` objects: a ``MeasurementOutcome`` for fixed
 coordinates, else a ``SampleWithSeed`` whose seed, when the scenario sets
 none, the runner derives from the master seed and the scenario index.
@@ -40,6 +42,9 @@ _SCENARIO_KEYS = {"label", "sigma_a", "sigma_b", "x3", "p4", "seed", "grid"}
 #: Outcome-coordinate spelling that requests sampling.
 SAMPLE = "sample"
 
+#: The grid of a signal run whose config and command line set none.
+DEFAULT_GRID = "-256:256:1024"
+
 #: Largest grid a config may request.  A run peaks at about 260 bytes per
 #: grid point (tracemalloc, n = 65536), so 2^21 points stay under the 1 GiB
 #: that ``channel.OUTCOME_MAX_BYTES`` allows an outcome density.
@@ -49,11 +54,11 @@ MAX_GRID_POINTS = 1 << 21
 @dataclass
 class RunConfig:
     input_path: str
-    grid: GridSpec
     output_dir: str
     scenarios: list[Scenario] = field(default_factory=list)
     seed: int = 0
-    image_mode: str = "column-wise"
+    grid: GridSpec | None = None  # signal inputs; DEFAULT_GRID when None
+    image_mode: str | None = None  # image inputs; column-wise when None
 
 
 def parse_grid(spec: str, path=None, line=None) -> GridSpec:
@@ -118,7 +123,7 @@ def parse_config(path) -> RunConfig:
 
     globals_raw: dict[str, tuple[str, int]] = {}
     seed = 0
-    grid = parse_grid("-256:256:1024")
+    grid = None
     scenario_raws: list[dict] = []
     current: dict | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -154,8 +159,8 @@ def parse_config(path) -> RunConfig:
         raise ParseError("missing required key 'input'", pstr)
     if "output_dir" not in globals_raw:
         raise ParseError("missing required key 'output_dir'", pstr)
-    image_mode, mode_line = globals_raw.get("image_mode", ("column-wise", None))
-    if image_mode not in ("column-wise", "row-wise"):
+    image_mode, mode_line = globals_raw.get("image_mode", (None, None))
+    if image_mode not in (None, "column-wise", "row-wise"):
         raise ParseError("image_mode must be column-wise or row-wise", pstr, mode_line)
 
     scenarios = []

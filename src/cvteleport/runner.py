@@ -18,7 +18,7 @@ from .analysis import (
     run_sweep,
 )
 from .channel import regime_for
-from .config import RunConfig
+from .config import DEFAULT_GRID, RunConfig, parse_grid
 from .errors import ParseError, TeleportError
 from .grid import to_momentum
 from .optics import IDEAL
@@ -129,7 +129,9 @@ def run(config: RunConfig) -> int:
 
 
 def _run_signal(config: RunConfig, input_path: Path, out_dir: Path) -> int:
-    state = load_signal(input_path, config.grid)
+    if config.image_mode is not None:
+        raise ParseError("image_mode applies to image inputs only; the input is a signal")
+    state = load_signal(input_path, config.grid or parse_grid(DEFAULT_GRID))
     scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
     report = run_sweep(scenarios, state, enforce_span_rule=True)
     write_report(out_dir / "report.csv", report)
@@ -150,6 +152,11 @@ def _run_signal(config: RunConfig, input_path: Path, out_dir: Path) -> int:
 
 
 def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
+    if config.grid is not None:
+        raise ParseError(
+            "grid applies to signal inputs only (from the config or --grid); "
+            "an image's grid follows the image"
+        )
     for scenario in config.scenarios:
         if isinstance(scenario.outcome, SampleWithSeed):
             raise ParseError(
@@ -162,7 +169,8 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
                 "for image inputs, whose grid follows the image"
             )
     asset = load_image(input_path)
-    line_length = asset.height if config.image_mode == "column-wise" else asset.width
+    image_mode = config.image_mode or "column-wise"
+    line_length = asset.height if image_mode == "column-wise" else asset.width
     rows = []
     for scenario in config.scenarios:
         outcome = scenario.outcome
@@ -170,7 +178,7 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
         rows.append(row)
         regime = regime_for(scenario.params)
         try:
-            result = teleport_image(asset, regime, outcome, config.image_mode)
+            result = teleport_image(asset, regime, outcome, image_mode)
         except TeleportError as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         else:

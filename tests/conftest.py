@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from cvteleport import GridSpec, SampledWaveFunction, normalize
+from cvteleport import GridSpec, SampledWaveFunction, moments, normalize
+from cvteleport.channel import outcome_moments
 
 
 def rel_l2(a, b):
@@ -28,6 +29,19 @@ def random_state(grid, rng, packets=2):
             -((xs - center) ** 2) / (4.0 * width**2) + 1j * kick * xs
         )
     return normalize(SampledWaveFunction(grid, amps))
+
+
+def closed_form_marginal(psi, params, values):
+    """N(mean, var) at ``values`` for the one random outcome coordinate.
+
+    For a real Gaussian input every outcome density is Gaussian, with the
+    means and variances `outcome_moments` gives; the x3-p4 covariance is
+    zero.  The coordinate is p4 when sigma_b is ideal, else x3.
+    """
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
+    mean, var = (mean_p4, var_p4) if params.b_is_ideal else (mean_x3, var_x3)
+    values = np.asarray(values)
+    return np.exp(-((values - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
 def pytest_configure(config):

@@ -205,6 +205,31 @@ def test_cli_vv_logs_the_outcome_density_path(tmp_path, caplog):
     assert len(lines) == 1 and _DENSITY_LINE.fullmatch(lines[0]), lines
 
 
+MARGINALS = (
+    "\n[scenario]\nlabel = p4_only\nsigma_a = 0.185185\nsigma_b = ideal\n"
+    "x3 = 0\np4 = sample\n"
+    "\n[scenario]\nlabel = x3_only\nsigma_a = ideal\nsigma_b = 8.4\n"
+    "x3 = sample\np4 = 0\ngrid = -1024:1024:4096\n"
+)
+
+
+def test_cli_vv_logs_each_marginal_path(tmp_path, caplog):
+    # one line per single-coordinate draw: its coordinate, lattice factor and
+    # rows kept (x3: the silhouette's 201 nonzero samples)
+    cfg = write_config(tmp_path, (BASE + MARGINALS).format(out=tmp_path / "o"))
+    root = logging.getLogger()
+    level = root.level
+    try:
+        assert main(["-vv", "run", str(cfg)]) == 0
+    finally:
+        root.setLevel(level)
+    lines = [r.getMessage() for r in caplog.records if r.name == "cvteleport.channel"]
+    assert sorted(lines) == [
+        "outcome marginal: p4, lattice factor 1, 1024 of 1024 rows",
+        "outcome marginal: x3, lattice factor 1, 201 of 4096 rows",
+    ]
+
+
 def test_cli_verbosity_changes_only_the_log(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
@@ -562,3 +587,33 @@ def test_cli_run_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert (out / "report.csv").exists()
+
+
+def test_keys_that_cannot_take_effect_are_refused(tmp_path, capsys):
+    # A global grid (or --grid) only samples signal inputs, and image_mode
+    # only orders image inputs: each is refused, by name, where it would be
+    # ignored, and neither is set unless given.
+    from cvteleport import ImageAsset, save_image
+
+    bare = "input = x\noutput_dir = o\n" + SCENARIO.format(sa=1, x3=0, p4=0)
+    unset = parse_config(write_config(tmp_path, bare))
+    assert unset.grid is None and unset.image_mode is None
+    text = BASE.replace("seed = 11\n", "seed = 11\nimage_mode = row-wise\n")
+    signal = write_config(tmp_path, text.format(out=tmp_path / "s"), "signal.cfg")
+    img_path = tmp_path / "input.pgm"
+    save_image(img_path, ImageAsset(pixels=np.full((16, 16), 100.0), maxval=255))
+    image = (
+        f"input = {img_path}\noutput_dir = {tmp_path / 'i'}\n{{grid}}\n"
+        "[scenario]\nlabel = s\nsigma_a = 1\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
+    )
+    plain = write_config(tmp_path, image.format(grid=""), "image.cfg")
+    gridded = write_config(tmp_path, image.format(grid="grid = -8:8:64"), "grid.cfg")
+    assert main(["run", str(plain)]) == 0
+    for argv, key in [
+        (["run", str(signal)], "image_mode"),
+        (["run", str(gridded)], "grid"),
+        (["run", str(plain), "--grid", "-8:8:64"], "grid"),
+    ]:
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error: {key} applies to "), argv

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvteleport import (
@@ -21,6 +21,7 @@ from cvteleport import (
     gaussian_packet,
     load_signal,
     moments,
+    normalize,
     run_sweep,
     sample_outcome,
     sample_outcomes,
@@ -43,6 +44,7 @@ from cvteleport.channel import (
     outcome_moments,
 )
 from cvteleport.signals import bundled_silhouette_path
+from conftest import closed_form_marginal
 
 
 @pytest.fixture
@@ -136,10 +138,10 @@ def test_density_matches_bruteforce_integration(unit_grid):
     ratios = brute_vals / table_vals
     assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-9
 
-    # an ideal sigma_b is the lam_s = 0 limit: the p4 marginal, read at x3 = 0
+    # an ideal sigma_b leaves the p4 marginal, the same at every x3
     p4s = dist.p4_values[[12, 20, 32, 50]]
     brute_vals = np.array([brute(0.0, p4, np.inf) for p4 in p4s])
-    ratios = brute_vals / _outcome_density(psi, sa, np.inf, np.zeros(1), p4s)[0]
+    ratios = brute_vals / channel._marginal_density(psi, SqueezingParams(sa, IDEAL), p4s)
     assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-9
 
     # the chirp's symmetrized x-p covariance carries through at half weight
@@ -150,10 +152,9 @@ def test_density_matches_bruteforce_integration(unit_grid):
     assert cov == pytest.approx(beta * moments(psi).std_x ** 2, rel=1e-5)
 
 
-def _one_shot_envelope(s_values, x3_values, lam_s):
-    """exp(-lam_s*(s - 2*sqrt(2)*x3)^2) on x3_values x s_values, whole."""
-    t = 2.0 * _SQRT2 * np.asarray(x3_values)[:, None]
-    return np.exp(-lam_s * (s_values[None, :] - t) ** 2)
+def _one_shot_envelope(rows, centres, lam):
+    """exp(-lam*(r - c)^2) on centres x rows, whole."""
+    return np.exp(-lam * (rows[None, :] - np.asarray(centres)[:, None]) ** 2)
 
 
 @pytest.mark.parametrize(
@@ -162,24 +163,21 @@ def _one_shot_envelope(s_values, x3_values, lam_s):
         (257, 0, 1000, 0.01, 82),  # a window smaller than one block
         (257, 1, 0, 0.01, 82),  # exactly one block
         (257, 1, 1, 0.01, 82),  # one block and one row
-        (1, 0, 2500, 0.0, 82),  # the flat p4-only envelope at x3 = 0
+        (_MARGINAL_CELLS, 0, 2500, 2.0 * 0.185**2, 1),  # the p4-only marginal
         (_MARGINAL_CELLS, 3, 5, 1.0 / (2.0 * 8.4**2), 1),  # the x3-only marginal
     ],
-    ids=["under-one-block", "one-block", "one-block-plus-one", "flat", "x3-only"],
+    ids=["under-one-block", "one-block", "one-block-plus-one", "p4-only", "x3-only"],
 )
 def test_blocked_contraction_matches_one_shot(n_x3, blocks, extra_rows, lam_s, cols):
     rows = blocks * _envelope_block_rows(n_x3) + extra_rows
     rng = np.random.default_rng(rows)
     s_values = -512.0 + 0.5 * np.arange(rows)
-    if n_x3 == 1:
-        x3_values = np.zeros(1)
-    else:
-        x3_values = np.linspace(s_values[0], s_values[-1], n_x3) / (2.0 * _SQRT2)
+    centres = np.linspace(s_values[0], s_values[-1], n_x3)
     table = rng.normal(size=(rows, cols))
-    if cols == 1:  # the marginal contracts probabilities
+    if cols == 1:  # the marginals contract probabilities
         table = np.abs(table)
-    reference = _one_shot_envelope(s_values, x3_values, lam_s) @ table
-    got = _contract_envelope(s_values, x3_values, lam_s, table)
+    reference = _one_shot_envelope(s_values, centres, lam_s) @ table
+    got = _contract_envelope(s_values, centres, lam_s, table)
     assert got.shape == reference.shape == (n_x3, cols)
     assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
 
@@ -239,9 +237,15 @@ def _whole_grid_pair_table(psi, factor, stride, half_steps):
     return win * np.conj(win[:, ::-1])
 
 
+def _every_row(rows, centres, lam):
+    """An envelope window opened to every row of the lattice."""
+    return slice(0, len(rows))
+
+
 def _check_pair_table(psi, sigma_a, sigma_b):
-    lam_d = _lambda_coefficients(sigma_a, sigma_b)[0]
-    pair = _PairCorrelation(psi, lam_d, np.zeros(1), 0.0)  # lam_s = 0: every s row
+    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
+    with mock.patch.object(channel, "_envelope_window", _every_row):
+        pair = _PairCorrelation(psi, lam_d, np.zeros(1), lam_s)
     factor, stride = _lattice(psi, pair)
     reference = _whole_grid_pair_table(psi, factor, stride, pair.d_values.size // 2)
     shape = (pair.s_values.size, pair.d_values.size)
@@ -299,17 +303,16 @@ def test_pair_table_memory_is_bounded():
     # 25.3 MB; the whole-grid route peaked at 178 MB on its 4.2M-point
     # upsampling
     psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
-    lam_d = _lambda_coefficients(1 / 180.0, 280.0)[0]
-    assert _peak_bytes(_PairCorrelation, psi, lam_d, np.zeros(257), 0.0) < 40e6
+    lam_d, lam_s = _lambda_coefficients(1 / 180.0, 280.0)
+    with mock.patch.object(channel, "_envelope_window", _every_row):
+        assert _peak_bytes(_PairCorrelation, psi, lam_d, np.zeros(257), lam_s) < 40e6
 
 
 def _outcome_values(psi, sigma_a, sigma_b, n_out):
-    """The x3 and p4 rows of the outcome grid; x3 = 0 alone for an ideal sigma_b."""
-    params = SqueezingParams(sigma_a, IDEAL if sigma_b == np.inf else sigma_b)
+    """The x3 and p4 rows of the outcome grid."""
+    params = SqueezingParams(sigma_a, sigma_b)
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     p4_values = _centered_grid(mean_p4, np.sqrt(var_p4), n_out)[0]
-    if sigma_b == np.inf:
-        return np.zeros(1), p4_values
     return _centered_grid(mean_x3, np.sqrt(var_x3), n_out)[0], p4_values
 
 
@@ -331,18 +334,15 @@ def _windowed_against_whole_lattice(psi, sigma_a, sigma_b, n_out=257):
     """
     x3_values, p4_values = _outcome_values(psi, sigma_a, sigma_b, n_out)
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-
-    def every_row(s_values, x3_values, lam_s):
-        return slice(0, len(s_values))
-
-    with mock.patch.object(channel, "_envelope_window", every_row):
-        whole = _PairCorrelation(psi, lam_d, x3_values, lam_s)
-    env = _one_shot_envelope(whole.s_values, x3_values, lam_s)
+    centres = 2.0 * _SQRT2 * x3_values
+    with mock.patch.object(channel, "_envelope_window", _every_row):
+        whole = _PairCorrelation(psi, lam_d, centres, lam_s)
+    env = _one_shot_envelope(whole.s_values, centres, lam_s)
     G = (env @ whole.table.view(np.float64)).view(np.complex128) * whole.s_weight
     reference = _density_from(G, lam_d, whole.d_values, p4_values)
     density = _outcome_density(psi, sigma_a, sigma_b, x3_values, p4_values)
     assert np.max(np.abs(density - reference)) <= 1e-14 * reference.max()
-    window = _envelope_window(whole.s_values, x3_values, lam_s)
+    window = _envelope_window(whole.s_values, centres, lam_s)
     return window.stop - window.start, whole.s_values.size
 
 
@@ -396,13 +396,14 @@ def _half_dx_density(psi, sigma_a, sigma_b, x3_values, p4_values):
     keeps where `_dx_rows_alias_free` fails.
     """
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    pair = _PairCorrelation(psi, lam_d, x3_values, lam_s)
+    centres = 2.0 * _SQRT2 * x3_values
+    pair = _PairCorrelation(psi, lam_d, centres, lam_s)
     factor = _lattice(psi, pair)[0]
     stride = factor // 4
     table = _whole_grid_pair_table(psi, factor, stride, pair.d_values.size // 2)
     step = 2.0 * psi.grid.dx / factor * stride
     s_values = 2.0 * psi.grid.x_min + step * np.arange(table.shape[0])
-    G = _contract_envelope(s_values, x3_values, lam_s, table.view(np.float64))
+    G = _contract_envelope(s_values, centres, lam_s, table.view(np.float64))
     return _density_from(G.view(np.complex128) * step, lam_d, pair.d_values, p4_values)
 
 
@@ -411,7 +412,8 @@ def _check_dx_rows(psi, sigma_a, sigma_b, n_out):
     lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
     assert _dx_rows_alias_free(lam_s, psi.grid.dx)
     x3_values, p4_values = _outcome_values(psi, sigma_a, sigma_b, n_out)
-    factor, stride = _lattice(psi, _PairCorrelation(psi, lam_d, x3_values, lam_s))
+    pair = _PairCorrelation(psi, lam_d, 2.0 * _SQRT2 * x3_values, lam_s)
+    factor, stride = _lattice(psi, pair)
     assert factor >= 4 and stride == factor // 2
     density = _outcome_density(psi, sigma_a, sigma_b, x3_values, p4_values)
     reference = _half_dx_density(psi, sigma_a, sigma_b, x3_values, p4_values)
@@ -423,10 +425,8 @@ def _check_dx_rows(psi, sigma_a, sigma_b, n_out):
     [
         (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 257),
         (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 257),
-        # the p4-only marginal: lam_s = 0, a flat envelope
-        (GridSpec(-256.0, 0.5, 1024), 0.18518518518518517, np.inf, _MARGINAL_CELLS),
     ],
-    ids=["fig9b", "moderate", "p4-only"],
+    ids=["fig9b", "moderate"],
 )
 def test_dx_rows_match_half_dx_reference(grid, sigma_a, sigma_b, n_out):
     psi = load_signal(bundled_silhouette_path(), grid)
@@ -450,7 +450,7 @@ def test_dx_rows_match_half_dx_reference_on_random_inputs(
     # 0.05 to 1.  The envelope's window then stays inside the grid, where the
     # input's interpolant has decayed: an envelope that reaches the grid's
     # ends also sums the interpolant's cut there, which no s lattice sums
-    # exactly, so noise under a flat envelope is left out.
+    # exactly.
     rng = np.random.default_rng(seed)
     n = 2**log2_n
     grid = GridSpec(-n * dx / 2.0, dx, n)
@@ -473,8 +473,8 @@ def test_rows_stay_half_dx_where_the_bound_fails():
     lam_d, lam_s = _lambda_coefficients(0.3, 0.3)
     assert not _dx_rows_alias_free(lam_s, psi.grid.dx)
     x3_values, p4_values = _outcome_values(psi, 0.3, 0.3, 33)
-    factor, stride = _lattice(psi, _PairCorrelation(psi, lam_d, x3_values, lam_s))
-    assert (factor, stride) == (4, 1)
+    pair = _PairCorrelation(psi, lam_d, 2.0 * _SQRT2 * x3_values, lam_s)
+    assert _lattice(psi, pair) == (4, 1)
     density = _outcome_density(psi, 0.3, 0.3, x3_values, p4_values)
     assert hashlib.sha256(density.tobytes()).hexdigest() == (
         "ef67aa3db17340221974751b029c0231e824308847eede3bfa419b9778bc10a7"
@@ -496,41 +496,84 @@ def test_x3_only_marginal_contracts_only_the_input_support():
 
     with mock.patch.object(channel, "_contract_envelope", spy):
         x3, _ = sample_outcomes(psi, SqueezingParams(IDEAL, 8.4), seed=1, count=1000)
-    ((s_values, values, lam_s, weights), density), = calls
+    ((s_values, centres, lam_s, weights), density), = calls
     assert weights.shape == (201, 1) and weights[0, 0] > 0.0 and weights[-1, 0] > 0.0
     s_all = 2.0 * psi.grid.points
-    window = _envelope_window(s_all, values, lam_s)
+    window = _envelope_window(s_all, centres, lam_s)
     assert window.stop - window.start == 821
     reference = _contract_envelope(
-        s_all[window], values, lam_s, psi.probability()[window, None]
+        s_all[window], centres, lam_s, psi.probability()[window, None]
     )
     assert np.max(np.abs(density - reference)) <= 1e-15 * reference.max()
     mean_x3, var_x3 = outcome_moments(moments(psi), SqueezingParams(IDEAL, 8.4))[:2]
-    step = _centered_grid(mean_x3, np.sqrt(var_x3), _MARGINAL_CELLS)[1]
+    values, step = _centered_grid(mean_x3, np.sqrt(var_x3), _MARGINAL_CELLS)
+    assert np.array_equal(centres, 2.0 * _SQRT2 * values)
     rng = np.random.default_rng(1)
     cells = _sample_cells(reference[:, 0], rng, 1000)
     assert np.array_equal(x3, values[cells] + (rng.random(1000) - 0.5) * step)
 
 
+def _drawn_marginal(psi, params):
+    """The outcome cells a single-coordinate draw samples and their density."""
+    with mock.patch.object(channel, "_sample_cells", wraps=_sample_cells) as spy:
+        sample_outcomes(psi, params, seed=1, count=1)
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
+    mean, var = (mean_p4, var_p4) if params.b_is_ideal else (mean_x3, var_x3)
+    return _centered_grid(mean, np.sqrt(var), _MARGINAL_CELLS)[0], spy.call_args.args[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    dx=st.floats(0.25, 1.0),
+    log_a=st.floats(np.log(1e-3), np.log(512 / 10)),
+    log_b=st.floats(np.log(0.1), np.log(20.0)),
+)
+# sigma_a = 5e-4 on dx = 0.5 asked a pair table upsampled 2048-fold, past
+# its clamp at 1024, and sigma_b = dx aliased the native samples' sum.
+@example(dx=0.5, log_a=np.log(1e-3), log_b=0.0)
+def test_marginals_match_the_closed_form(dx, log_a, log_b):
+    # A real Gaussian packet (centre 3, amplitude width 6) on 512 points:
+    # sigma_a/dx from 1e-3 to a tenth of the span, sigma_b/dx from 0.1 to 20.
+    grid = GridSpec(-256.0 * dx, dx, 512)
+    psi = normalize(
+        SampledWaveFunction(grid, np.exp(-((grid.points - 3.0) ** 2) / (4.0 * 36.0)))
+    )
+    for params in [
+        SqueezingParams(dx * float(np.exp(log_a)), IDEAL),
+        SqueezingParams(IDEAL, dx * float(np.exp(log_b))),
+    ]:
+        values, density = _drawn_marginal(psi, params)
+        exact = closed_form_marginal(psi, params, values)
+        err = np.max(np.abs(density / density.max() - exact / exact.max()))
+        assert err <= 1e-12, (params, err)
+
+
 def test_outcome_density_over_budget_fails_before_allocating():
     # On 262144 points, sigma_a = sigma_b = 5 has a 524288-row s lattice, but
-    # its envelope reaches only a few thousand rows: the joint and the x3-only
-    # draws fit.  At sigma_b = 5000 the window holds 289349 rows, and the
-    # joint draw's 289349 x 281 pair table alone (1.30 GB) is over the budget;
-    # the p4-only draw has a flat envelope and keeps every row of its
-    # 524288 x 281 table (2.4 GB).  The x3-only draw has no table: it
-    # contracts the input's probabilities over their 201 nonzero rows of the
-    # window's 144849, where its whole 1025 x 144849 envelope was 1.19 GB, so
-    # it runs.
+    # its envelope reaches only a few thousand rows: the joint draw fits.  At
+    # sigma_b = 5000 the window holds 289349 rows, and the joint draw's
+    # 289349 x 281 pair table alone (1.30 GB) is over the budget.  The
+    # marginals have no pair table.  The x3-only draws contract the input's
+    # probabilities over their 201 nonzero rows of the envelope's window (at
+    # sigma_b = 5000, of 144849).  The p4-only draw contracts |phi|^2 over the
+    # 82685 momentum rows its envelope reaches, where its 524288 x 281 pair
+    # table (2.4 GB) was refused.  A marginal whose lattice would outgrow the
+    # budget is refused before it is built: sigma_a = 1e7 would pad the input
+    # to 2^29 points, and sigma_b = 1e-4 would refine it to dx/16384.
     grid = GridSpec(-65536.0, 0.5, 262144)
     psi = load_signal(bundled_silhouette_path(), grid)
     assert 289349 * 281 * 16 > OUTCOME_MAX_BYTES > 90e6
     for params in [SqueezingParams(5.0, 5.0), SqueezingParams(IDEAL, 5.0)]:
         assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 60e6
-    assert _peak_bytes(sample_outcomes, psi, SqueezingParams(IDEAL, 5000.0), 1, 1) < 30e6
+    for params in [SqueezingParams(IDEAL, 5000.0), SqueezingParams(5.0, IDEAL)]:
+        assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 30e6
 
     def refuse_all():
-        for params in [SqueezingParams(5.0, 5000.0), SqueezingParams(5.0, IDEAL)]:
+        for params in [
+            SqueezingParams(5.0, 5000.0),
+            SqueezingParams(1e7, IDEAL),
+            SqueezingParams(IDEAL, 1e-4),
+        ]:
             with pytest.raises(OutcomeTooLargeError, match="budget"):
                 sample_outcomes(psi, params, seed=1, count=1)
 
