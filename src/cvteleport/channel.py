@@ -700,23 +700,17 @@ def _marginal_density(
 ) -> np.ndarray:
     """Unnormalized density of the one random outcome coordinate at ``values``.
 
-    With one ideal width it is a 1-D weight smoothed by one Gaussian,
-    sum_r weight(r) * exp(-lam*(r - c)^2):
-      x3 (ideal sigma_a): |psi(x)|^2 on rows r = 2x, lam = 1/(2 sigma_b^2)
-        and c = 2*sqrt(2)*x3, the diagonal of the joint density's pair table;
-      p4 (ideal sigma_b): |phi(k)|^2 on rows r = k, lam = 2 sigma_a^2 and
-        c = sqrt(2)*p4.
-    Each weight sits on a lattice ``factor`` times finer than the grid's, the
-    smallest power of two that sums it exactly.  The x3 rows are |psi|^2 of
-    the band-limited interpolant at dx/factor, once `_dx_rows_alias_free`
-    holds there (factor 1 keeps the native samples).  The p4 rows are the
-    spectrum of the input zero-padded to factor*n points, whose span holds the
-    input's extent plus 2*sqrt(lam*ln(1/eps)), the reach of the Gaussian's
-    transform, so the autocorrelation behind |phi|^2 never wraps onto itself
-    under it.  Each doubling of the factor is checked against
-    OUTCOME_MAX_BYTES before anything is allocated.  Rows outside the
-    envelope's window or with a zero weight are left out of the sum, and the
-    path is logged at DEBUG.
+    A 1-D weight under one Gaussian, sum_r weight(r) * exp(-lam*(r - c)^2):
+    x3 (ideal sigma_a) is |psi(x)|^2 on rows r = 2x with lam = 1/(2 sigma_b^2)
+    and c = 2*sqrt(2)*x3; p4 (ideal sigma_b) is |phi(k)|^2 on rows r = k with
+    lam = 2 sigma_a^2 and c = sqrt(2)*p4.  The rows sit on a lattice
+    ``factor`` (a power of two) times finer than the grid's, the least that
+    sums the weight exactly: x3 refines |psi|^2 to its band-limited
+    interpolant at dx/factor until `_dx_rows_alias_free` holds, and p4
+    zero-pads the input until its span holds the input's extent plus
+    2*sqrt(lam*ln(1/eps)), the reach of the Gaussian's transform, so the
+    autocorrelation behind |phi|^2 does not wrap under it.  Each doubling is
+    checked against OUTCOME_MAX_BYTES before anything is allocated.
     """
     g = psi.grid
     p4_only = params.b_is_ideal

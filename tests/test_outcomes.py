@@ -141,7 +141,8 @@ def test_density_matches_bruteforce_integration(unit_grid):
     # an ideal sigma_b leaves the p4 marginal, the same at every x3
     p4s = dist.p4_values[[12, 20, 32, 50]]
     brute_vals = np.array([brute(0.0, p4, np.inf) for p4 in p4s])
-    ratios = brute_vals / channel._marginal_density(psi, SqueezingParams(sa, IDEAL), p4s)
+    p4_only = SqueezingParams(sa, IDEAL)
+    ratios = brute_vals / channel._marginal_density(psi, p4_only, p4s)
     assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-9
 
     # the chirp's symmetrized x-p covariance carries through at half weight
