@@ -28,6 +28,7 @@ and makes the conjugate outcome coordinate improper.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -72,6 +73,9 @@ OUTCOME_MAX_BYTES = 1 << 30
 _ENVELOPE_BLOCK = 1 << 19
 
 #: Below this exponent np.exp is exactly 0 (the smallest subnormal is e^-744.4).
+#: `_kernel_factors` evaluates the taps only above it and then flushes the
+#: tap parts that fall below the smallest normal float64 (e^-708.4) to 0, so
+#: the memoized taps the per-column sum reuses hold no subnormal operand.
 _EXP_UNDERFLOW = -746.0
 
 #: Fraction of output mass tolerated in the outermost grid bins.
@@ -193,25 +197,81 @@ def _apply_kernel(
     no factor exceeds 1, so none underflows where the kernel does not.
 
     sigma_b = inf (B = 0) leaves no envelope, and the middle factor acts
-    through its exact transform: the momentum spectrum times the window
-    exp(-sigma_a^2 (p - q)^2), its exponent offset by the in-band minimum so
-    strongly off-band outcomes (huge p4, tiny sigma_a) tilt the spectrum
-    exactly instead of underflowing.  Otherwise the Toeplitz (Hankel on the
-    reversed input) middle factor is a direct sum over its nonzero taps, with
-    exponents (u - w)(u + w) finite for any width: an FFT would smear rounding
-    over envelopes spanning e^-100, and sigma_a = 0 (or far below the grid
-    step) leaves the single tap at lag 0.  The sum carries no dx or trapezoid
-    end weights: normalization absorbs the constant dx.
+    through its exact transform: fft, the spectral factors of
+    `_kernel_factors`, ifft.  Otherwise the envelopes are formed here and the
+    Toeplitz (Hankel on the reversed input) middle factor is a direct sum
+    over the band of taps `_kernel_factors` keeps: an FFT would smear
+    rounding over envelopes spanning e^-100, and sigma_a = 0 (or far below
+    the grid step) leaves the single tap at lag 0.  The sum carries no dx or
+    trapezoid end weights: normalization absorbs the constant dx.  The
+    factors depend on the grid, the widths and the outcome only, so the
+    columns of an image, which share all of those, build them once.
     """
     g = psi.grid
-    q = _SQRT2 * outcome.p4
+    factors = _kernel_factors(g, sigma_a, sigma_b, outcome.x3, outcome.p4)
     if sigma_b == np.inf:
-        phi = to_momentum(psi)
-        exponent = (sigma_a * (phi.grid.points - q)) ** 2
-        window = np.exp(-(exponent - exponent.min()))
-        return _position_transform_along(phi.amplitudes * window, phi.grid, g, axis=0)
+        before, window, after, scale = factors
+        spectrum = np.fft.fft(psi.amplitudes)
+        spectrum *= before
+        spectrum *= window
+        spectrum *= after
+        return np.fft.ifft(spectrum) * scale
+    taps, start = factors
     sa, sb = 2.0 * sigma_a, 2.0 * sigma_b
     c = g.points - _SQRT2 * outcome.x3
+    # A tiny width sends c / width to inf, whose exp is the exact 0 wanted.
+    with np.errstate(over="ignore"):
+        left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)  # the wider width sets both
+    right = left * psi.amplitudes
+    if sa > sb:
+        q = _SQRT2 * outcome.p4
+        left = left * np.exp(1j * q * c)
+        right = (right * np.exp(-1j * q * c))[::-1]
+    # np.convolve(right, taps) with the taps outside the band left out of the sum
+    full = np.zeros(3 * g.n - 2, dtype=np.complex128)
+    part = np.convolve(right, taps)
+    full[start : start + part.size] = part
+    return left * full[g.n - 1 : 2 * g.n - 1]
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel_factors(grid: GridSpec, sigma_a: float, sigma_b: float, x3: float, p4: float):
+    """The psi-independent factors of `_apply_kernel`, kept for the next call.
+
+    sigma_b = inf: (before, window, after, scale) in FFT order, so that the
+    kernel is ifft(fft(psi) * before * window * after) * scale, the forward
+    transform's phase, the window exp(-sigma_a^2 (p - q)^2) and the inverse
+    transform's phase of `to_momentum`/`to_position` without their shifts.
+    The window's exponent is offset by its in-band minimum, so strongly
+    off-band outcomes (huge p4, tiny sigma_a) tilt the spectrum exactly
+    instead of underflowing.
+
+    Finite sigma_b: (taps, start), the Toeplitz or Hankel taps from the first
+    to the last nonzero one, tap k sitting at index start + k of the full
+    convolution.  Their exponents are formed as -(u - w)(u + w), finite for
+    any width, and exp runs only over the lags where the real exponent is
+    above _EXP_UNDERFLOW.  Real or imaginary tap parts below the smallest
+    normal float64 are set to zero, keeping the band's length: they add
+    nothing a normal number can hold, and subnormal operands slow the sum
+    about ninefold.  The arrays are read-only.
+    """
+    q = _SQRT2 * p4
+    if sigma_b == np.inf:
+        momentum = grid.conjugate()
+        ps = momentum.points
+        before = np.exp(-1j * ps * grid.x_min) * (grid.dx / np.sqrt(_TWO_PI))
+        exponent = (sigma_a * (ps - q)) ** 2
+        window = np.exp(-(exponent - exponent.min()))
+        after = np.exp(1j * ps * grid.x_min)
+        scale = momentum.dx * momentum.n / np.sqrt(_TWO_PI)
+        factors = tuple(np.fft.ifftshift(f) for f in (before, window, after))
+        for f in factors:
+            f.setflags(write=False)
+        return (*factors, scale)
+    n, dx = grid.n, grid.dx
+    sa, sb = 2.0 * sigma_a, 2.0 * sigma_b
+    points = grid.points
+    ends = (points[0] - _SQRT2 * x3) + (points[-1] - _SQRT2 * x3)  # c_0 + c_(n-1)
     # A tiny or zero width sends an exponent to inf, whose exp is the exact 0 wanted.
     with np.errstate(over="ignore", divide="ignore"):
         # The real exponent below is -lag^2 (1/sa^2 - 1/sb^2) (Toeplitz) or the
@@ -219,22 +279,18 @@ def _apply_kernel(
         # `reach` lags of that peak: evaluate it there and one lag beyond.
         narrow, wide = min(sa, sb), max(sa, sb)
         reach = np.sqrt(-_EXP_UNDERFLOW) * narrow / np.sqrt(1.0 - (narrow / wide) ** 2)
-        reach /= g.dx
-        peak = g.n - 1 - (0.0 if sa <= sb else (c[0] + c[-1]) / g.dx)
-        start = int(np.clip(np.floor(peak - reach) - 1, 0, 2 * g.n - 2))
-        stop = int(np.clip(np.ceil(peak + reach) + 2, start + 1, 2 * g.n - 1))
+        reach /= dx
+        peak = n - 1 - (0.0 if sa <= sb else ends / dx)
+        start = int(np.clip(np.floor(peak - reach) - 1, 0, 2 * n - 2))
+        stop = int(np.clip(np.ceil(peak + reach) + 2, start + 1, 2 * n - 1))
         # x_i - v_j at tap index i - j + n - 1, for the indices in [start, stop)
-        lag = np.arange(start + 1 - g.n, stop + 1 - g.n) * g.dx
-        left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)  # the wider width sets both
-        right = left * psi.amplitudes
+        lag = np.arange(start + 1 - n, stop + 1 - n) * dx
         if sa <= sb:
             u = np.divide(lag, sa, out=np.zeros_like(lag), where=lag != 0.0)
             w = lag / sb
         else:
-            left = left * np.exp(1j * q * c)
-            right = (right * np.exp(-1j * q * c))[::-1]
             # Against the reversed input, lag i - j pairs x_i with v_(n-1-j).
-            total = c[0] + c[-1] + lag
+            total = ends + lag
             u, w = total / sb, total / sa
         exponent = -(u - w) * (u + w)
     # Complex taps only where the real exponent leaves exp nonzero, then
@@ -250,11 +306,10 @@ def _apply_kernel(
     if band.size:  # else the output is zero and _finish raises ZeroNormError
         taps = taps[band[0] : band[-1] + 1]
         start += band[0]
-    # np.convolve(right, taps) with the zero taps left out of the sum
-    full = np.zeros(3 * g.n - 2, dtype=np.complex128)
-    part = np.convolve(right, taps)
-    full[start : start + part.size] = part
-    return left * full[g.n - 1 : 2 * g.n - 1]
+    parts = taps.view(np.float64)
+    parts[np.abs(parts) < np.finfo(np.float64).tiny] *= 0.0  # zeros keep their sign
+    taps.setflags(write=False)
+    return taps, start
 
 
 def convolve_sampled_kernel(
@@ -446,9 +501,9 @@ def _lambda_coefficients(sigma_a: float, sigma_b: float):
     return (a + b) / 2.0, 2.0 * a * b / (a + b)
 
 
-def _require_outcome_budget(nbytes: int) -> None:
+def _require_outcome_budget(nbytes: float) -> None:
     """Refuse an outcome density whose arrays would exceed OUTCOME_MAX_BYTES."""
-    if nbytes > OUTCOME_MAX_BYTES:
+    if not nbytes <= OUTCOME_MAX_BYTES:  # a NaN estimate is refused too
         raise OutcomeTooLargeError(
             f"the outcome density needs about {nbytes / 1e6:.0f} MB, over the "
             f"{OUTCOME_MAX_BYTES / 1e6:.0f} MB budget; use a grid with fewer points"
@@ -466,9 +521,14 @@ def _contract_envelope(rows, centres, lam: float, table) -> np.ndarray:
     The centres x rows envelope is never formed whole.  It is built in place
     one block of rows at a time, in one reused buffer of about
     _ENVELOPE_BLOCK elements, and each block is contracted with its rows of
-    ``table`` as it is made.
+    ``table`` as it is made.  Entries below the smallest normal float64 are
+    built as exact zeros: a block whose farthest (row, centre) corner stays
+    above that pays nothing, and in the others the exponents below its log
+    go to -inf before exp, since subnormal operands slow the matmul severalfold.
     """
     t = np.asarray(centres)[:, None]
+    t_min, t_max = t.min(), t.max()
+    floor = np.log(np.finfo(np.float64).tiny)
     step = _envelope_block_rows(t.shape[0])
     out = np.zeros((t.shape[0], table.shape[1]))
     buffer = np.empty((t.shape[0], min(step, len(rows))))
@@ -478,6 +538,8 @@ def _contract_envelope(rows, centres, lam: float, table) -> np.ndarray:
         np.subtract(block[None, :], t, out=env)
         env **= 2
         env *= -lam
+        if -lam * max(block[-1] - t_min, t_max - block[0]) ** 2 < floor:
+            env[env < floor] = -np.inf
         np.exp(env, out=env)
         out += env @ table[lo : lo + step]
     return out
@@ -497,6 +559,10 @@ def _envelope_window(rows, centres, lam: float) -> slice:
     return slice(int(lo), int(hi))
 
 
+#: The largest lam_s * dx^2 for which `_dx_rows_alias_free` holds.
+_ALIAS_FREE_BOUND = np.pi**2 / (4.0 * -np.log(np.finfo(np.float64).eps))
+
+
 def _dx_rows_alias_free(lam_s: float, dx: float) -> bool:
     """Whether s rows spaced dx sum the enveloped pair correlation exactly.
 
@@ -508,7 +574,22 @@ def _dx_rows_alias_free(lam_s: float, dx: float) -> bool:
     exp(-(pi/dx)^2/(4*lam_s)) <= eps.  The bound depends on the float
     format alone, as `_envelope_window` does.
     """
-    return lam_s * dx**2 <= np.pi**2 / (4.0 * -np.log(np.finfo(np.float64).eps))
+    return lam_s * dx**2 <= _ALIAS_FREE_BOUND
+
+
+def _least_power_of_two(estimate: float, enough) -> float:
+    """The least power of two F >= 1 for which enough(F) holds.
+
+    ``estimate`` is the real F at which the test turns true, so F is
+    2^ceil(log2(estimate)) up to the rounding of the estimate, which can
+    leave it one doubling off either way; the exact test settles that.  An
+    unbounded estimate gives inf.
+    """
+    with np.errstate(over="ignore"):
+        factor = float(np.exp2(np.ceil(np.log2(max(estimate, 1.0)))))
+    if factor > 1.0 and enough(factor / 2.0):
+        return factor / 2.0
+    return factor if enough(factor) else 2.0 * factor
 
 
 class _PairCorrelation:
@@ -706,11 +787,12 @@ def _marginal_density(
     lam = 2 sigma_a^2 and c = sqrt(2)*p4.  The rows sit on a lattice
     ``factor`` (a power of two) times finer than the grid's, the least that
     sums the weight exactly: x3 refines |psi|^2 to its band-limited
-    interpolant at dx/factor until `_dx_rows_alias_free` holds, and p4
-    zero-pads the input until its span holds the input's extent plus
-    2*sqrt(lam*ln(1/eps)), the reach of the Gaussian's transform, so the
-    autocorrelation behind |phi|^2 does not wrap under it.  Each doubling is
-    checked against OUTCOME_MAX_BYTES before anything is allocated.
+    interpolant at the coarsest dx/factor where `_dx_rows_alias_free` holds,
+    and p4 zero-pads the input to the least span that holds the input's
+    extent plus 2*sqrt(lam*ln(1/eps)), the reach of the Gaussian's
+    transform, so the autocorrelation behind |phi|^2 does not wrap under it.
+    Both factors follow in closed form, and the arrays they need are checked
+    against OUTCOME_MAX_BYTES once, before anything is allocated.
     """
     g = psi.grid
     p4_only = params.b_is_ideal
@@ -719,19 +801,21 @@ def _marginal_density(
         support = np.flatnonzero(psi.amplitudes)
         reach = 2.0 * np.sqrt(lam * -np.log(np.finfo(np.float64).eps))
         span_needed = (support[-1] - support[0] + 1) * g.dx + reach
+        factor = _least_power_of_two(
+            span_needed / g.span, lambda f: g.span * f >= span_needed
+        )
     else:
         lam, centres = 1.0 / (2.0 * params.sigma_b**2), 2.0 * _SQRT2 * values
+        factor = _least_power_of_two(
+            np.sqrt(lam * g.dx**2 / _ALIAS_FREE_BOUND),
+            lambda f: _dx_rows_alias_free(lam, g.dx / f),
+        )
     # Per lattice point: the transform and its input (complex), the weights
     # and the rows; plus one envelope block.
-    block_bytes = len(values) * _envelope_block_rows(len(values)) * 8
-    factor = 1
-    while not (
-        g.span * factor >= span_needed
-        if p4_only
-        else _dx_rows_alias_free(lam, g.dx / factor)
-    ):
-        factor *= 2
-        _require_outcome_budget(g.n * factor * 48 + block_bytes)
+    _require_outcome_budget(
+        g.n * factor * 48 + len(values) * _envelope_block_rows(len(values)) * 8
+    )
+    factor = int(factor)
     if p4_only:
         weights = np.fft.fftshift(np.abs(np.fft.fft(psi.amplitudes, g.n * factor)) ** 2)
         rows = GridSpec(g.x_min, g.dx, g.n * factor).conjugate().points

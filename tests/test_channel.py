@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvteleport import (
@@ -33,6 +33,7 @@ from cvteleport import (
 from cvteleport.analysis import fidelity
 from cvteleport.channel import (
     _apply_kernel,
+    _kernel_factors,
     convolution_kernel,
     convolve_sampled_kernel,
     envelope,
@@ -297,6 +298,61 @@ def test_kernel_band_matches_every_tap_bitwise(sigma_a, sigma_b, outcome):
     assert np.array_equal(got, want)
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+_MEMO_CASES = [
+    (GridSpec(-16.0, 0.125, 256), General(0.6, 2.5), MeasurementOutcome(0.5, 0.4)),
+    (GridSpec(-32.0, 0.25, 256), ConvolutionOnly(0.4), MeasurementOutcome(0.0, -0.7)),
+    (GridSpec(-16.0, 0.125, 256), General(2.5, 0.6), MeasurementOutcome(0.5, 0.4)),
+    (GridSpec(-16.0, 0.125, 256), MultiplicationOnly(3.0), MeasurementOutcome(1.0, 0.0)),
+]
+
+
+def test_memoized_factors_give_the_output_of_a_fresh_build():
+    # A, B, A, C, A, D: every call after the first of A reuses or replaces the
+    # one memoized entry, and each output is bitwise the one built from scratch.
+    def run(case):
+        grid, regime, outcome = case
+        return teleport(_compact_packet(grid, 0.3, 1.2, 0.5), regime, outcome).amplitudes
+
+    order = [0, 1, 0, 2, 0, 3, 3]
+    memoized = [run(_MEMO_CASES[i]) for i in order]
+    for i, got in zip(order, memoized):
+        _kernel_factors.cache_clear()
+        assert got.tobytes() == run(_MEMO_CASES[i]).tobytes()
+
+
+def test_memoized_factors_are_read_only():
+    for grid, regime, outcome in _MEMO_CASES:
+        factors = _kernel_factors(
+            grid, regime.sigma_a, regime.sigma_b, outcome.x3, outcome.p4
+        )
+        arrays = [f for f in factors if isinstance(f, np.ndarray)]
+        assert arrays and not any(f.flags.writeable for f in arrays)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    log2_n=st.integers(6, 10),
+    dx=st.floats(0.05, 1.0),
+    log_ratio=st.floats(np.log(1e-3), np.log(20.0)),
+    log_other=st.floats(np.log(1.01), np.log(100.0)),
+    hankel=st.booleans(),
+    x3=st.floats(-0.2, 0.2),
+    p4=st.floats(-1.0, 1.0),
+)
+# The image workload's General(2, 60) column: 219 taps, 6 of them subnormal.
+@example(log2_n=9, dx=1.0, log_ratio=np.log(2.0), log_other=np.log(30.0),
+         hankel=False, x3=10.0 / 512, p4=0.2)
+def test_kernel_taps_hold_no_subnormal_part(log2_n, dx, log_ratio, log_other, hankel, x3, p4):
+    # sigma_a/dx from 1e-3 to 20, sigma_b wider (Toeplitz) or narrower (Hankel)
+    g = GridSpec(-(2**log2_n) * dx / 2.0, dx, 2**log2_n)
+    sigma_a = dx * float(np.exp(log_ratio))
+    sigma_b = sigma_a / np.exp(log_other) if hankel else sigma_a * np.exp(log_other)
+    taps, start = _kernel_factors(g, sigma_a, sigma_b, x3 * g.span, p4 / dx)
+    parts = np.abs(taps.view(np.float64))
+    assert np.all((parts == 0.0) | (parts >= np.finfo(np.float64).tiny))
+    assert 0 <= start and start + taps.size <= 2 * g.n - 1
 
 
 def test_general_memory_stays_linear():

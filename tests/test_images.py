@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from cvteleport import (
     ConvolutionOnly,
+    General,
     Ideal,
     ImageAsset,
     MeasurementOutcome,
@@ -96,6 +99,23 @@ def test_convolution_image_regression():
     probes = {(0, 0): 240.0, (10, 20): 8.416281, (25, 5): 47.429199, (40, 40): 53.617191}
     for (i, j), value in probes.items():
         assert result.display.pixels[i, j] == pytest.approx(value, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "regime, digest",
+    [
+        (General(2.0, 60.0), "423b4028f134305d0417755a22ff4e9ac50f0dc19fdfa5026d22716e3129c6ba"),
+        (ConvolutionOnly(2.0), "bc201a0eaaa4449a5f6fa4c56b5590cb436ed7efb5eeee075c98986e99218c05"),
+    ],
+    ids=["general", "convolution"],
+)
+def test_seeded_image_raw_is_frozen(regime, digest):
+    # A seeded 256 x 256 image at outcome (10, 0.2): the raw |psi_tel|^2
+    # matrix, recorded before the kernel factors were kept between columns.
+    rng = np.random.default_rng(1)
+    img = ImageAsset(pixels=rng.integers(20, 231, (256, 256), np.uint8), maxval=255)
+    result = teleport_image(img, regime, MeasurementOutcome(10.0, 0.2))
+    assert hashlib.sha256(result.raw.tobytes()).hexdigest() == digest
 
 
 def test_multiplication_image_band():

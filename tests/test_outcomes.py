@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import tracemalloc
 from unittest import mock
 
@@ -39,6 +40,8 @@ from cvteleport.channel import (
     _envelope_block_rows,
     _envelope_window,
     _lambda_coefficients,
+    _least_power_of_two,
+    _marginal_density,
     _outcome_density,
     _sample_cells,
     outcome_moments,
@@ -547,6 +550,92 @@ def test_marginals_match_the_closed_form(dx, log_a, log_b):
         exact = closed_form_marginal(psi, params, values)
         err = np.max(np.abs(density / density.max() - exact / exact.max()))
         assert err <= 1e-12, (params, err)
+
+
+def _doubling_factor(psi, params):
+    """The marginal's lattice factor as the doubling loop found it."""
+    g = psi.grid
+    factor = 1
+    if params.b_is_ideal:
+        lam = 2.0 * params.sigma_a**2
+        support = np.flatnonzero(psi.amplitudes)
+        reach = 2.0 * np.sqrt(lam * -np.log(np.finfo(np.float64).eps))
+        span_needed = (support[-1] - support[0] + 1) * g.dx + reach
+        while not g.span * factor >= span_needed:
+            factor *= 2
+    else:
+        lam = 1.0 / (2.0 * params.sigma_b**2)
+        while not _dx_rows_alias_free(lam, g.dx / factor):
+            factor *= 2
+    return factor
+
+
+def _logged_factor(psi, params, values):
+    """The lattice factor `_marginal_density` reports in its DEBUG line."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("cvteleport.channel")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        _marginal_density(psi, params, values)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    (record,) = [r for r in records if r.msg.startswith("outcome marginal")]
+    return record.args[1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    log2_n=st.integers(6, 10),
+    dx=st.floats(0.05, 2.0),
+    cut=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)),
+    log_a=st.floats(np.log(1e-4), np.log(3.0)),
+    log_b=st.floats(np.log(0.02), np.log(20.0)),
+)
+def test_marginal_lattice_factor_matches_the_doubling_loop(log2_n, dx, cut, log_a, log_b):
+    # sigma_a from 1e-4 to 3 spans (p4 pads up to 64-fold), sigma_b/dx from
+    # 0.02 to 20 (x3 refines up to 128-fold), on inputs cut to part of the grid
+    g = GridSpec(-(2**log2_n) * dx / 2.0, dx, 2**log2_n)
+    kept = (np.arange(g.n) >= cut[0] * g.n) & (np.arange(g.n) < cut[1] * g.n)
+    rng = np.random.default_rng(log2_n)
+    psi = SampledWaveFunction(g, np.where(kept, rng.normal(size=g.n) + 1.0, 0.0))
+    values = np.linspace(-1.0, 1.0, 9)
+    for params in [
+        SqueezingParams(g.span * float(np.exp(log_a)), IDEAL),
+        SqueezingParams(IDEAL, dx * float(np.exp(log_b))),
+    ]:
+        assert _logged_factor(psi, params, values) == _doubling_factor(psi, params)
+
+
+def test_least_power_of_two_settles_a_rounded_estimate():
+    # an estimate one ulp off the threshold, either way, still gives the
+    # least power of two the exact test accepts
+    for k in range(60):
+        for threshold in (2.0**k, np.nextafter(2.0**k, 0.0), np.nextafter(2.0**k, np.inf)):
+            want = 1
+            while not want >= threshold:
+                want *= 2
+            for estimate in (threshold, np.nextafter(threshold, 0.0),
+                             np.nextafter(threshold, np.inf)):
+                assert _least_power_of_two(estimate, lambda f: f >= threshold) == want
+    assert _least_power_of_two(np.inf, lambda f: f >= np.inf) == np.inf
+    assert _least_power_of_two(1e300, lambda f: f >= 1e300) == 2.0**997
+    past = np.nextafter(2.0**1023, np.inf)  # its power of two overflows
+    assert _least_power_of_two(past, lambda f: f >= past) == np.inf
+
+
+def test_marginal_budget_error_names_what_the_draw_needs():
+    # sigma_a = 1e7 pads the silhouette's 262144 points 2048-fold, to 2^29
+    # points at 48 B each (25770 MB) plus one 4.2 MB envelope block; the
+    # doubling loop this replaced named its first doubling over the budget
+    # (128-fold, 1615 MB).
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-65536.0, 0.5, 262144))
+    with pytest.raises(OutcomeTooLargeError, match=r"needs about 25774 MB, over the 1074"):
+        sample_outcomes(psi, SqueezingParams(1e7, IDEAL), seed=1, count=1)
 
 
 def test_outcome_density_over_budget_fails_before_allocating():
