@@ -268,40 +268,27 @@ def _kernel_factors(grid: GridSpec, sigma_a: float, sigma_b: float, x3: float, p
         for f in factors:
             f.setflags(write=False)
         return (*factors, scale)
-    n, dx = grid.n, grid.dx
-    sa, sb = 2.0 * sigma_a, 2.0 * sigma_b
-    points = grid.points
-    ends = (points[0] - _SQRT2 * x3) + (points[-1] - _SQRT2 * x3)  # c_0 + c_(n-1)
+    n, sa, sb = grid.n, 2.0 * sigma_a, 2.0 * sigma_b
+    # x_i - v_j at tap index i - j + n - 1
+    lag = np.arange(1 - n, n) * grid.dx
     # A tiny or zero width sends an exponent to inf, whose exp is the exact 0 wanted.
     with np.errstate(over="ignore", divide="ignore"):
-        # The real exponent below is -lag^2 (1/sa^2 - 1/sb^2) (Toeplitz) or the
-        # same around lag -(c_0 + c_-1) (Hankel), above -746 only within
-        # `reach` lags of that peak: evaluate it there and one lag beyond.
-        narrow, wide = min(sa, sb), max(sa, sb)
-        reach = np.sqrt(-_EXP_UNDERFLOW) * narrow / np.sqrt(1.0 - (narrow / wide) ** 2)
-        reach /= dx
-        peak = n - 1 - (0.0 if sa <= sb else ends / dx)
-        start = int(np.clip(np.floor(peak - reach) - 1, 0, 2 * n - 2))
-        stop = int(np.clip(np.ceil(peak + reach) + 2, start + 1, 2 * n - 1))
-        # x_i - v_j at tap index i - j + n - 1, for the indices in [start, stop)
-        lag = np.arange(start + 1 - n, stop + 1 - n) * dx
         if sa <= sb:
             u = np.divide(lag, sa, out=np.zeros_like(lag), where=lag != 0.0)
             w = lag / sb
         else:
             # Against the reversed input, lag i - j pairs x_i with v_(n-1-j).
-            total = ends + lag
+            total = (grid.x_min - _SQRT2 * x3) + (grid.x_max - _SQRT2 * x3) + lag
             u, w = total / sb, total / sa
         exponent = -(u - w) * (u + w)
     # Complex taps only where the real exponent leaves exp nonzero, then
     # trimmed to the nonzero ones: MultiplicationOnly keeps one of 2n - 1.
     live = np.flatnonzero(exponent > _EXP_UNDERFLOW)
-    lo, hi = (live[0], live[-1] + 1) if live.size else (0, 1)
+    start, hi = (live[0], live[-1] + 1) if live.size else (0, 1)
     if sa <= sb:
-        taps = np.exp(exponent[lo:hi] + 1j * q * lag[lo:hi])
+        taps = np.exp(exponent[start:hi] + 1j * q * lag[start:hi])
     else:
-        taps = np.exp(exponent[lo:hi])
-    start += lo
+        taps = np.exp(exponent[start:hi])
     band = np.flatnonzero(taps)
     if band.size:  # else the output is zero and _finish raises ZeroNormError
         taps = taps[band[0] : band[-1] + 1]
@@ -475,14 +462,11 @@ def outcome_moments(psi_moments, params: SqueezingParams):
     """Analytic means and variances of (x3, p4) from the mode decomposition."""
     var_x1 = psi_moments.std_x**2
     var_p1 = psi_moments.std_p**2
-    if params.a_is_ideal:
-        var_xa, var_pa = 0.0, np.inf
-    else:
-        var_xa, var_pa = params.sigma_a**2 / 2.0, 1.0 / (2.0 * params.sigma_a**2)
-    if params.b_is_ideal:
-        var_xb, var_pb = np.inf, 0.0
-    else:
-        var_xb, var_pb = params.sigma_b**2 / 2.0, 1.0 / (2.0 * params.sigma_b**2)
+    with np.errstate(over="ignore", divide="ignore"):  # an extreme width gives inf
+        square_a = np.float64(0.0 if params.a_is_ideal else params.sigma_a) ** 2
+        square_b = np.float64(np.inf if params.b_is_ideal else params.sigma_b) ** 2
+        var_xa, var_pa = square_a / 2.0, 1.0 / (2.0 * square_a)
+        var_xb, var_pb = square_b / 2.0, 1.0 / (2.0 * square_b)
     mean_x3 = psi_moments.mean_x / _SQRT2
     mean_p4 = psi_moments.mean_p / _SQRT2
     var_x3 = var_x1 / 2.0 + (var_xa + var_xb) / 4.0
@@ -597,7 +581,10 @@ class _PairCorrelation:
 
     v = (s+d)/2 and v' = (s-d)/2 run over the band-limited interpolant of the
     input at spacing h = dx/factor, so that difference-coordinate structure
-    narrower than the grid spacing (strong squeezing) is resolved exactly.
+    narrower than the grid spacing (strong squeezing) is resolved exactly:
+    factor is the least power of two >= 2 that puts h within a third of the
+    difference Gaussian's width 1/sqrt(2*lam_d).  A factor whose lattice
+    indices would not fit int64 raises OutcomeTooLargeError.
     Row m and column o (|o| <= half_steps) pair the fine samples
     c = stride*m + o and stride*m - o, so the factor*n interpolant is never
     formed.  The s rows are spaced 2*h*stride: dx (stride = factor/2) when
@@ -606,8 +593,9 @@ class _PairCorrelation:
     residue r = o mod stride the samples fine[stride*m + r] are one inverse
     FFT of length rows = factor*n/stride of the native spectrum twiddled by
     exp(2*pi*i*k*r/(factor*n)); column o reads that phase shifted by
-    floor(o/stride) rows, zero past either end.  That is at most
-    min(stride, n_d) short transforms, and one when stride is 1.
+    floor(o/stride) rows, zero past either end.  Only the residues the
+    columns use are transformed, at most min(stride, n_d) short transforms
+    whatever the factor, and one when stride is 1.
 
     Only the s rows inside the sum envelope's window around ``centres``
     (2*sqrt(2)*x3 for each x3 row, see `_envelope_window`) are filled and
@@ -620,10 +608,11 @@ class _PairCorrelation:
     def __init__(self, psi: SampledWaveFunction, lam_d: float, centres, lam_s: float):
         g = psi.grid
         width_d = 1.0 / np.sqrt(2.0 * lam_d)
-        factor = 2
-        if width_d < 3.0 * g.dx:
-            factor = int(2 ** np.ceil(np.log2(3.0 * g.dx / width_d)))
-            factor = int(min(max(factor, 2), 1024))
+        estimate = 3.0 * g.dx * np.sqrt(2.0 * lam_d)  # 3*dx/width_d, inf for width_d 0
+        factor = max(2.0, _least_power_of_two(estimate, lambda f: 3.0 * g.dx / f <= width_d))
+        if not g.n * factor <= np.iinfo(np.int64).max:
+            raise OutcomeTooLargeError(f"a {factor:.3g}-fold outcome lattice overflows int64")
+        factor = int(factor)
         h = g.dx / factor
         big = g.n * factor
         coarse = _dx_rows_alias_free(lam_s, g.dx)
@@ -638,7 +627,8 @@ class _PairCorrelation:
         half_steps = int(np.ceil(d_max / (2.0 * h)))
         half_steps = max(1, min(half_steps, big // 2 - 1))
         n_d = 2 * half_steps + 1
-        s_values = 2.0 * g.x_min + 2.0 * h * np.arange(0, big, stride)
+        self.s_weight = 2.0 * h * stride
+        s_values = 2.0 * g.x_min + self.s_weight * np.arange(rows)
         window = _envelope_window(s_values, centres, lam_s)
         kept = window.stop - window.start
         block = min(kept, _envelope_block_rows(len(centres)))
@@ -666,11 +656,10 @@ class _PairCorrelation:
         # Column j holds o = j - half_steps: fine[stride*m + o] times the
         # conjugate of fine[stride*m - o], whose residues are r and -r.
         shift, residue = np.divmod(np.arange(-half_steps, half_steps + 1), stride)
+        pairs = np.minimum(residue, -residue % stride)  # r and -r share their phases
         self.table = np.zeros((kept, n_d), dtype=np.complex128)  # (n_s, n_d)
-        for r in range(stride // 2 + 1):
-            cols = np.flatnonzero((residue == r) | (residue == -r % stride))
-            if cols.size == 0:
-                continue
+        for r in np.unique(pairs).tolist():
+            cols = np.flatnonzero(pairs == r)
             phases = {rr: polyphase(rr) for rr in {r, -r % stride}}
             for j in cols:
                 a, b = shift[j], shift[-1 - j]
@@ -683,7 +672,6 @@ class _PairCorrelation:
                 )
         self.d_values = 2.0 * h * np.arange(-half_steps, half_steps + 1)
         self.s_values = s_values[window]
-        self.s_weight = 2.0 * h * stride
 
 
 def _outcome_density(
@@ -738,6 +726,9 @@ def build_outcome_distribution(
 
 
 def _centered_grid(mean: float, std: float, count: int):
+    """``count`` cells over mean +- 6 std; a spread that overflows is refused."""
+    if not np.isfinite(12.0 * std):
+        raise OutcomeTooLargeError(f"an outcome spread of {std:.3g} cannot be tabulated")
     lo = mean - 6.0 * std
     step = 12.0 * std / count
     return lo + step * (np.arange(count) + 0.5), step

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from cvteleport import GridSpec, SampledWaveFunction, moments, normalize
 from cvteleport.channel import outcome_moments
+
+# Every property test runs the same examples on every run: derandomized, with
+# no example database and no deadline.  A test sets only its max_examples.
+settings.register_profile("cvteleport", derandomize=True, database=None, deadline=None)
+settings.load_profile("cvteleport")
 
 
 def rel_l2(a, b):
@@ -31,6 +37,11 @@ def random_state(grid, rng, packets=2):
     return normalize(SampledWaveFunction(grid, amps))
 
 
+def _gaussian(values, mean, var):
+    values = np.asarray(values)
+    return np.exp(-((values - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+
+
 def closed_form_marginal(psi, params, values):
     """N(mean, var) at ``values`` for the one random outcome coordinate.
 
@@ -40,8 +51,19 @@ def closed_form_marginal(psi, params, values):
     """
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     mean, var = (mean_p4, var_p4) if params.b_is_ideal else (mean_x3, var_x3)
-    values = np.asarray(values)
-    return np.exp(-((values - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    return _gaussian(values, mean, var)
+
+
+def closed_form_joint(psi, params, x3_values, p4_values):
+    """The joint (x3, p4) density on x3_values x p4_values for a real Gaussian input.
+
+    The product of the two Gaussians `outcome_moments` gives: for such an
+    input the x3-p4 covariance is zero.
+    """
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
+    return np.multiply.outer(
+        _gaussian(x3_values, mean_x3, var_x3), _gaussian(p4_values, mean_p4, var_p4)
+    )
 
 
 def pytest_configure(config):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cvteleport import (
@@ -138,7 +138,6 @@ def _teleported(psi, regime, outcome):
 _random_grids = dict(log2_n=st.integers(6, 10), dx=st.floats(0.05, 1.0))
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(
     **_random_grids,
     log_a=st.floats(-30.0, 0.0),
@@ -160,7 +159,6 @@ def test_general_with_one_tap_sigma_a_is_multiplication(log2_n, dx, log_a, log_b
         assert np.array_equal(gen, mult)
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(
     **_random_grids,
     regime=st.sampled_from(["ideal", "convolution", "multiplication", "general"]),
@@ -331,7 +329,6 @@ def test_memoized_factors_are_read_only():
         assert arrays and not any(f.flags.writeable for f in arrays)
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(
     log2_n=st.integers(6, 10),
     dx=st.floats(0.05, 1.0),

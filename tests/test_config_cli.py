@@ -412,6 +412,41 @@ def test_cli_grid_override(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: grid '{huge}' has"), argv
 
 
+def test_cli_extreme_widths_fail_their_sampled_scenarios(tmp_path, caplog):
+    # Widths whose squares or inverse squares overflow give an outcome spread
+    # no grid can tabulate, and sigma_a = 1e-100 a pair-table lattice whose
+    # indices overflow int64: each sampled scenario is a failed row, the
+    # fixed-outcome one at the same widths still runs.
+    out = tmp_path / "out"
+    sampled = [
+        ("tiny_a_joint", "1e-200", "8.4", "sample", "sample"),
+        ("tiny_a_p4", "1e-200", "8.4", "0", "sample"),
+        ("tiny_a_p4_only", "1e-200", "ideal", "0", "sample"),
+        ("huge_b_joint", "1", "1e200", "sample", "sample"),
+        ("huge_b_x3", "1", "1e200", "sample", "0"),
+        ("huge_b_x3_only", "ideal", "1e200", "sample", "0"),
+        ("subnormal_a", "1e-160", "8.4", "sample", "sample"),
+        ("lattice", "1e-100", "8.4", "sample", "sample"),
+    ]
+    text = "input = bundled:silhouette\ngrid = -256:256:1024\n"
+    text += f"output_dir = {out}\nseed = 1\n"
+    for label, sigma_a, sigma_b, x3, p4 in sampled + [("fixed", "1e-200", "8.4", "1", "2")]:
+        text += (
+            f"\n[scenario]\nlabel = {label}\nsigma_a = {sigma_a}\nsigma_b = {sigma_b}\n"
+            f"x3 = {x3}\np4 = {p4}\n"
+        )
+    assert main(["run", str(write_config(tmp_path, text))]) == 2
+    err = caplog.text
+    rows = {
+        line.split(",")[0]: line for line in (out / "report.csv").read_text().splitlines()
+    }
+    for label, *_ in sampled:
+        assert f"scenario {label} failed: OutcomeTooLargeError: " in err
+        assert rows[label].endswith(",nan,nan")
+    assert re.search(r"scenario lattice failed: \S+ a \S+-fold outcome lattice overflows int64", err)
+    assert not rows["fixed"].endswith(",nan,nan")
+
+
 def test_cli_kernel_and_envelope_outputs(tmp_path):
     kcsv = tmp_path / "k.csv"
     assert main(

@@ -47,7 +47,7 @@ from cvteleport.channel import (
     outcome_moments,
 )
 from cvteleport.signals import bundled_silhouette_path
-from conftest import closed_form_marginal
+from conftest import closed_form_joint, closed_form_marginal
 
 
 @pytest.fixture
@@ -268,10 +268,10 @@ def _check_pair_table(psi, sigma_a, sigma_b):
         (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 8, 4, 43),
         # a resolved sigma_a: one transform, the whole fine grid
         (GridSpec(-1024.0, 0.5, 4096), 5.0, 5.0, 2, 1, 199),
-        # sigma_a asks for factor 2048, clamped to 1024
-        (GridSpec(-1024.0, 0.5, 4096), 0.0004, 8.4, 1024, 512, 13),
+        # a sigma_a far below dx: factor 2048, 25 of its 1024 residues used
+        (GridSpec(-1024.0, 0.5, 4096), 0.0004, 8.4, 2048, 1024, 25),
     ],
-    ids=["fig9b", "moderate", "resolved", "clamped"],
+    ids=["fig9b", "moderate", "resolved", "deep-subgrid"],
 )
 def test_pair_table_matches_whole_grid_upsampling(
     grid, sigma_a, sigma_b, factor, stride, n_d
@@ -280,7 +280,7 @@ def test_pair_table_matches_whole_grid_upsampling(
     assert _check_pair_table(psi, sigma_a, sigma_b) == (factor, stride, n_d)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(
     log2_n=st.integers(4, 8),
     dx=st.floats(0.05, 1.0),
@@ -365,7 +365,7 @@ def test_windowed_density_matches_whole_lattice(grid, sigma_a, sigma_b, kept, ro
     assert _windowed_against_whole_lattice(psi, sigma_a, sigma_b) == (kept, rows)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(
     log2_n=st.integers(9, 12),
     dx_frac=st.floats(0.0, 1.0),
@@ -437,7 +437,7 @@ def test_dx_rows_match_half_dx_reference(grid, sigma_a, sigma_b, n_out):
     _check_dx_rows(psi, sigma_a, sigma_b, n_out)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(
     log2_n=st.integers(8, 9),
     dx=st.floats(0.05, 1.0),
@@ -526,7 +526,7 @@ def _drawn_marginal(psi, params):
     return _centered_grid(mean, np.sqrt(var), _MARGINAL_CELLS)[0], spy.call_args.args[0]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(
     dx=st.floats(0.25, 1.0),
     log_a=st.floats(np.log(1e-3), np.log(512 / 10)),
@@ -550,6 +550,42 @@ def test_marginals_match_the_closed_form(dx, log_a, log_b):
         exact = closed_form_marginal(psi, params, values)
         err = np.max(np.abs(density / density.max() - exact / exact.max()))
         assert err <= 1e-12, (params, err)
+
+
+@pytest.mark.parametrize("dx", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "sigma_a, tol",
+    [(1e-3, 1e-4), (8e-4, 1e-4), (4e-4, 1e-4), (1e-4, 1e-4),
+     (1e-5, 1e-12), (1e-8, 1e-12), (1e-12, 1e-12)],
+)
+def test_joint_density_matches_the_closed_form(dx, sigma_a, tol):
+    # The packet of the marginal test at sigma_b = 8.4 and sigma_a from 1e-3
+    # down to 1e-12, on grid steps of 0.25 to 1: the pair table's factor runs
+    # up to 2^41.  As a fraction of the maximum the density misses by at most
+    # 5.3e-13 at sigma_a = 1e-5, 1e-8 and 1e-12, by 4.9e-11 at 1e-3, and by
+    # 8.9e-5 from 8e-4 to 1e-4, where the difference lattice's step sits at
+    # 0.61 of the difference Gaussian's width and aliases the p4 phase near
+    # the outcome grid's edge.
+    grid = GridSpec(-256.0 * dx, dx, 512)
+    psi = normalize(
+        SampledWaveFunction(grid, np.exp(-((grid.points - 3.0) ** 2) / (4.0 * 36.0)))
+    )
+    x3_values, p4_values = _outcome_values(psi, sigma_a, 8.4, 257)
+    density = _outcome_density(psi, sigma_a, 8.4, x3_values, p4_values)
+    exact = closed_form_joint(psi, SqueezingParams(sigma_a, 8.4), x3_values, p4_values)
+    err = np.max(np.abs(density / density.max() - exact / exact.max()))
+    assert err <= tol
+
+
+def test_pair_table_transforms_only_the_residues_its_columns_use():
+    # sigma_a = 1e-5 on the silhouette: the factor is 2^17, its stride 2^16
+    # residues, and the 39 columns use 39 of them, one short transform each.
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
+    lam_d, lam_s = _lambda_coefficients(1e-5, 8.4)
+    with mock.patch.object(channel.np.fft, "ifft", wraps=np.fft.ifft) as spy:
+        pair = _PairCorrelation(psi, lam_d, np.zeros(1), lam_s)
+    assert _lattice(psi, pair) == (2**17, 2**16)
+    assert spy.call_count == pair.d_values.size == 39
 
 
 def _doubling_factor(psi, params):
@@ -588,7 +624,7 @@ def _logged_factor(psi, params, values):
     return record.args[1]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(
     log2_n=st.integers(6, 10),
     dx=st.floats(0.05, 2.0),

@@ -185,7 +185,7 @@ _FINITE = st.one_of(
 _TABLES = arrays(
     np.float64, st.tuples(st.integers(0, 6), st.integers(1, 4)), elements=_FINITE
 )
-_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+_SETTINGS = settings(max_examples=150)
 
 
 @_SETTINGS
