@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import KernelRegime, MeasurementOutcome, teleport
 from .errors import UnsupportedFormatError, ZeroNormError
-from .grid import ZERO_NORM_FLOOR, GridSpec, SampledWaveFunction, normalize
+from .grid import GridSpec, SampledWaveFunction, normalize
 from .signals import atomic_write_bytes
 
 log = logging.getLogger(__name__)
@@ -164,19 +164,13 @@ def teleport_image(
     out_display = np.zeros_like(pixels)
     out_raw = np.zeros_like(pixels)
     fidelities = np.full(count, np.nan)
-    # The columns' norms in one pass, over one padded row each, summed as
-    # `normalize` sums them; a vanishing or overflowing norm is left to it.
-    roots = np.zeros((count, grid.n))
-    roots[:, offset : offset + length] = np.sqrt(np.clip(pixels.T, 0.0, None))
-    with np.errstate(over="ignore"):
-        norm_sq = np.sum(roots**2, axis=1) * grid.dx
     for j in range(count):
-        amplitudes = roots[j].astype(np.complex128)
+        column = pixels[:, j]
+        peak = column.max()
+        padded = np.zeros(grid.n, dtype=np.complex128)
+        padded[offset : offset + length] = np.sqrt(np.clip(column, 0.0, None))
         try:
-            if ZERO_NORM_FLOOR <= norm_sq[j] < np.inf:
-                state = SampledWaveFunction(grid, amplitudes / np.sqrt(norm_sq[j]))
-            else:
-                state = normalize(SampledWaveFunction(grid, amplitudes))
+            state = normalize(SampledWaveFunction(grid, padded))
             tele = teleport(state, regime, outcome)
         except ZeroNormError:
             log.warning("column %d annihilated; rendered black", j)
@@ -187,7 +181,7 @@ def teleport_image(
         out_raw[:, j] = prob
         top = prob.max()
         if top > 0.0:
-            out_display[:, j] = prob * (pixels[:, j].max() / top)
+            out_display[:, j] = prob * (peak / top)
     if mode == "row-wise":
         out_display = out_display.T
         out_raw = out_raw.T
