@@ -51,7 +51,6 @@ from .grid import (
     evaluate_bandlimited,
     moments,
     normalize,
-    to_momentum,
 )
 from .optics import SqueezingParams, epr_state
 
@@ -63,14 +62,11 @@ _TWO_PI = 2.0 * np.pi
 #: Largest grid the full three-mode oracle will accept (memory scales as n^3).
 ORACLE_MAX_POINTS = 64
 
-#: Largest estimated size of the arrays behind one outcome density: the pair
-#: table over the envelope's window of s rows (a marginal's padded or refined
-#: lattice), plus one envelope block; the fig9b joint density needs about 15 MB.
+#: Largest estimated size of the arrays behind one outcome density, joint or
+#: marginal: the input's interpolant when its rows are refined, one block of
+#: windowed rows and their transforms, the lag tables and the output; the
+#: fig9b joint density needs about 2 MB.
 OUTCOME_MAX_BYTES = 1 << 30
-
-#: Envelope elements (float64) built at once while an outcome density is
-#: contracted: about 4 MB, whatever the window or the outcome grid.
-_ENVELOPE_BLOCK = 1 << 19
 
 #: Below this exponent np.exp is exactly 0 (the smallest subnormal is e^-744.4).
 #: `_kernel_factors` evaluates the taps only above it and then flushes the
@@ -164,7 +160,9 @@ def convolution_kernel(sigma_a: float, p4: float, u) -> np.ndarray:
 def envelope(sigma_b: float, x3: float, x) -> np.ndarray:
     """exp(-((x - sqrt(2)*x3)/sigma_b)^2)."""
     x = np.asarray(x, dtype=float)
-    return np.exp(-(((x - _SQRT2 * x3) / sigma_b) ** 2))
+    # A tiny width sends the ratio's square to inf, whose exp is the exact 0 wanted.
+    with np.errstate(over="ignore"):
+        return np.exp(-(((x - _SQRT2 * x3) / sigma_b) ** 2))
 
 
 def teleport(
@@ -260,7 +258,10 @@ def _kernel_factors(grid: GridSpec, sigma_a: float, sigma_b: float, x3: float, p
         momentum = grid.conjugate()
         ps = momentum.points
         before = np.exp(-1j * ps * grid.x_min) * (grid.dx / np.sqrt(_TWO_PI))
-        exponent = (sigma_a * (ps - q)) ** 2
+        with np.errstate(over="ignore"):
+            exponent = (sigma_a * (ps - q)) ** 2
+        if exponent.min() == np.inf:  # so wide a sigma_a keeps the nearest momenta alone
+            exponent = np.where(np.abs(ps - q) == np.abs(ps - q).min(), 0.0, np.inf)
         window = np.exp(-(exponent - exponent.min()))
         after = np.exp(1j * ps * grid.x_min)
         scale = momentum.dx * momentum.n / np.sqrt(_TWO_PI)
@@ -475,14 +476,28 @@ def outcome_moments(psi_moments, params: SqueezingParams):
 
 
 def _lambda_coefficients(sigma_a: float, sigma_b: float):
-    """Gaussian exponents of the x5-marginalized pair correlation.
+    """(lam_s, mu): the Gaussian exponents of the x5-marginalized resource.
 
-    Integrating the squared two-mode resource over the remote coordinate
-    leaves exp(-lam_d*(v-v')^2) * exp(-lam_s*(v+v'-2*sqrt(2)*x3)^2).
+    With a = 1/(4 sigma_a^2), b = 1/(4 sigma_b^2) and t = sqrt(2)*x3,
+    integrating the squared two-mode resource over the remote coordinate
+    leaves exp(-2*lam_s*((v - t)^2 + (v' - t)^2)) * exp(-mu*(v - v')^2), with
+    lam_s = 2ab/(a+b) and mu = (a-b)^2/(2(a+b)).  Both are formed from the
+    larger of a and b and their ratio, in float64, so that nothing cancels
+    when the widths are close and nothing overflows when they are extreme.
+    The ideal widths are limits: sigma_a = 0 (a = inf) gives mu = inf, the
+    x3-only draw, and sigma_b = inf (b = 0) gives lam_s = 0, the p4-only
+    draw; a width whose square over- or underflows goes the same way.
     """
-    a = 1.0 / (4.0 * sigma_a**2)
-    b = 1.0 / (4.0 * sigma_b**2)
-    return (a + b) / 2.0, 2.0 * a * b / (a + b)
+    with np.errstate(over="ignore", divide="ignore"):
+        a = 1.0 / (4.0 * np.float64(sigma_a) ** 2)
+        b = 1.0 / (4.0 * np.float64(sigma_b) ** 2)
+    lo, hi = min(a, b), max(a, b)
+    if hi == 0.0:
+        return 0.0, 0.0
+    if hi == np.inf:
+        return 2.0 * lo, np.inf
+    ratio, gap = lo / hi, (hi - lo) / hi
+    return 2.0 * lo / (1.0 + ratio), hi * gap * gap / (2.0 * (1.0 + ratio))
 
 
 def _require_outcome_budget(nbytes: float) -> None:
@@ -494,71 +509,24 @@ def _require_outcome_budget(nbytes: float) -> None:
         )
 
 
-def _envelope_block_rows(n_x3: int) -> int:
-    """s rows per envelope block: about _ENVELOPE_BLOCK elements for n_x3 rows."""
-    return max(1, _ENVELOPE_BLOCK // n_x3)
+#: ln(1/eps) for float64: a Gaussian exp(-lam*u^2) is below eps of its peak
+#: once lam*u^2 exceeds it.
+_LOG_EPS = -np.log(np.finfo(np.float64).eps)
+
+#: The largest lam * h^2 for which `_dx_rows_alias_free` holds.
+_ALIAS_FREE_BOUND = np.pi**2 / (4.0 * _LOG_EPS)
 
 
-def _contract_envelope(rows, centres, lam: float, table) -> np.ndarray:
-    """sum_r exp(-lam*(r - c)^2) * table[r] for each envelope centre c: (n_c, cols).
+def _dx_rows_alias_free(lam: float, h: float) -> bool:
+    """Whether rows spaced h sample the window exp(-lam*u^2) without alias.
 
-    The centres x rows envelope is never formed whole.  It is built in place
-    one block of rows at a time, in one reused buffer of about
-    _ENVELOPE_BLOCK elements, and each block is contracted with its rows of
-    ``table`` as it is made.  Entries below the smallest normal float64 are
-    built as exact zeros: a block whose farthest (row, centre) corner stays
-    above that pays nothing, and in the others the exponents below its log
-    go to -inf before exp, since subnormal operands slow the matmul severalfold.
+    The window's spectrum falls off as exp(-w^2/(4*lam)), and it is below
+    eps of its peak at w = pi/h while exp(-(pi/h)^2/(4*lam)) <= eps.  A
+    windowed input that the grid resolves is then band-limited to pi/h, so
+    its samples at h give its autocorrelation, and the outcome density,
+    exactly.  The bound depends on the float format alone.
     """
-    t = np.asarray(centres)[:, None]
-    t_min, t_max = t.min(), t.max()
-    floor = np.log(np.finfo(np.float64).tiny)
-    step = _envelope_block_rows(t.shape[0])
-    out = np.zeros((t.shape[0], table.shape[1]))
-    buffer = np.empty((t.shape[0], min(step, len(rows))))
-    for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step]
-        env = buffer[:, : block.size]
-        np.subtract(block[None, :], t, out=env)
-        env **= 2
-        env *= -lam
-        if -lam * max(block[-1] - t_min, t_max - block[0]) ** 2 < floor:
-            env[env < floor] = -np.inf
-        np.exp(env, out=env)
-        out += env @ table[lo : lo + step]
-    return out
-
-
-def _envelope_window(rows, centres, lam: float) -> slice:
-    """The contiguous rows where some centre's envelope reaches float64 eps.
-
-    exp(-lam*(r - c)^2) falls below eps times its peak once |r - c| exceeds
-    R = sqrt(ln(1/eps)/lam), so rows outside [min c - R, max c + R] add less
-    than one ulp of any centre's peak and are left out.
-    """
-    centres = np.asarray(centres)
-    reach = np.sqrt(-np.log(np.finfo(np.float64).eps) / lam)
-    lo = np.searchsorted(rows, centres.min() - reach, side="left")
-    hi = np.searchsorted(rows, centres.max() + reach, side="right")
-    return slice(int(lo), int(hi))
-
-
-#: The largest lam_s * dx^2 for which `_dx_rows_alias_free` holds.
-_ALIAS_FREE_BOUND = np.pi**2 / (4.0 * -np.log(np.finfo(np.float64).eps))
-
-
-def _dx_rows_alias_free(lam_s: float, dx: float) -> bool:
-    """Whether s rows spaced dx sum the enveloped pair correlation exactly.
-
-    In s the pair correlation is band-limited to |w| <= pi/dx (where the
-    input's interpolant has decayed before the grid's ends), and the
-    envelope's spectrum falls off as exp(-w^2/(4*lam_s)).  Rows spaced dx
-    alias the product's spectrum from 2*pi/dx, a gap of pi/dx beyond the
-    band, so the sum misses the integral by less than eps of the peak while
-    exp(-(pi/dx)^2/(4*lam_s)) <= eps.  The bound depends on the float
-    format alone, as `_envelope_window` does.
-    """
-    return lam_s * dx**2 <= _ALIAS_FREE_BOUND
+    return lam * h**2 <= _ALIAS_FREE_BOUND
 
 
 def _least_power_of_two(estimate: float, enough) -> float:
@@ -571,107 +539,16 @@ def _least_power_of_two(estimate: float, enough) -> float:
     """
     with np.errstate(over="ignore"):
         factor = float(np.exp2(np.ceil(np.log2(max(estimate, 1.0)))))
+    if factor == np.inf:
+        return factor
     if factor > 1.0 and enough(factor / 2.0):
         return factor / 2.0
     return factor if enough(factor) else 2.0 * factor
 
 
-class _PairCorrelation:
-    """psi(v) * conj(psi(v')) tabulated on sum/difference lattices.
-
-    v = (s+d)/2 and v' = (s-d)/2 run over the band-limited interpolant of the
-    input at spacing h = dx/factor, so that difference-coordinate structure
-    narrower than the grid spacing (strong squeezing) is resolved exactly:
-    factor is the least power of two >= 2 that puts h within a third of the
-    difference Gaussian's width 1/sqrt(2*lam_d).  A factor whose lattice
-    indices would not fit int64 raises OutcomeTooLargeError.
-    Row m and column o (|o| <= half_steps) pair the fine samples
-    c = stride*m + o and stride*m - o, so the factor*n interpolant is never
-    formed.  The s rows are spaced 2*h*stride: dx (stride = factor/2) when
-    `_dx_rows_alias_free` holds for lam_s, else dx/2 (stride = factor/4); at
-    factor 2 both give stride 1, and the bound always holds there.  For each
-    residue r = o mod stride the samples fine[stride*m + r] are one inverse
-    FFT of length rows = factor*n/stride of the native spectrum twiddled by
-    exp(2*pi*i*k*r/(factor*n)); column o reads that phase shifted by
-    floor(o/stride) rows, zero past either end.  Only the residues the
-    columns use are transformed, at most min(stride, n_d) short transforms
-    whatever the factor, and one when stride is 1.
-
-    Only the s rows inside the sum envelope's window around ``centres``
-    (2*sqrt(2)*x3 for each x3 row, see `_envelope_window`) are filled and
-    kept.  The table over those rows, plus the one envelope block that
-    `_contract_envelope` builds at a time, are estimated before anything is
-    allocated and logged at DEBUG with the lattice; over OUTCOME_MAX_BYTES
-    the constructor raises OutcomeTooLargeError.
-    """
-
-    def __init__(self, psi: SampledWaveFunction, lam_d: float, centres, lam_s: float):
-        g = psi.grid
-        width_d = 1.0 / np.sqrt(2.0 * lam_d)
-        estimate = 3.0 * g.dx * np.sqrt(2.0 * lam_d)  # 3*dx/width_d, inf for width_d 0
-        factor = max(2.0, _least_power_of_two(estimate, lambda f: 3.0 * g.dx / f <= width_d))
-        if not g.n * factor <= np.iinfo(np.int64).max:
-            raise OutcomeTooLargeError(f"a {factor:.3g}-fold outcome lattice overflows int64")
-        factor = int(factor)
-        h = g.dx / factor
-        big = g.n * factor
-        coarse = _dx_rows_alias_free(lam_s, g.dx)
-        stride = max(1, factor // (2 if coarse else 4))
-        rows = big // stride
-
-        # The product psi(v)*conj(psi(v-d)) vanishes once |d| exceeds the
-        # support extent, so the difference lattice never needs to span more.
-        nz = np.flatnonzero(psi.amplitudes)
-        extent = (nz[-1] - nz[0] + 2) * g.dx if nz.size else g.span
-        d_max = min(7.0 * width_d, extent, (g.n - 1) * g.dx)
-        half_steps = int(np.ceil(d_max / (2.0 * h)))
-        half_steps = max(1, min(half_steps, big // 2 - 1))
-        n_d = 2 * half_steps + 1
-        self.s_weight = 2.0 * h * stride
-        s_values = 2.0 * g.x_min + self.s_weight * np.arange(rows)
-        window = _envelope_window(s_values, centres, lam_s)
-        kept = window.stop - window.start
-        block = min(kept, _envelope_block_rows(len(centres)))
-        nbytes = kept * n_d * 16 + len(centres) * block * 8
-        log.debug(
-            "outcome density: factor %d, stride %d, s spacing %s, %d of %d s rows, "
-            "n_d %d, about %.1f MB",
-            factor, stride, "dx" if coarse else "dx/2", kept, rows, n_d, nbytes / 1e6,
-        )
-        _require_outcome_budget(nbytes)
-
-        phi = to_momentum(psi)
-        raw = np.fft.ifftshift(phi.amplitudes * np.exp(1j * phi.grid.points * g.x_min))
-        k = np.fft.ifftshift(np.arange(g.n) - g.n // 2)  # signed frequency of raw
-        scale = rows * g.dp / np.sqrt(_TWO_PI)
-
-        def polyphase(r):
-            """fine[stride*m + r] for m in [0, rows): one short inverse FFT."""
-            spectrum = np.zeros(rows, dtype=np.complex128)
-            twiddled = raw * np.exp(1j * (_TWO_PI * r / big) * k) if r else raw
-            spectrum[: g.n // 2] = twiddled[: g.n // 2]
-            spectrum[rows - g.n // 2 :] = twiddled[g.n // 2 :]
-            return np.fft.ifft(spectrum) * scale
-
-        # Column j holds o = j - half_steps: fine[stride*m + o] times the
-        # conjugate of fine[stride*m - o], whose residues are r and -r.
-        shift, residue = np.divmod(np.arange(-half_steps, half_steps + 1), stride)
-        pairs = np.minimum(residue, -residue % stride)  # r and -r share their phases
-        self.table = np.zeros((kept, n_d), dtype=np.complex128)  # (n_s, n_d)
-        for r in np.unique(pairs).tolist():
-            cols = np.flatnonzero(pairs == r)
-            phases = {rr: polyphase(rr) for rr in {r, -r % stride}}
-            for j in cols:
-                a, b = shift[j], shift[-1 - j]
-                lo = max(window.start, -a, -b)
-                hi = max(lo, min(window.stop, rows - max(0, a, b)))
-                np.multiply(
-                    phases[residue[j]][lo + a : hi + a],
-                    np.conj(phases[residue[-1 - j]][lo + b : hi + b]),
-                    out=self.table[lo - window.start : hi - window.start, j],
-                )
-        self.d_values = 2.0 * h * np.arange(-half_steps, half_steps + 1)
-        self.s_values = s_values[window]
+#: Elements of windowed rows and transforms built at once: the x3 rows of an
+#: outcome density go through in blocks of about this many, which stay in cache.
+_TRANSFORM_BLOCK = 1 << 14
 
 
 def _outcome_density(
@@ -679,21 +556,114 @@ def _outcome_density(
 ) -> np.ndarray:
     """Unnormalized density of (x3, p4) on the grid x3_values x p4_values.
 
-    max(0, Re sum_d G(x3, d) exp(-lam_d*d^2) exp(-i*sqrt(2)*d*p4)), where G is
-    the pair correlation summed over s under the envelope
-    exp(-lam_s*(s - 2*sqrt(2)*x3)^2), over the s rows where some x3's envelope
-    reaches float64 eps of its peak.
+    With t = sqrt(2)*x3, q = sqrt(2)*p4 and (lam_s, mu) from
+    `_lambda_coefficients`, the density is the input's autocorrelation
+    under a window in x3 and a smoothing in p4:
+
+        D(t, q) = int A_t(d) exp(-mu*d^2) exp(-i*q*d) dd,
+
+    A_t the autocorrelation of f_t(v) = psi(v) * exp(-2*lam_s*(v - t)^2).
+    The widths are the regime's, 0 and inf for the ideal ones, so the
+    single-coordinate draws are limits: sigma_b = inf (lam_s = 0) leaves one
+    window for every x3, and sigma_a = 0 (mu = inf) leaves the lag 0 alone,
+    sum_v |f_t(v)|^2, with no transform.
+
+    Rows: v runs at h = dx/F, F the least power of two for which
+    `_dx_rows_alias_free(2*lam_s, h)` holds.  At F = 1 they are the input's
+    own samples from its first to its last nonzero one; at F > 1, the
+    band-limited interpolant from one zero-padded FFT.  Each x3 reads only
+    the rows within R = sqrt(ln(1/eps)/(2*lam_s)) of t, where the window
+    reaches eps of its peak, at most ``rows`` of them.  Lags: each block of x3
+    rows takes one FFT per row, of length N >= rows + d_max/h so that no
+    lag up to d_max wraps; P = |FFT|^2 gives A_t(d) = sum_k P(k) exp(i*k*d)
+    at d = m*h_d for 0 <= d <= d_max = min(sqrt(ln(1/eps)/mu), rows*h), with
+    h_d = 2*pi/(max|q| + pi/h + 2*sqrt(mu*ln(1/eps))), the step at which the
+    lag sum does not alias.  A_t(-d) = conj A_t(d), so the lag sum is real:
+    two real matmuls.  The input is read as its samples: exact on inputs the
+    grid resolves, while a sharply cut one keeps band-edge content that the
+    samples fold back.
+
+    The arrays (the interpolant, one block of rows and transforms, the lag
+    tables and the output) are estimated, logged at DEBUG and checked
+    against OUTCOME_MAX_BYTES before anything is allocated.
     """
-    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    centres = 2.0 * _SQRT2 * x3_values
-    pair = _PairCorrelation(psi, lam_d, centres, lam_s)
-    # Real matmuls over the interleaved real and imaginary table columns.
-    G = _contract_envelope(pair.s_values, centres, lam_s, pair.table.view(np.float64))
-    G = G.view(np.complex128) * pair.s_weight
-    phase = np.exp(-lam_d * pair.d_values**2)[:, None] * np.exp(
-        -1j * _SQRT2 * np.multiply.outer(pair.d_values, p4_values)
+    g = psi.grid
+    lam_s, mu = _lambda_coefficients(sigma_a, sigma_b)
+    t = _SQRT2 * np.asarray(x3_values, dtype=float)
+    q = _SQRT2 * np.asarray(p4_values, dtype=float)
+    factor = _least_power_of_two(
+        np.sqrt(2.0 * lam_s * g.dx**2 / _ALIAS_FREE_BOUND),
+        lambda f: _dx_rows_alias_free(2.0 * lam_s, g.dx / f),
     )
-    density = np.clip(np.real(G @ phase), 0.0, None)
+    if factor == np.inf:  # a window no lattice resolves
+        _require_outcome_budget(np.inf)
+    support = np.flatnonzero(psi.amplitudes)
+    available = support[-1] - support[0] + 1 if factor == 1.0 else g.n * factor
+    h = g.dx / factor
+    with np.errstate(divide="ignore"):
+        reach = np.sqrt(_LOG_EPS / (2.0 * lam_s))
+        rows = min(available, np.floor(2.0 * reach / h) + 1.0)
+        if mu == np.inf:
+            size, lags = 0.0, 1.0
+        else:
+            d_max = min(np.sqrt(_LOG_EPS / mu), rows * h)
+            step = _TWO_PI / (np.abs(q).max() + np.pi / h + 2.0 * np.sqrt(mu * _LOG_EPS))
+            lags = np.floor(d_max / step) + 1.0
+            size = _least_power_of_two(rows + d_max / h, lambda f: f >= rows + d_max / h)
+    block = max(1.0, min(t.size, _TRANSFORM_BLOCK // (rows + size)))
+    nbytes = (
+        (40.0 * available if factor > 1.0 else 0.0)  # interpolant and its spectrum
+        + 40.0 * block * (rows + size)  # windowed rows, transforms and powers
+        + 40.0 * lags * (size + q.size)  # the lag tables
+        + 8.0 * t.size * (q.size + 2.0 * lags)  # the lag sums and the density
+    )
+    coordinates = "x3" if mu == np.inf else "p4" if lam_s == 0.0 else "x3 and p4"
+    log.debug(
+        "outcome density: %s, F %d, rows %d, N %d, lags %d, about %.1f MB",
+        coordinates, factor, rows, size, lags, nbytes / 1e6,
+    )
+    _require_outcome_budget(nbytes)
+
+    factor, rows, size, lags, block = (int(v) for v in (factor, rows, size, lags, block))
+    if factor == 1:
+        data, x0 = psi.amplitudes[support[0] : support[-1] + 1], g.points[support[0]]
+    else:  # the interpolant's spectrum is the native one, zero-padded
+        spectrum = np.fft.fft(psi.amplitudes)
+        data = np.zeros(g.n * factor, dtype=np.complex128)
+        data[: g.n // 2] = spectrum[: g.n // 2]
+        data[-(g.n // 2) :] = spectrum[g.n // 2 :]
+        data, x0 = np.fft.ifft(data), g.x_min
+    if mu == np.inf:  # the lag 0 alone: sum |psi|^2 under the window's square
+        data, lam = np.abs(data) ** 2, 4.0 * lam_s
+    else:
+        lam = 2.0 * lam_s
+        k = _TWO_PI * np.fft.fftfreq(size, h)
+        d = step * np.arange(lags)
+        kd, qd = np.multiply.outer(k, d), np.multiply.outer(d, q)
+        table = np.hstack([np.cos(kd), np.sin(kd)])  # A_t(d) = P @ table, cos then sin
+        weights = np.vstack([np.cos(qd), np.sin(qd)])  # Re A cos(qd) + Im A sin(qd)
+        weights *= np.tile(np.where(d > 0.0, 2.0, 1.0) * np.exp(-mu * d**2), 2)[:, None]
+    first = np.clip(np.ceil((t - reach - x0) / h), 0, available - rows).astype(np.intp)
+    windows = np.lib.stride_tricks.sliding_window_view(data, rows)
+    density = np.empty((t.size, q.size))
+    for lo in range(0, t.size, block):
+        part = slice(lo, lo + block)
+        # The window over each x3's rows.  Rows past the reach (a window
+        # wider than the data is slid back onto it) are set to 0 rather than
+        # sent through exp, which is severalfold slower where it underflows.
+        window = (x0 + first[part] * h - t[part])[:, None] + np.arange(rows) * h
+        window *= window
+        inside = window <= reach**2
+        np.minimum(window, reach**2, out=window)
+        window *= -lam
+        np.exp(window, out=window)
+        window *= inside
+        if mu == np.inf:
+            density[part, 0] = np.einsum("ij,ij->i", windows[first[part]], window)
+            continue
+        spectrum = np.fft.fft(windows[first[part]] * window, size)
+        power = spectrum.real**2 + spectrum.imag**2
+        density[part] = (power @ table) @ weights
     if not density.sum() > 0.0:
         raise ZeroNormError("outcome density vanished on the outcome grid")
     return density
@@ -709,9 +679,9 @@ def build_outcome_distribution(
 
     The outcome grid covers +-6 analytic standard deviations around the
     analytic means.  The density is the x5-integrated squared amplitude of the
-    pre-measurement state; the remote-mode integral is carried out in closed
-    form and the remaining double quadrature runs over sum and difference
-    coordinates of the input.
+    pre-measurement state: the remote-mode integral is carried out in closed
+    form, which leaves the input's windowed autocorrelation of
+    `_outcome_density`.
     """
     if params.a_is_ideal or params.b_is_ideal:
         raise SentinelNotMaterializableError(
@@ -762,76 +732,14 @@ def sample_outcomes(
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     mean, var = (mean_p4, var_p4) if params.b_is_ideal else (mean_x3, var_x3)
     values, step = _centered_grid(mean, np.sqrt(var), _MARGINAL_CELLS)
-    idx = _sample_cells(_marginal_density(psi, params, values), rng, count)
+    regime = regime_for(params)
+    x3_values, p4_values = (
+        (np.zeros(1), values) if params.b_is_ideal else (values, np.zeros(1))
+    )
+    density = _outcome_density(psi, regime.sigma_a, regime.sigma_b, x3_values, p4_values)
+    idx = _sample_cells(density.ravel(), rng, count)
     drawn = values[idx] + (rng.random(count) - 0.5) * step
     return (np.zeros(count), drawn) if params.b_is_ideal else (drawn, np.zeros(count))
-
-
-def _marginal_density(
-    psi: SampledWaveFunction, params: SqueezingParams, values
-) -> np.ndarray:
-    """Unnormalized density of the one random outcome coordinate at ``values``.
-
-    A 1-D weight under one Gaussian, sum_r weight(r) * exp(-lam*(r - c)^2):
-    x3 (ideal sigma_a) is |psi(x)|^2 on rows r = 2x with lam = 1/(2 sigma_b^2)
-    and c = 2*sqrt(2)*x3; p4 (ideal sigma_b) is |phi(k)|^2 on rows r = k with
-    lam = 2 sigma_a^2 and c = sqrt(2)*p4.  The rows sit on a lattice
-    ``factor`` (a power of two) times finer than the grid's, the least that
-    sums the weight exactly: x3 refines |psi|^2 to its band-limited
-    interpolant at the coarsest dx/factor where `_dx_rows_alias_free` holds,
-    and p4 zero-pads the input to the least span that holds the input's
-    extent plus 2*sqrt(lam*ln(1/eps)), the reach of the Gaussian's
-    transform, so the autocorrelation behind |phi|^2 does not wrap under it.
-    Both factors follow in closed form, and the arrays they need are checked
-    against OUTCOME_MAX_BYTES once, before anything is allocated.
-    """
-    g = psi.grid
-    p4_only = params.b_is_ideal
-    if p4_only:
-        lam, centres = 2.0 * params.sigma_a**2, _SQRT2 * values
-        support = np.flatnonzero(psi.amplitudes)
-        reach = 2.0 * np.sqrt(lam * -np.log(np.finfo(np.float64).eps))
-        span_needed = (support[-1] - support[0] + 1) * g.dx + reach
-        factor = _least_power_of_two(
-            span_needed / g.span, lambda f: g.span * f >= span_needed
-        )
-    else:
-        lam, centres = 1.0 / (2.0 * params.sigma_b**2), 2.0 * _SQRT2 * values
-        factor = _least_power_of_two(
-            np.sqrt(lam * g.dx**2 / _ALIAS_FREE_BOUND),
-            lambda f: _dx_rows_alias_free(lam, g.dx / f),
-        )
-    # Per lattice point: the transform and its input (complex), the weights
-    # and the rows; plus one envelope block.
-    _require_outcome_budget(
-        g.n * factor * 48 + len(values) * _envelope_block_rows(len(values)) * 8
-    )
-    factor = int(factor)
-    if p4_only:
-        weights = np.fft.fftshift(np.abs(np.fft.fft(psi.amplitudes, g.n * factor)) ** 2)
-        rows = GridSpec(g.x_min, g.dx, g.n * factor).conjugate().points
-    elif factor == 1:
-        weights, rows = psi.probability(), 2.0 * g.points
-    else:  # the interpolant's spectrum is the native one, zero-padded
-        spectrum = np.fft.fft(psi.amplitudes)
-        fine = np.zeros(g.n * factor, dtype=np.complex128)
-        fine[: g.n // 2] = spectrum[: g.n // 2]
-        fine[-(g.n // 2) :] = spectrum[g.n // 2 :]
-        weights = np.abs(np.fft.ifft(fine)) ** 2
-        rows = 2.0 * GridSpec(g.x_min, g.dx / factor, g.n * factor).points
-    # Rows whose weight is exactly 0 add nothing either: leave them out too.
-    nz = np.flatnonzero(weights)
-    window = _envelope_window(rows, centres, lam)
-    lo = max(window.start, nz[0])
-    window = slice(lo, max(lo, min(window.stop, nz[-1] + 1)))
-    log.debug(
-        "outcome marginal: %s, lattice factor %d, %d of %d rows",
-        "p4" if p4_only else "x3", factor, window.stop - window.start, rows.size,
-    )
-    density = _contract_envelope(rows[window], centres, lam, weights[window, None])[:, 0]
-    if not density.sum() > 0.0:
-        raise ZeroNormError("outcome density vanished on the outcome grid")
-    return density
 
 
 def sample_outcome(

@@ -96,6 +96,12 @@ def test_envelope_helper_matches_formula():
     )
 
 
+def test_envelope_of_a_tiny_width_is_exact_without_a_warning():
+    # sigma_b = 1e-300 squares the ratio past float64's range: the exp of that
+    # inf is the exact 0 wanted, with no overflow warning on the way
+    assert envelope(1e-300, 0.0, [0.0, 1.0, -2.0]).tolist() == [1.0, 0.0, 0.0]
+
+
 def test_general_to_convolution_limit():
     g = GridSpec(-64.0, 0.125, 1024)
     psi = gaussian_packet(g, 2.0, 3.0, 0.4)

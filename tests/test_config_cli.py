@@ -179,8 +179,7 @@ SAMPLED = (
     "x3 = sample\np4 = sample\nseed = 3\ngrid = -1024:1024:4096\n"
 )
 _DENSITY_LINE = re.compile(
-    r"outcome density: factor \d+, stride \d+, s spacing dx(/2)?, \d+ of \d+ s rows, "
-    r"n_d \d+, about [0-9.]+ MB"
+    r"outcome density: x3 and p4, F \d+, rows \d+, N \d+, lags \d+, about [0-9.]+ MB"
 )
 
 
@@ -214,8 +213,9 @@ MARGINALS = (
 
 
 def test_cli_vv_logs_each_marginal_path(tmp_path, caplog):
-    # one line per single-coordinate draw: its coordinate, lattice factor and
-    # rows kept (x3: the silhouette's 201 nonzero samples)
+    # one line per single-coordinate draw: its coordinate, lattice factor,
+    # largest row count (the silhouette's 201 nonzero samples), transform
+    # length (none for x3, whose lag 0 is all it needs), lags and bytes
     cfg = write_config(tmp_path, (BASE + MARGINALS).format(out=tmp_path / "o"))
     root = logging.getLogger()
     level = root.level
@@ -225,8 +225,8 @@ def test_cli_vv_logs_each_marginal_path(tmp_path, caplog):
         root.setLevel(level)
     lines = [r.getMessage() for r in caplog.records if r.name == "cvteleport.channel"]
     assert sorted(lines) == [
-        "outcome marginal: p4, lattice factor 1, 1024 of 1024 rows",
-        "outcome marginal: x3, lattice factor 1, 201 of 4096 rows",
+        "outcome density: p4, F 1, rows 201, N 256, lags 23, about 1.2 MB",
+        "outcome density: x3, F 1, rows 201, N 0, lags 1, about 0.7 MB",
     ]
 
 
@@ -414,9 +414,9 @@ def test_cli_grid_override(tmp_path, capsys):
 
 def test_cli_extreme_widths_fail_their_sampled_scenarios(tmp_path, caplog):
     # Widths whose squares or inverse squares overflow give an outcome spread
-    # no grid can tabulate, and sigma_a = 1e-100 a pair-table lattice whose
-    # indices overflow int64: each sampled scenario is a failed row, the
-    # fixed-outcome one at the same widths still runs.
+    # no grid can tabulate: each such sampled scenario is a failed row, the
+    # fixed-outcome one at the same widths still runs.  sigma_a = 1e-100 has
+    # a finite spread, and its joint draw runs.
     out = tmp_path / "out"
     sampled = [
         ("tiny_a_joint", "1e-200", "8.4", "sample", "sample"),
@@ -426,11 +426,14 @@ def test_cli_extreme_widths_fail_their_sampled_scenarios(tmp_path, caplog):
         ("huge_b_x3", "1", "1e200", "sample", "0"),
         ("huge_b_x3_only", "ideal", "1e200", "sample", "0"),
         ("subnormal_a", "1e-160", "8.4", "sample", "sample"),
+    ]
+    running = [
         ("lattice", "1e-100", "8.4", "sample", "sample"),
+        ("fixed", "1e-200", "8.4", "1", "2"),
     ]
     text = "input = bundled:silhouette\ngrid = -256:256:1024\n"
     text += f"output_dir = {out}\nseed = 1\n"
-    for label, sigma_a, sigma_b, x3, p4 in sampled + [("fixed", "1e-200", "8.4", "1", "2")]:
+    for label, sigma_a, sigma_b, x3, p4 in sampled + running:
         text += (
             f"\n[scenario]\nlabel = {label}\nsigma_a = {sigma_a}\nsigma_b = {sigma_b}\n"
             f"x3 = {x3}\np4 = {p4}\n"
@@ -443,8 +446,36 @@ def test_cli_extreme_widths_fail_their_sampled_scenarios(tmp_path, caplog):
     for label, *_ in sampled:
         assert f"scenario {label} failed: OutcomeTooLargeError: " in err
         assert rows[label].endswith(",nan,nan")
-    assert re.search(r"scenario lattice failed: \S+ a \S+-fold outcome lattice overflows int64", err)
-    assert not rows["fixed"].endswith(",nan,nan")
+    for label, *_ in running:
+        assert not rows[label].endswith(",nan,nan")
+
+
+@pytest.mark.parametrize(
+    "sigma_a, sigma_b, x3, p4, error",
+    [
+        # x3 drawn under a window no lattice resolves: 1/(2 sigma_b^2) once
+        # ended the run with a ZeroDivisionError
+        ("ideal", "1e-300", "sample", "0", "OutcomeTooLargeError"),
+        # p4 drawn at a width whose square overflows, once an OverflowError;
+        # the kernel then keeps one plane wave, which fills the grid's ends
+        ("1e300", "ideal", "0", "sample", "GridTooNarrowError"),
+    ],
+    ids=["tiny-b-x3-only", "huge-a-p4-only"],
+)
+def test_cli_extreme_single_widths_fail_by_name(
+    tmp_path, caplog, sigma_a, sigma_b, x3, p4, error
+):
+    out = tmp_path / "out"
+    text = (
+        f"input = bundled:silhouette\ngrid = -256:256:1024\noutput_dir = {out}\nseed = 1\n"
+        f"\n[scenario]\nlabel = extreme\nsigma_a = {sigma_a}\nsigma_b = {sigma_b}\n"
+        f"x3 = {x3}\np4 = {p4}\n"
+    )
+    assert main(["run", str(write_config(tmp_path, text))]) == 2
+    header, row = (out / "report.csv").read_text().splitlines()
+    assert header == "label,sigma_a,sigma_b,x3,p4,fidelity,l2_distortion"
+    assert row.startswith("extreme,") and row.endswith(",nan,nan")
+    assert f"scenario extreme failed: {error}: " in caplog.text
 
 
 def test_cli_kernel_and_envelope_outputs(tmp_path):

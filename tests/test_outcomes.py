@@ -1,4 +1,3 @@
-import hashlib
 import logging
 import tracemalloc
 from unittest import mock
@@ -26,28 +25,22 @@ from cvteleport import (
     run_sweep,
     sample_outcome,
     sample_outcomes,
-    to_momentum,
 )
 from cvteleport import channel
 from cvteleport.channel import (
-    OUTCOME_MAX_BYTES,
     _MARGINAL_CELLS,
-    _PairCorrelation,
     _SQRT2,
     _centered_grid,
-    _contract_envelope,
     _dx_rows_alias_free,
-    _envelope_block_rows,
-    _envelope_window,
     _lambda_coefficients,
     _least_power_of_two,
-    _marginal_density,
     _outcome_density,
     _sample_cells,
     outcome_moments,
+    regime_for,
 )
 from cvteleport.signals import bundled_silhouette_path
-from conftest import closed_form_joint, closed_form_marginal
+from conftest import closed_form_joint, closed_form_marginal, random_state
 
 
 @pytest.fixture
@@ -144,8 +137,7 @@ def test_density_matches_bruteforce_integration(unit_grid):
     # an ideal sigma_b leaves the p4 marginal, the same at every x3
     p4s = dist.p4_values[[12, 20, 32, 50]]
     brute_vals = np.array([brute(0.0, p4, np.inf) for p4 in p4s])
-    p4_only = SqueezingParams(sa, IDEAL)
-    ratios = brute_vals / channel._marginal_density(psi, p4_only, p4s)
+    ratios = brute_vals / _outcome_density(psi, sa, np.inf, np.zeros(1), p4s)[0]
     assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-9
 
     # the chirp's symmetrized x-p covariance carries through at half weight
@@ -154,36 +146,6 @@ def test_density_matches_bruteforce_integration(unit_grid):
     mx, mp = np.sum(X3 * w), np.sum(P4 * w)
     cov = np.sum((X3 - mx) * (P4 - mp) * w)
     assert cov == pytest.approx(beta * moments(psi).std_x ** 2, rel=1e-5)
-
-
-def _one_shot_envelope(rows, centres, lam):
-    """exp(-lam*(r - c)^2) on centres x rows, whole."""
-    return np.exp(-lam * (rows[None, :] - np.asarray(centres)[:, None]) ** 2)
-
-
-@pytest.mark.parametrize(
-    "n_x3, blocks, extra_rows, lam_s, cols",
-    [
-        (257, 0, 1000, 0.01, 82),  # a window smaller than one block
-        (257, 1, 0, 0.01, 82),  # exactly one block
-        (257, 1, 1, 0.01, 82),  # one block and one row
-        (_MARGINAL_CELLS, 0, 2500, 2.0 * 0.185**2, 1),  # the p4-only marginal
-        (_MARGINAL_CELLS, 3, 5, 1.0 / (2.0 * 8.4**2), 1),  # the x3-only marginal
-    ],
-    ids=["under-one-block", "one-block", "one-block-plus-one", "p4-only", "x3-only"],
-)
-def test_blocked_contraction_matches_one_shot(n_x3, blocks, extra_rows, lam_s, cols):
-    rows = blocks * _envelope_block_rows(n_x3) + extra_rows
-    rng = np.random.default_rng(rows)
-    s_values = -512.0 + 0.5 * np.arange(rows)
-    centres = np.linspace(s_values[0], s_values[-1], n_x3)
-    table = rng.normal(size=(rows, cols))
-    if cols == 1:  # the marginals contract probabilities
-        table = np.abs(table)
-    reference = _one_shot_envelope(s_values, centres, lam_s) @ table
-    got = _contract_envelope(s_values, centres, lam_s, table)
-    assert got.shape == reference.shape == (n_x3, cols)
-    assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 def _peak_bytes(call, *args):
@@ -196,120 +158,21 @@ def _peak_bytes(call, *args):
 
 
 def test_outcome_density_memory_is_bounded():
-    # the silhouette at sigma_a = 0.185, sigma_b = 8.4: the envelope reaches
-    # 1637 of 8192 s rows spaced dx, so a 1637 x 43 pair table (1.1 MB)
-    # contracted in 257 x 2040 envelope blocks (4.2 MB); peak 4.9 MB
+    # the silhouette at sigma_a = 0.185, sigma_b = 8.4: its 201 samples are
+    # the rows of every x3, transformed in blocks of 35 x 256, and a 256 x 46
+    # lag table; peak 1.4 MB, where the pair table it replaced peaked at 4.9 MB
     psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
     params = SqueezingParams(0.18518518518518517, 8.4)
     assert _peak_bytes(build_outcome_distribution, psi, params) < 8e6
 
 
 def test_fig9b_outcome_density_memory_is_bounded():
-    # 16335 of 32768 s rows spaced dx: a 16335 x 41 pair table (10.7 MB) and
-    # one 257 x 2040 envelope block, peak 15.6 MB, where the same window on
-    # rows spaced dx/2 peaked at 28 MB, the whole 257 x 32670 envelope at
-    # 91 MB and the whole lattice at 180 MB
+    # the same 201 rows and blocks and a 256 x 40 lag table, peak 1.4 MB,
+    # where a 16335 x 41 pair table with its envelope blocks peaked at
+    # 15.6 MB, and the whole lattice at 180 MB
     psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
     params = SqueezingParams(1 / 180.0, 280.0)
     assert _peak_bytes(build_outcome_distribution, psi, params) < 25e6
-
-
-def _lattice(psi, pair):
-    """The upsampling factor and the s-row stride that ``pair`` chose."""
-    h = (pair.d_values[1] - pair.d_values[0]) / 2.0
-    return int(round(psi.grid.dx / h)), int(round(pair.s_weight / (2.0 * h)))
-
-
-def _whole_grid_pair_table(psi, factor, stride, half_steps):
-    """The pair table by the direct route, on every s row of the lattice.
-
-    Upsample the whole input by `factor` through its zero-padded spectrum,
-    then pair each window of the zero-padded result with its mirror, keeping
-    every `stride`-th window.
-    """
-    g = psi.grid
-    big, half = g.n * factor, g.n // 2
-    phi = to_momentum(psi)
-    raw = np.fft.ifftshift(phi.amplitudes * np.exp(1j * phi.grid.points * g.x_min))
-    spectrum = np.zeros(big, dtype=np.complex128)
-    spectrum[:half] = raw[:half]
-    spectrum[big - half :] = raw[half:]
-    fine = np.fft.ifft(spectrum) * (big * g.dp / np.sqrt(2.0 * np.pi))
-    win = np.lib.stride_tricks.sliding_window_view(
-        np.pad(fine, half_steps), 2 * half_steps + 1
-    )[::stride]
-    return win * np.conj(win[:, ::-1])
-
-
-def _every_row(rows, centres, lam):
-    """An envelope window opened to every row of the lattice."""
-    return slice(0, len(rows))
-
-
-def _check_pair_table(psi, sigma_a, sigma_b):
-    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    with mock.patch.object(channel, "_envelope_window", _every_row):
-        pair = _PairCorrelation(psi, lam_d, np.zeros(1), lam_s)
-    factor, stride = _lattice(psi, pair)
-    reference = _whole_grid_pair_table(psi, factor, stride, pair.d_values.size // 2)
-    shape = (pair.s_values.size, pair.d_values.size)
-    assert pair.table.shape == reference.shape == shape
-    err = np.max(np.abs(pair.table - reference))
-    assert err <= 1e-14 * np.max(np.abs(reference))
-    return factor, stride, pair.d_values.size
-
-
-@pytest.mark.parametrize(
-    "grid, sigma_a, sigma_b, factor, stride, n_d",
-    [
-        # fig9b: 41 residues of stride 128, each one 32768-point transform
-        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 256, 128, 41),
-        # more columns than residues: each phase serves about 11 columns
-        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 8, 4, 43),
-        # a resolved sigma_a: one transform, the whole fine grid
-        (GridSpec(-1024.0, 0.5, 4096), 5.0, 5.0, 2, 1, 199),
-        # a sigma_a far below dx: factor 2048, 25 of its 1024 residues used
-        (GridSpec(-1024.0, 0.5, 4096), 0.0004, 8.4, 2048, 1024, 25),
-    ],
-    ids=["fig9b", "moderate", "resolved", "deep-subgrid"],
-)
-def test_pair_table_matches_whole_grid_upsampling(
-    grid, sigma_a, sigma_b, factor, stride, n_d
-):
-    psi = load_signal(bundled_silhouette_path(), grid)
-    assert _check_pair_table(psi, sigma_a, sigma_b) == (factor, stride, n_d)
-
-
-@settings(max_examples=40)
-@given(
-    log2_n=st.integers(4, 8),
-    dx=st.floats(0.05, 1.0),
-    log_sigma_a=st.floats(-7.0, 1.5),
-    sigma_b=st.floats(0.1, 50.0),
-    sparse=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_pair_table_matches_whole_grid_upsampling_on_random_inputs(
-    log2_n, dx, log_sigma_a, sigma_b, sparse, seed
-):
-    rng = np.random.default_rng(seed)
-    n = 2**log2_n
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    if sparse:
-        amps[rng.random(n) < 0.8] = 0.0
-        amps[n // 2] = 1.0
-    psi = SampledWaveFunction(GridSpec(-n * dx / 2.0, dx, n), amps)
-    _check_pair_table(psi, float(np.exp(log_sigma_a)), sigma_b)
-
-
-def test_pair_table_memory_is_bounded():
-    # fig9b: a 32768 x 41 table (21.5 MB) from 41 short transforms, peak
-    # 25.3 MB; the whole-grid route peaked at 178 MB on its 4.2M-point
-    # upsampling
-    psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
-    lam_d, lam_s = _lambda_coefficients(1 / 180.0, 280.0)
-    with mock.patch.object(channel, "_envelope_window", _every_row):
-        assert _peak_bytes(_PairCorrelation, psi, lam_d, np.zeros(257), lam_s) < 40e6
 
 
 def _outcome_values(psi, sigma_a, sigma_b, n_out):
@@ -320,200 +183,47 @@ def _outcome_values(psi, sigma_a, sigma_b, n_out):
     return _centered_grid(mean_x3, np.sqrt(var_x3), n_out)[0], p4_values
 
 
-def _density_from(G, lam_d, d_values, p4_values):
-    """The density from the envelope-summed pair correlation G: (n_x3, n_p4)."""
-    phase = np.exp(-lam_d * d_values**2)[:, None] * np.exp(
-        -1j * _SQRT2 * np.multiply.outer(d_values, p4_values)
-    )
-    return np.clip(np.real(G @ phase), 0.0, None)
+def _logged_density(call, *args):
+    """``call(*args)`` and the arguments of the one outcome-density line it logs.
 
-
-def _windowed_against_whole_lattice(psi, sigma_a, sigma_b, n_out=257):
-    """`_outcome_density` against the same contraction over every s row.
-
-    The reference is `_PairCorrelation` with the window opened to every row
-    of the lattice that lam_s picks.  Asserts agreement to 1e-14 of the
-    density maximum and returns the rows the envelope's window kept and the
-    rows of the whole lattice.
+    Those are the coordinates drawn, F, the largest row count, the transform
+    length N, the lag count and the estimated MB.
     """
-    x3_values, p4_values = _outcome_values(psi, sigma_a, sigma_b, n_out)
-    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    centres = 2.0 * _SQRT2 * x3_values
-    with mock.patch.object(channel, "_envelope_window", _every_row):
-        whole = _PairCorrelation(psi, lam_d, centres, lam_s)
-    env = _one_shot_envelope(whole.s_values, centres, lam_s)
-    G = (env @ whole.table.view(np.float64)).view(np.complex128) * whole.s_weight
-    reference = _density_from(G, lam_d, whole.d_values, p4_values)
-    density = _outcome_density(psi, sigma_a, sigma_b, x3_values, p4_values)
-    assert np.max(np.abs(density - reference)) <= 1e-14 * reference.max()
-    window = _envelope_window(whole.s_values, centres, lam_s)
-    return window.stop - window.start, whole.s_values.size
-
-
-@pytest.mark.parametrize(
-    "grid, sigma_a, sigma_b, kept, rows",
-    [
-        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 16335, 32768),
-        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 1637, 8192),
-        # lam_s over the bound: rows spaced dx/2
-        (GridSpec(-512.0, 0.5, 2048), 0.3, 0.3, 2702, 8192),
-    ],
-    ids=["fig9b", "moderate", "half-dx"],
-)
-def test_windowed_density_matches_whole_lattice(grid, sigma_a, sigma_b, kept, rows):
-    psi = load_signal(bundled_silhouette_path(), grid)
-    assert _windowed_against_whole_lattice(psi, sigma_a, sigma_b) == (kept, rows)
-
-
-@settings(max_examples=40)
-@given(
-    log2_n=st.integers(9, 12),
-    dx_frac=st.floats(0.0, 1.0),
-    log_sigma_a=st.floats(-6.0, 1.0),
-    log_sigma_b=st.floats(-1.0, 3.0),
-    width=st.floats(0.5, 5.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_windowed_density_matches_whole_lattice_on_localized_inputs(
-    log2_n, dx_frac, log_sigma_a, log_sigma_b, width, seed
-):
-    # Noise under a Gaussian of the given width.  The window spans about
-    # 14.5 hypot(sigma_a, sigma_b) + 6 width in x, so the smallest dx is
-    # chosen to leave part of the grid outside it.
-    n = 2**log2_n
-    sigma_a, sigma_b = float(np.exp(log_sigma_a)), float(np.exp(log_sigma_b))
-    min_dx = max(0.1, (16.0 * np.hypot(sigma_a, sigma_b) + 10.0 * width) / n)
-    dx = min_dx + dx_frac * (1.0 - min_dx)
-    grid = GridSpec(-n * dx / 2.0, dx, n)
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    psi = SampledWaveFunction(grid, amps * np.exp(-((grid.points / width) ** 2)))
-    kept, rows = _windowed_against_whole_lattice(psi, sigma_a, sigma_b, n_out=33)
-    assert 0 < kept < rows
-
-
-def _half_dx_density(psi, sigma_a, sigma_b, x3_values, p4_values):
-    """The outcome density over every s row spaced dx/2.
-
-    The pair table comes from `_whole_grid_pair_table` at the upsampling
-    factor `_PairCorrelation` picks, with stride factor/4: the lattice it
-    keeps where `_dx_rows_alias_free` fails.
-    """
-    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    centres = 2.0 * _SQRT2 * x3_values
-    pair = _PairCorrelation(psi, lam_d, centres, lam_s)
-    factor = _lattice(psi, pair)[0]
-    stride = factor // 4
-    table = _whole_grid_pair_table(psi, factor, stride, pair.d_values.size // 2)
-    step = 2.0 * psi.grid.dx / factor * stride
-    s_values = 2.0 * psi.grid.x_min + step * np.arange(table.shape[0])
-    G = _contract_envelope(s_values, centres, lam_s, table.view(np.float64))
-    return _density_from(G.view(np.complex128) * step, lam_d, pair.d_values, p4_values)
-
-
-def _check_dx_rows(psi, sigma_a, sigma_b, n_out):
-    """Rows spaced dx where the bound holds, within 1e-14 of the dx/2 reference."""
-    lam_d, lam_s = _lambda_coefficients(sigma_a, sigma_b)
-    assert _dx_rows_alias_free(lam_s, psi.grid.dx)
-    x3_values, p4_values = _outcome_values(psi, sigma_a, sigma_b, n_out)
-    pair = _PairCorrelation(psi, lam_d, 2.0 * _SQRT2 * x3_values, lam_s)
-    factor, stride = _lattice(psi, pair)
-    assert factor >= 4 and stride == factor // 2
-    density = _outcome_density(psi, sigma_a, sigma_b, x3_values, p4_values)
-    reference = _half_dx_density(psi, sigma_a, sigma_b, x3_values, p4_values)
-    assert np.max(np.abs(density - reference)) <= 1e-14 * reference.max()
-
-
-@pytest.mark.parametrize(
-    "grid, sigma_a, sigma_b, n_out",
-    [
-        (GridSpec(-4096.0, 0.5, 16384), 1 / 180.0, 280.0, 257),
-        (GridSpec(-1024.0, 0.5, 4096), 0.18518518518518517, 8.4, 257),
-    ],
-    ids=["fig9b", "moderate"],
-)
-def test_dx_rows_match_half_dx_reference(grid, sigma_a, sigma_b, n_out):
-    psi = load_signal(bundled_silhouette_path(), grid)
-    _check_dx_rows(psi, sigma_a, sigma_b, n_out)
-
-
-@settings(max_examples=40)
-@given(
-    log2_n=st.integers(8, 9),
-    dx=st.floats(0.05, 1.0),
-    log_ratio=st.floats(-4.6, -0.4),
-    log_reach=st.floats(-3.0, -0.001),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_dx_rows_match_half_dx_reference_on_random_inputs(
-    log2_n, dx, log_ratio, log_reach, seed
-):
-    # Complex noise under a Gaussian fills the band up to its edge, where the
-    # alias is largest.  sigma_a/dx runs from 0.01 to 0.67, so the factor is
-    # 4 to 256, and sigma_b puts lam_s at exp(log_reach) of the bound, from
-    # 0.05 to 1.  The envelope's window then stays inside the grid, where the
-    # input's interpolant has decayed: an envelope that reaches the grid's
-    # ends also sums the interpolant's cut there, which no s lattice sums
-    # exactly.
-    rng = np.random.default_rng(seed)
-    n = 2**log2_n
-    grid = GridSpec(-n * dx / 2.0, dx, n)
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    psi = SampledWaveFunction(grid, amps * np.exp(-((32.0 * grid.points / (n * dx)) ** 2)))
-    sigma_a = dx * float(np.exp(log_ratio))
-    a = 1.0 / (4.0 * sigma_a**2)
-    bound = np.pi**2 / (4.0 * -np.log(np.finfo(np.float64).eps) * dx**2)
-    lam_s = float(np.exp(log_reach)) * bound
-    # lam_s = 2ab/(a+b) solved for b = 1/(4 sigma_b^2)
-    sigma_b = 1.0 / (2.0 * np.sqrt(lam_s * a / (2.0 * a - lam_s)))
-    _check_dx_rows(psi, sigma_a, sigma_b, n_out=33)
-
-
-def test_rows_stay_half_dx_where_the_bound_fails():
-    # sigma_a = sigma_b = 0.3 on dx = 0.5: lam_s*dx^2 = 0.69, ten times the
-    # bound, so the rows stay spaced dx/2 and the density is bitwise the one
-    # recorded before rows spaced dx existed.
-    psi = gaussian_packet(GridSpec(-32.0, 0.5, 128), 1.0, 3.0, 0.4)
-    lam_d, lam_s = _lambda_coefficients(0.3, 0.3)
-    assert not _dx_rows_alias_free(lam_s, psi.grid.dx)
-    x3_values, p4_values = _outcome_values(psi, 0.3, 0.3, 33)
-    pair = _PairCorrelation(psi, lam_d, 2.0 * _SQRT2 * x3_values, lam_s)
-    assert _lattice(psi, pair) == (4, 1)
-    density = _outcome_density(psi, 0.3, 0.3, x3_values, p4_values)
-    assert hashlib.sha256(density.tobytes()).hexdigest() == (
-        "ef67aa3db17340221974751b029c0231e824308847eede3bfa419b9778bc10a7"
-    )
-    reference = _half_dx_density(psi, 0.3, 0.3, x3_values, p4_values)
-    assert np.max(np.abs(density - reference)) <= 1e-14 * reference.max()
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("cvteleport.channel")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        result = call(*args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    (record,) = [r for r in records if r.msg.startswith("outcome density")]
+    return result, record.args
 
 
 def test_x3_only_marginal_contracts_only_the_input_support():
-    # The 4096-point x3-only scenario: the envelope's window holds 821 rows,
-    # of which the silhouette's 201 samples are the only nonzero weights.
-    # Leaving the zero rows out keeps the marginal and the draws.
+    # The 4096-point x3-only scenario: the window's reach spans 202 rows, of
+    # which the silhouette's 201 samples are the only nonzero ones, and the
+    # lag 0 needs no transform (N 0).  The marginal matches the sum over
+    # every nonzero sample, and the draws are the ones that sum gives.
     psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
-    calls = []
-
-    def spy(*args):
-        calls.append((args, _contract_envelope(*args)))
-        return calls[-1][1]
-
-    with mock.patch.object(channel, "_contract_envelope", spy):
-        x3, _ = sample_outcomes(psi, SqueezingParams(IDEAL, 8.4), seed=1, count=1000)
-    ((s_values, centres, lam_s, weights), density), = calls
-    assert weights.shape == (201, 1) and weights[0, 0] > 0.0 and weights[-1, 0] > 0.0
-    s_all = 2.0 * psi.grid.points
-    window = _envelope_window(s_all, centres, lam_s)
-    assert window.stop - window.start == 821
-    reference = _contract_envelope(
-        s_all[window], centres, lam_s, psi.probability()[window, None]
-    )
-    assert np.max(np.abs(density - reference)) <= 1e-15 * reference.max()
-    mean_x3, var_x3 = outcome_moments(moments(psi), SqueezingParams(IDEAL, 8.4))[:2]
+    params = SqueezingParams(IDEAL, 8.4)
+    with mock.patch.object(channel, "_sample_cells", wraps=_sample_cells) as spy:
+        (x3, _), logged = _logged_density(sample_outcomes, psi, params, 1, 1000)
+    assert logged[:5] == ("x3", 1, 201, 0, 1)
+    density = spy.call_args.args[0]
+    mean_x3, var_x3 = outcome_moments(moments(psi), params)[:2]
     values, step = _centered_grid(mean_x3, np.sqrt(var_x3), _MARGINAL_CELLS)
-    assert np.array_equal(centres, 2.0 * _SQRT2 * values)
+    support = np.flatnonzero(psi.amplitudes)
+    u = np.subtract.outer(_SQRT2 * values, psi.grid.points[support])
+    reference = np.exp(-4.0 * u**2 / (2.0 * 8.4**2)) @ psi.probability()[support]
+    assert np.max(np.abs(density - reference)) <= 1e-15 * reference.max()
     rng = np.random.default_rng(1)
-    cells = _sample_cells(reference[:, 0], rng, 1000)
+    cells = _sample_cells(reference, rng, 1000)
     assert np.array_equal(x3, values[cells] + (rng.random(1000) - 0.5) * step)
 
 
@@ -552,77 +262,76 @@ def test_marginals_match_the_closed_form(dx, log_a, log_b):
         assert err <= 1e-12, (params, err)
 
 
-@pytest.mark.parametrize("dx", [0.25, 0.5, 1.0])
-@pytest.mark.parametrize(
-    "sigma_a, tol",
-    [(1e-3, 1e-10), (8e-4, 9e-5), (4e-4, 9e-5), (1e-4, 9e-5),
-     (1e-5, 1e-12), (1e-8, 1e-12), (1e-12, 1e-12)],
-)
-def test_joint_density_matches_the_closed_form(dx, sigma_a, tol):
-    # The packet of the marginal test at sigma_b = 8.4 and sigma_a from 1e-3
-    # down to 1e-12, on grid steps of 0.25 to 1: the pair table's factor runs
-    # up to 2^41.  As a fraction of the maximum the density misses by at most
-    # 5.3e-13 at sigma_a = 1e-5, 1e-8 and 1e-12 and by 4.9e-11 at 1e-3.
-    # From 8e-4 to 1e-4 it misses by 8.95e-5, where the difference lattice's
-    # step sits at 0.61 of the difference Gaussian's width and aliases the p4
-    # phase near the outcome grid's edge: 9e-5 pins that known residual of
-    # the factor rule (ROADMAP item 2) and tightens to 1e-12 once it is fixed.
+def _gaussian_packet_on(dx):
+    """The real Gaussian packet of the marginal test (centre 3, width 6) on 512 points."""
     grid = GridSpec(-256.0 * dx, dx, 512)
-    psi = normalize(
+    return normalize(
         SampledWaveFunction(grid, np.exp(-((grid.points - 3.0) ** 2) / (4.0 * 36.0)))
     )
-    x3_values, p4_values = _outcome_values(psi, sigma_a, 8.4, 257)
-    density = _outcome_density(psi, sigma_a, 8.4, x3_values, p4_values)
-    exact = closed_form_joint(psi, SqueezingParams(sigma_a, 8.4), x3_values, p4_values)
-    err = np.max(np.abs(density / density.max() - exact / exact.max()))
-    assert err <= tol
 
 
-def test_pair_table_transforms_only_the_residues_its_columns_use():
-    # sigma_a = 1e-5 on the silhouette: the factor is 2^17, its stride 2^16
-    # residues, and the 39 columns use 39 of them, one short transform each.
-    psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
-    lam_d, lam_s = _lambda_coefficients(1e-5, 8.4)
-    with mock.patch.object(channel.np.fft, "ifft", wraps=np.fft.ifft) as spy:
-        pair = _PairCorrelation(psi, lam_d, np.zeros(1), lam_s)
-    assert _lattice(psi, pair) == (2**17, 2**16)
-    assert spy.call_count == pair.d_values.size == 39
+def _joint_error(psi, sigma_a, sigma_b, n_out):
+    """The joint density's largest miss of `closed_form_joint`, over its maximum."""
+    x3_values, p4_values = _outcome_values(psi, sigma_a, sigma_b, n_out)
+    density = _outcome_density(psi, sigma_a, sigma_b, x3_values, p4_values)
+    exact = closed_form_joint(psi, SqueezingParams(sigma_a, sigma_b), x3_values, p4_values)
+    assert np.all(density >= 0.0)
+    return np.max(np.abs(density / density.max() - exact / exact.max()))
+
+
+@pytest.mark.parametrize("dx", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "sigma_a, sigma_b",
+    [(1e-3, 8.4), (8e-4, 8.4), (4e-4, 8.4), (1e-4, 8.4), (1e-5, 8.4), (1e-8, 8.4),
+     (1e-12, 8.4),
+     (0.02, 0.02), (0.1, 0.1), (0.3, 0.3), (1.0, 1.0), (5.0, 5.0),
+     (0.1, 0.12), (5.0, 5.5), (8.4, 0.185), (3.0, 1e-3), (1e-3, 1e-3)],
+)
+def test_joint_density_matches_the_closed_form(dx, sigma_a, sigma_b):
+    # sigma_a from 1e-3 down to 1e-12 at sigma_b = 8.4 (mu up to 1.3e23),
+    # sigma_a = sigma_b from 0.02 to 5 (mu = 0, the Husimi function), close
+    # and crossed widths, and both widths below dx (F up to 4096), on grid
+    # steps of 0.25 to 1.  The pair table this replaced missed by 8.95e-5
+    # from sigma_a = 8e-4 to 1e-4 and by up to 1.0 with both widths below dx.
+    assert _joint_error(_gaussian_packet_on(dx), sigma_a, sigma_b, 257) <= 1e-12
+
+
+@settings(max_examples=30)
+@given(
+    dx=st.floats(0.25, 1.0),
+    log_a=st.floats(np.log(0.01), np.log(20.0)),
+    log_b=st.floats(np.log(0.01), np.log(20.0)),
+    equal=st.booleans(),
+)
+@example(dx=1.0, log_a=np.log(0.02), log_b=np.log(0.02), equal=True)  # both below dx
+@example(dx=0.5, log_a=np.log(8.4), log_b=np.log(0.185), equal=False)  # sigma_a > sigma_b
+def test_joint_density_matches_the_closed_form_at_any_widths(dx, log_a, log_b, equal):
+    # Both widths log-uniform from 0.01 to 20, at times equal (mu = 0).
+    sigma_a = float(np.exp(log_a))
+    sigma_b = sigma_a if equal else float(np.exp(log_b))
+    assert _joint_error(_gaussian_packet_on(dx), sigma_a, sigma_b, 65) <= 1e-12
 
 
 def _doubling_factor(psi, params):
-    """The marginal's lattice factor as the doubling loop found it."""
-    g = psi.grid
+    """The lattice factor as the doubling loop over the window's alias bound finds it."""
+    regime = regime_for(params)
+    lam_s = _lambda_coefficients(regime.sigma_a, regime.sigma_b)[0]
     factor = 1
-    if params.b_is_ideal:
-        lam = 2.0 * params.sigma_a**2
-        support = np.flatnonzero(psi.amplitudes)
-        reach = 2.0 * np.sqrt(lam * -np.log(np.finfo(np.float64).eps))
-        span_needed = (support[-1] - support[0] + 1) * g.dx + reach
-        while not g.span * factor >= span_needed:
-            factor *= 2
-    else:
-        lam = 1.0 / (2.0 * params.sigma_b**2)
-        while not _dx_rows_alias_free(lam, g.dx / factor):
-            factor *= 2
+    while not _dx_rows_alias_free(2.0 * lam_s, psi.grid.dx / factor):
+        factor *= 2
     return factor
 
 
 def _logged_factor(psi, params, values):
-    """The lattice factor `_marginal_density` reports in its DEBUG line."""
-    records = []
-    handler = logging.Handler()
-    handler.emit = records.append
-    logger = logging.getLogger("cvteleport.channel")
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
-    try:
-        _marginal_density(psi, params, values)
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-    (record,) = [r for r in records if r.msg.startswith("outcome marginal")]
-    return record.args[1]
+    """The lattice factor F the outcome density of a single draw logs."""
+    regime = regime_for(params)
+    x3_values, p4_values = (
+        (np.zeros(1), values) if params.b_is_ideal else (values, np.zeros(1))
+    )
+    _, logged = _logged_density(
+        _outcome_density, psi, regime.sigma_a, regime.sigma_b, x3_values, p4_values
+    )
+    return logged[1]
 
 
 @settings(max_examples=60)
@@ -634,8 +343,9 @@ def _logged_factor(psi, params, values):
     log_b=st.floats(np.log(0.02), np.log(20.0)),
 )
 def test_marginal_lattice_factor_matches_the_doubling_loop(log2_n, dx, cut, log_a, log_b):
-    # sigma_a from 1e-4 to 3 spans (p4 pads up to 64-fold), sigma_b/dx from
-    # 0.02 to 20 (x3 refines up to 128-fold), on inputs cut to part of the grid
+    # sigma_a from 1e-4 to 3 spans (p4, whose flat window needs F = 1),
+    # sigma_b/dx from 0.02 to 20 (x3 refines up to 256-fold), on inputs cut to
+    # part of the grid
     g = GridSpec(-(2**log2_n) * dx / 2.0, dx, 2**log2_n)
     kept = (np.arange(g.n) >= cut[0] * g.n) & (np.arange(g.n) < cut[1] * g.n)
     rng = np.random.default_rng(log2_n)
@@ -666,41 +376,33 @@ def test_least_power_of_two_settles_a_rounded_estimate():
 
 
 def test_marginal_budget_error_names_what_the_draw_needs():
-    # sigma_a = 1e7 pads the silhouette's 262144 points 2048-fold, to 2^29
-    # points at 48 B each (25770 MB) plus one 4.2 MB envelope block; the
-    # doubling loop this replaced named its first doubling over the budget
-    # (128-fold, 1615 MB).
+    # sigma_b = 1e-4 asks the x3-only draw for the silhouette's 262144
+    # points refined 32768-fold, 2^33 rows of the interpolant at 40 B each
+    # (343597 MB) plus one block of rows; the message names that whole size.
     psi = load_signal(bundled_silhouette_path(), GridSpec(-65536.0, 0.5, 262144))
-    with pytest.raises(OutcomeTooLargeError, match=r"needs about 25774 MB, over the 1074"):
-        sample_outcomes(psi, SqueezingParams(1e7, IDEAL), seed=1, count=1)
+    with pytest.raises(OutcomeTooLargeError, match=r"needs about 343598 MB, over the 1074"):
+        sample_outcomes(psi, SqueezingParams(IDEAL, 1e-4), seed=1, count=1)
 
 
 def test_outcome_density_over_budget_fails_before_allocating():
-    # On 262144 points, sigma_a = sigma_b = 5 has a 524288-row s lattice, but
-    # its envelope reaches only a few thousand rows: the joint draw fits.  At
-    # sigma_b = 5000 the window holds 289349 rows, and the joint draw's
-    # 289349 x 281 pair table alone (1.30 GB) is over the budget.  The
-    # marginals have no pair table.  The x3-only draws contract the input's
-    # probabilities over their 201 nonzero rows of the envelope's window (at
-    # sigma_b = 5000, of 144849).  The p4-only draw contracts |phi|^2 over the
-    # 82685 momentum rows its envelope reaches, where its 524288 x 281 pair
-    # table (2.4 GB) was refused.  A marginal whose lattice would outgrow the
-    # budget is refused before it is built: sigma_a = 1e7 would pad the input
-    # to 2^29 points, and sigma_b = 1e-4 would refine it to dx/16384.
+    # On 262144 points every draw reads only the rows within its window's
+    # reach of each x3, and at F = 1 only the input's 201 nonzero samples:
+    # sigma_a = sigma_b = 5 reads 170 rows, and sigma_b = 5000 all 201, so
+    # both joint draws fit, as do sigma_a = 1e7 (p4 only) and the x3-only
+    # draws.  A density whose rows would outgrow the budget is refused before
+    # they are built: sigma_a = sigma_b = 1e-5 would refine the input to
+    # dx/262144, and sigma_b = 1e-4 (x3 only) to dx/32768.
     grid = GridSpec(-65536.0, 0.5, 262144)
     psi = load_signal(bundled_silhouette_path(), grid)
-    assert 289349 * 281 * 16 > OUTCOME_MAX_BYTES > 90e6
-    for params in [SqueezingParams(5.0, 5.0), SqueezingParams(IDEAL, 5.0)]:
+    for sigma_a, sigma_b in [(5.0, 5.0), (IDEAL, 5.0), (5.0, 5000.0)]:
+        params = SqueezingParams(sigma_a, sigma_b)
         assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 60e6
-    for params in [SqueezingParams(IDEAL, 5000.0), SqueezingParams(5.0, IDEAL)]:
+    for sigma_a, sigma_b in [(IDEAL, 5000.0), (5.0, IDEAL), (1e7, IDEAL)]:
+        params = SqueezingParams(sigma_a, sigma_b)
         assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 30e6
 
     def refuse_all():
-        for params in [
-            SqueezingParams(5.0, 5000.0),
-            SqueezingParams(1e7, IDEAL),
-            SqueezingParams(IDEAL, 1e-4),
-        ]:
+        for params in [SqueezingParams(1e-5, 1e-5), SqueezingParams(IDEAL, 1e-4)]:
             with pytest.raises(OutcomeTooLargeError, match="budget"):
                 sample_outcomes(psi, params, seed=1, count=1)
 
@@ -708,7 +410,7 @@ def test_outcome_density_over_budget_fails_before_allocating():
 
     draw = SampleWithSeed(1)
     scenarios = [
-        Scenario("too_big", SqueezingParams(5.0, 5000.0), draw),
+        Scenario("too_big", SqueezingParams(1e-5, 1e-5), draw),
         Scenario("fits", SqueezingParams(5.0, 5.0), draw, GridSpec(-128.0, 0.5, 512)),
     ]
     report = run_sweep(scenarios, psi)
@@ -731,6 +433,32 @@ def test_sampling_statistics_match_analytics(packet):
     # in-cell jitter widens the variance by cell^2/12, inside the 3 SE band
     assert x3.var() == pytest.approx(vx3, rel=0.05)
     assert p4.var() == pytest.approx(vp4, rel=0.05)
+
+
+@settings(max_examples=20)
+@given(
+    log_a=st.floats(np.log(0.05), np.log(5.0)),
+    log_b=st.floats(np.log(0.05), np.log(5.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_means_match_the_outcome_moments(log_a, log_b, seed):
+    # A smooth random two-packet state; widths from 0.4 dx to 40 dx.  For the
+    # joint, the p4-only and the x3-only draw, each random coordinate's
+    # sample mean lies within 5 standard errors of `outcome_moments`.
+    psi = random_state(GridSpec(-32.0, 0.125, 512), np.random.default_rng(seed))
+    sigma_a, sigma_b = float(np.exp(log_a)), float(np.exp(log_b))
+    count = 4000
+    for params in [
+        SqueezingParams(sigma_a, sigma_b),
+        SqueezingParams(sigma_a, IDEAL),
+        SqueezingParams(IDEAL, sigma_b),
+    ]:
+        x3, p4 = sample_outcomes(psi, params, seed=seed, count=count)
+        mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
+        if not params.b_is_ideal:
+            assert abs(x3.mean() - mean_x3) <= 5.0 * np.sqrt(var_x3 / count), params
+        if not params.a_is_ideal:
+            assert abs(p4.mean() - mean_p4) <= 5.0 * np.sqrt(var_p4 / count), params
 
 
 def test_sampling_is_deterministic(packet):
