@@ -281,18 +281,31 @@ def _joint_error(psi, sigma_a, sigma_b, n_out):
 
 @pytest.mark.parametrize("dx", [0.25, 0.5, 1.0])
 @pytest.mark.parametrize(
+    "sigma_a",
+    [1e-3, 8e-4, 4e-4, 1e-4, 1e-5, 1e-8, 1e-12],
+    # Each id keeps the bound the replaced pair table was held to at that
+    # sigma_a; the windowed density meets 1e-12 at every one.
+    ids=["0.001-1e-10", "0.0008-9e-05", "0.0004-9e-05", "0.0001-9e-05",
+         "1e-05-1e-12", "1e-08-1e-12", "1e-12-1e-12"],
+)
+def test_joint_density_matches_the_closed_form(dx, sigma_a):
+    # sigma_a from 1e-3 down to 1e-12 at sigma_b = 8.4 (mu up to 1.3e23), on
+    # grid steps of 0.25 to 1.  The pair table this replaced missed by
+    # 8.95e-5 from sigma_a = 8e-4 to 1e-4.
+    assert _joint_error(_gaussian_packet_on(dx), sigma_a, 8.4, 257) <= 1e-12
+
+
+@pytest.mark.parametrize("dx", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize(
     "sigma_a, sigma_b",
-    [(1e-3, 8.4), (8e-4, 8.4), (4e-4, 8.4), (1e-4, 8.4), (1e-5, 8.4), (1e-8, 8.4),
-     (1e-12, 8.4),
-     (0.02, 0.02), (0.1, 0.1), (0.3, 0.3), (1.0, 1.0), (5.0, 5.0),
+    [(0.02, 0.02), (0.1, 0.1), (0.3, 0.3), (1.0, 1.0), (5.0, 5.0),
      (0.1, 0.12), (5.0, 5.5), (8.4, 0.185), (3.0, 1e-3), (1e-3, 1e-3)],
 )
-def test_joint_density_matches_the_closed_form(dx, sigma_a, sigma_b):
-    # sigma_a from 1e-3 down to 1e-12 at sigma_b = 8.4 (mu up to 1.3e23),
+def test_joint_density_matches_the_closed_form_at_paired_widths(dx, sigma_a, sigma_b):
     # sigma_a = sigma_b from 0.02 to 5 (mu = 0, the Husimi function), close
     # and crossed widths, and both widths below dx (F up to 4096), on grid
-    # steps of 0.25 to 1.  The pair table this replaced missed by 8.95e-5
-    # from sigma_a = 8e-4 to 1e-4 and by up to 1.0 with both widths below dx.
+    # steps of 0.25 to 1.  The pair table this replaced missed by up to 1.0
+    # of the maximum with both widths below dx.
     assert _joint_error(_gaussian_packet_on(dx), sigma_a, sigma_b, 257) <= 1e-12
 
 
