@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,7 +154,9 @@ def regime_for(params: SqueezingParams) -> KernelRegime:
 def convolution_kernel(sigma_a: float, p4: float, u) -> np.ndarray:
     """k(u) = exp(i*sqrt(2)*p4*u) * exp(-(u/(2 sigma_a))^2)."""
     u = np.asarray(u, dtype=float)
-    return np.exp(1j * _SQRT2 * p4 * u) * np.exp(-((u / (2.0 * sigma_a)) ** 2))
+    # A tiny width sends the ratio's square to inf, whose exp is the exact 0 wanted.
+    with np.errstate(over="ignore"):
+        return np.exp(1j * _SQRT2 * p4 * u) * np.exp(-((u / (2.0 * sigma_a)) ** 2))
 
 
 def envelope(sigma_b: float, x3: float, x) -> np.ndarray:
@@ -300,21 +302,6 @@ def _kernel_factors(grid: GridSpec, sigma_a: float, sigma_b: float, x3: float, p
     return taps, start
 
 
-def convolve_sampled_kernel(
-    psi: SampledWaveFunction, sigma_a: float, p4: float
-) -> SampledWaveFunction:
-    """Direct convolution with the kernel sampled on the grid.
-
-    Equivalent to the spectral route whenever the kernel is resolved
-    (sigma_a a few grid steps or more); kept as the cross-check path.
-    """
-    g = psi.grid
-    u = (np.arange(2 * g.n - 1) - (g.n - 1)) * g.dx
-    kernel = convolution_kernel(sigma_a, p4, u)
-    full = np.convolve(psi.amplitudes, kernel)
-    return _finish(g, full[g.n - 1 : 2 * g.n - 1] * g.dx)
-
-
 def _finish(grid: GridSpec, raw: np.ndarray) -> SampledWaveFunction:
     total = np.sum(np.abs(raw) ** 2) * grid.dx
     if total < ZERO_NORM_FLOOR:
@@ -422,7 +409,11 @@ def oracle_teleport(
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Tabulated joint density of (x3, p4) on a rectangular outcome grid."""
+    """Tabulated density of (x3, p4) on a rectangular outcome grid.
+
+    An improper coordinate is one cell at 0 with step 0; it adds no measure
+    to a cell and is never jittered.
+    """
 
     x3_values: np.ndarray
     p4_values: np.ndarray
@@ -431,32 +422,29 @@ class OutcomeDistribution:
     p4_step: float
 
     def total(self) -> float:
-        return float(self.density.sum() * self.x3_step * self.p4_step)
-
-    def marginal_x3(self) -> np.ndarray:
-        return self.density.sum(axis=1) * self.p4_step
+        return float(self.density.sum() * (self.x3_step or 1.0) * (self.p4_step or 1.0))
 
     def sample(self, rng: np.random.Generator, count: int):
-        """Draw (x3, p4) pairs: tabulated cells plus uniform in-cell jitter."""
-        x3_idx, p4_idx = _sample_cells(
-            self.density.ravel() * (self.x3_step * self.p4_step),
-            rng,
-            count,
-            shape=self.density.shape,
+        """Draw (x3, p4) pairs: tabulated cells plus uniform in-cell jitter.
+
+        The cells take one uniform per draw, then each proper axis, x3 before
+        p4, one more; an improper coordinate comes back as exactly 0.0.
+        """
+        cells = np.unravel_index(
+            _sample_cells(self.density.ravel(), rng, count), self.density.shape
         )
-        x3 = self.x3_values[x3_idx] + (rng.random(count) - 0.5) * self.x3_step
-        p4 = self.p4_values[p4_idx] + (rng.random(count) - 0.5) * self.p4_step
-        return x3, p4
+        steps = (self.x3_step, self.p4_step)
+        return tuple(
+            values[idx] + (rng.random(count) - 0.5) * step if step else values[idx]
+            for values, idx, step in zip((self.x3_values, self.p4_values), cells, steps)
+        )
 
 
-def _sample_cells(weights, rng, count, shape=None):
+def _sample_cells(weights, rng, count):
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     flat = np.searchsorted(cdf, rng.random(count), side="right")
-    flat = np.minimum(flat, weights.size - 1)
-    if shape is None:
-        return flat
-    return np.unravel_index(flat, shape)
+    return np.minimum(flat, weights.size - 1)
 
 
 def outcome_moments(psi_moments, params: SqueezingParams):
@@ -669,30 +657,44 @@ def _outcome_density(
     return density
 
 
+#: Cells of the tabulated marginal when a single outcome coordinate is proper.
+_MARGINAL_CELLS = 1025
+
+
 def build_outcome_distribution(
     psi: SampledWaveFunction,
     params: SqueezingParams,
     n_x3: int = 257,
     n_p4: int = 257,
 ) -> OutcomeDistribution:
-    """Joint homodyne-outcome density for finite squeezing.
+    """Homodyne-outcome density of every coordinate the regime makes proper.
 
     The outcome grid covers +-6 analytic standard deviations around the
     analytic means.  The density is the x5-integrated squared amplitude of the
     pre-measurement state: the remote-mode integral is carried out in closed
     form, which leaves the input's windowed autocorrelation of
-    `_outcome_density`.
+    `_outcome_density`.  An ideal width makes the conjugate coordinate
+    improper and irrelevant to its regime (sigma_b = inf: x3, sigma_a = 0:
+    p4); it becomes one cell at 0 with step 0, and the proper one gets
+    _MARGINAL_CELLS cells instead of n_x3 or n_p4.  Both widths ideal leave
+    nothing to tabulate.
     """
-    if params.a_is_ideal or params.b_is_ideal:
-        raise SentinelNotMaterializableError(
-            "the joint outcome distribution requires finite squeezing"
+    regime = regime_for(params)
+    if isinstance(regime, Ideal):
+        raise IdealChannelOutcomeUnboundedError(
+            "the ideal channel has a flat, improper outcome distribution"
         )
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
-    x3_values, x3_step = _centered_grid(mean_x3, np.sqrt(var_x3), n_x3)
-    p4_values, p4_step = _centered_grid(mean_p4, np.sqrt(var_p4), n_p4)
-    density = _outcome_density(psi, params.sigma_a, params.sigma_b, x3_values, p4_values)
-    total = density.sum() * x3_step * p4_step
-    return OutcomeDistribution(x3_values, p4_values, density / total, x3_step, p4_step)
+    proper = (regime.sigma_b < np.inf, regime.sigma_a > 0.0)
+    counts = (n_x3, n_p4) if all(proper) else (_MARGINAL_CELLS, _MARGINAL_CELLS)
+    axes = zip((mean_x3, mean_p4), (var_x3, var_p4), counts, proper)
+    (x3_values, x3_step), (p4_values, p4_step) = [
+        _centered_grid(mean, np.sqrt(var), count) if keep else (np.zeros(1), 0.0)
+        for mean, var, count, keep in axes
+    ]
+    density = _outcome_density(psi, regime.sigma_a, regime.sigma_b, x3_values, p4_values)
+    table = OutcomeDistribution(x3_values, p4_values, density, x3_step, p4_step)
+    return replace(table, density=density / table.total())
 
 
 def _centered_grid(mean: float, std: float, count: int):
@@ -704,10 +706,6 @@ def _centered_grid(mean: float, std: float, count: int):
     return lo + step * (np.arange(count) + 0.5), step
 
 
-#: Cells of the tabulated marginal when a single outcome coordinate is drawn.
-_MARGINAL_CELLS = 1025
-
-
 def sample_outcomes(
     psi: SampledWaveFunction,
     params: SqueezingParams,
@@ -716,30 +714,11 @@ def sample_outcomes(
 ):
     """Draw homodyne outcomes; deterministic given the seed.
 
-    With finite squeezing both coordinates come from the joint tabulated
-    density.  A single ideal width makes the conjugate outcome coordinate
-    improper *and* irrelevant to its regime, so that coordinate is returned
-    as exactly 0.0 while the proper one is sampled from its marginal density.
-    Both widths ideal leave nothing samplable.
+    Every draw reads the table of `build_outcome_distribution`; an improper
+    coordinate is returned as exactly 0.0.
     """
     rng = np.random.default_rng(seed)
-    if params.a_is_ideal and params.b_is_ideal:
-        raise IdealChannelOutcomeUnboundedError(
-            "the ideal channel has a flat, improper outcome distribution"
-        )
-    if not (params.a_is_ideal or params.b_is_ideal):
-        return build_outcome_distribution(psi, params).sample(rng, count)
-    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
-    mean, var = (mean_p4, var_p4) if params.b_is_ideal else (mean_x3, var_x3)
-    values, step = _centered_grid(mean, np.sqrt(var), _MARGINAL_CELLS)
-    regime = regime_for(params)
-    x3_values, p4_values = (
-        (np.zeros(1), values) if params.b_is_ideal else (values, np.zeros(1))
-    )
-    density = _outcome_density(psi, regime.sigma_a, regime.sigma_b, x3_values, p4_values)
-    idx = _sample_cells(density.ravel(), rng, count)
-    drawn = values[idx] + (rng.random(count) - 0.5) * step
-    return (np.zeros(count), drawn) if params.b_is_ideal else (drawn, np.zeros(count))
+    return build_outcome_distribution(psi, params).sample(rng, count)
 
 
 def sample_outcome(

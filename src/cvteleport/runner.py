@@ -19,7 +19,7 @@ from .analysis import (
 )
 from .channel import regime_for
 from .config import DEFAULT_GRID, RunConfig, parse_grid
-from .errors import ParseError, TeleportError
+from .errors import EmptyScenarioListError, ParseError, TeleportError
 from .grid import to_momentum
 from .optics import IDEAL
 from .images import load_image, save_image, teleport_image
@@ -118,6 +118,8 @@ def run(config: RunConfig) -> int:
     Config and I/O failures raise (the CLI maps them to exit 1); scenario
     failures are recorded in the report and yield exit 2.
     """
+    if not config.scenarios:
+        raise EmptyScenarioListError("no scenarios to run")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     input_path = resolve_input_path(config.input_path)

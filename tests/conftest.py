@@ -4,7 +4,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from cvteleport import GridSpec, SampledWaveFunction, moments, normalize
-from cvteleport.channel import outcome_moments
+from cvteleport.channel import _finish, convolution_kernel, outcome_moments
 
 # Every property test runs the same examples on every run: derandomized, with
 # no example database and no deadline.  A test sets only its max_examples.
@@ -17,6 +17,19 @@ def rel_l2(a, b):
     return float(
         np.linalg.norm(a.amplitudes - b.amplitudes) / np.linalg.norm(a.amplitudes)
     )
+
+
+def convolve_sampled_kernel(psi, sigma_a, p4):
+    """Direct convolution with the kernel sampled on the grid.
+
+    Equivalent to the spectral route whenever the kernel is resolved
+    (sigma_a a few grid steps or more); kept as the cross-check path.
+    """
+    g = psi.grid
+    u = (np.arange(2 * g.n - 1) - (g.n - 1)) * g.dx
+    kernel = convolution_kernel(sigma_a, p4, u)
+    full = np.convolve(psi.amplitudes, kernel)
+    return _finish(g, full[g.n - 1 : 2 * g.n - 1] * g.dx)
 
 
 def random_state(grid, rng, packets=2):

@@ -35,11 +35,10 @@ from cvteleport.channel import (
     _apply_kernel,
     _kernel_factors,
     convolution_kernel,
-    convolve_sampled_kernel,
     envelope,
 )
 
-from conftest import random_state, rel_l2
+from conftest import convolve_sampled_kernel, random_state, rel_l2
 
 SQRT2 = np.sqrt(2.0)
 

@@ -369,9 +369,17 @@ def test_cli_failed_write_leaves_no_temp_file(tmp_path):
     assert not list(out.glob("*.tmp-*"))
 
 
-def test_cli_empty_scenarios_is_config_error(tmp_path):
-    path = write_config(tmp_path, f"input = bundled:silhouette\noutput_dir = {tmp_path/'o'}\n")
-    assert main(["run", str(path)]) == 1
+def test_cli_empty_scenarios_is_config_error(tmp_path, capsys):
+    # refused before anything is written, for a signal and an image input alike
+    from cvteleport import ImageAsset, save_image
+
+    image = tmp_path / "input.pgm"
+    save_image(image, ImageAsset(pixels=np.full((16, 16), 100.0), maxval=255))
+    for source in ["bundled:silhouette", image]:
+        path = write_config(tmp_path, f"input = {source}\noutput_dir = {tmp_path/'o'}\n")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == "error: no scenarios to run\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_seed_override_changes_sampled_outcomes(tmp_path):
@@ -503,6 +511,19 @@ def test_cli_kernel_and_envelope_outputs(tmp_path):
     assert v0 == pytest.approx(np.exp(-((0 + np.sqrt(2) * 280.0) / 280.0) ** 2))
     prof = envelope_profile(280.0, -280.0, (0.0, 100.0))
     assert lines[1:] == [f"{float(x)!r},{float(v)!r}" for x, v in zip(prof.x, prof.values)]
+
+
+def test_cli_kernel_of_a_tiny_width_is_exact_without_a_warning(tmp_path):
+    # sigma_a = 1e-300 squares u/(2 sigma_a) past float64's range off u = 0:
+    # the exp of that inf is the exact 0 wanted, with no overflow warning
+    kcsv = tmp_path / "k.csv"
+    assert main(
+        ["kernel", "--sigma-a", "1e-300", "--p4", "1", "--window", "-1:1", "-o", str(kcsv)]
+    ) == 0
+    u, re, im = np.loadtxt(kcsv, delimiter=",", skiprows=1, unpack=True)
+    assert np.count_nonzero(u == 0.0) == 1
+    assert np.array_equal(re, np.where(u == 0.0, 1.0, 0.0))
+    assert not np.any(im)
 
 
 def test_cli_info_prints_moments(tmp_path, capsys):

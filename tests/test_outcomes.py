@@ -15,7 +15,6 @@ from cvteleport import (
     SampledWaveFunction,
     SampleWithSeed,
     Scenario,
-    SentinelNotMaterializableError,
     SqueezingParams,
     build_outcome_distribution,
     gaussian_packet,
@@ -87,7 +86,7 @@ def test_marginal_consistency_with_position_representation(packet):
         ]
     )
     direct /= direct.sum() * dist.x3_step
-    marg = dist.marginal_x3()
+    marg = dist.density.sum(axis=1) * dist.p4_step
     assert np.max(np.abs(marg - direct)) < 1e-6 * direct.max()
 
 
@@ -221,7 +220,9 @@ def test_x3_only_marginal_contracts_only_the_input_support():
     support = np.flatnonzero(psi.amplitudes)
     u = np.subtract.outer(_SQRT2 * values, psi.grid.points[support])
     reference = np.exp(-4.0 * u**2 / (2.0 * 8.4**2)) @ psi.probability()[support]
-    assert np.max(np.abs(density - reference)) <= 1e-15 * reference.max()
+    # the drawn table is normalized, the reference is not
+    density, scaled = density / density.sum(), reference / reference.sum()
+    assert np.max(np.abs(density - scaled)) <= 1e-15 * scaled.max()
     rng = np.random.default_rng(1)
     cells = _sample_cells(reference, rng, 1000)
     assert np.array_equal(x3, values[cells] + (rng.random(1000) - 0.5) * step)
@@ -431,9 +432,29 @@ def test_outcome_density_over_budget_fails_before_allocating():
     assert not report.by_label("fits").failed
 
 
-def test_build_distribution_rejects_sentinels(packet):
-    with pytest.raises(SentinelNotMaterializableError):
-        build_outcome_distribution(packet, SqueezingParams(IDEAL, 1.0))
+def test_build_distribution_tabulates_the_proper_coordinate_alone(packet):
+    # One ideal width leaves the conjugate coordinate improper: one cell at
+    # 0 with step 0.  The proper one gets 1025 cells, and its density
+    # integrates to 1 and is the Gaussian packet's closed-form marginal.
+    for params in [SqueezingParams(0.5, IDEAL), SqueezingParams(IDEAL, 1.0)]:
+        dist = build_outcome_distribution(packet, params)
+        axes = [(dist.x3_values, dist.x3_step), (dist.p4_values, dist.p4_step)]
+        if params.b_is_ideal:  # x3 is the improper coordinate
+            axes.reverse()
+        (values, step), (improper, improper_step) = axes
+        assert improper.tolist() == [0.0] and improper_step == 0.0
+        assert values.size == _MARGINAL_CELLS
+        density = dist.density.ravel()
+        assert density.sum() * step == pytest.approx(1.0, abs=1e-12)
+        assert dist.total() == pytest.approx(1.0, abs=1e-12)
+        # the table holds +-6 std, so it misses the 2e-9 of mass beyond them
+        exact = closed_form_marginal(packet, params, values)
+        assert np.max(np.abs(density - exact)) <= 1e-8 * exact.max()
+    ideal = SqueezingParams(IDEAL, IDEAL)
+    with pytest.raises(IdealChannelOutcomeUnboundedError):
+        build_outcome_distribution(packet, ideal)
+    with pytest.raises(IdealChannelOutcomeUnboundedError):
+        sample_outcomes(packet, ideal, seed=1, count=10)
 
 
 def test_sampling_statistics_match_analytics(packet):
