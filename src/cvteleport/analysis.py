@@ -8,7 +8,6 @@ import numpy as np
 
 from .channel import (
     MeasurementOutcome,
-    _require_width,
     convolution_kernel,
     envelope,
     regime_for,
@@ -25,9 +24,7 @@ from .grid import (
     moments,
     resample,
 )
-from .optics import SqueezingParams
-
-_SQRT2 = np.sqrt(2.0)
+from .optics import SqueezingParams, _require_width
 
 
 def fidelity(psi_in: SampledWaveFunction, psi_tel: SampledWaveFunction) -> float:
@@ -116,7 +113,6 @@ class ScenarioResult:
     fidelity: float = float("nan")
     l2_distortion: float | None = None
     input_moments: MomentSummary | None = None
-    output_moments: MomentSummary | None = None
     output: SampledWaveFunction | None = None
     error: str | None = None
 
@@ -147,13 +143,10 @@ class FidelityReport:
         return any(row.failed for row in self.rows)
 
 
-def run_sweep(
-    scenarios: list[Scenario],
-    input_state: SampledWaveFunction,
-    enforce_span_rule: bool = False,
-) -> FidelityReport:
+def run_sweep(scenarios: list[Scenario], input_state: SampledWaveFunction) -> FidelityReport:
     """Teleport the input through every scenario, in order, and assemble the report.
 
+    Each scenario's grid must satisfy the span rule of `channel.validate_span`.
     Scenario failures (ZeroNorm, GridTooNarrow, ...) are recorded per row and
     do not abort the sweep.  Identical seeds give identical reports.
     """
@@ -162,15 +155,11 @@ def run_sweep(
     labels = [s.label for s in scenarios]
     if len(set(labels)) != len(labels):
         raise ValueError("scenario labels must be unique within a sweep")
-    rows = [_run_one(s, input_state, enforce_span_rule) for s in scenarios]
+    rows = [_run_one(s, input_state) for s in scenarios]
     return FidelityReport(rows=rows)
 
 
-def _run_one(
-    scenario: Scenario,
-    input_state: SampledWaveFunction,
-    enforce_span_rule: bool = False,
-) -> ScenarioResult:
+def _run_one(scenario: Scenario, input_state: SampledWaveFunction) -> ScenarioResult:
     request = scenario.outcome
     if isinstance(request, SampleWithSeed) and request.seed is None:
         raise ValueError(f"scenario {scenario.label!r}: a sampled outcome needs a seed")
@@ -188,15 +177,11 @@ def _run_one(
             outcome = request
         row.x3, row.p4 = outcome.x3, outcome.p4
         row.input_moments = moments(state)
-        if enforce_span_rule:
-            validate_span(
-                state.grid, row.input_moments.support_length, outcome.x3, params.sigma_b
-            )
+        validate_span(state.grid, row.input_moments.support_length, outcome.x3, params.sigma_b)
         tele = teleport(state, regime_for(params), outcome)
         row.output = tele
         row.fidelity = fidelity(state, tele)
         row.l2_distortion = l2_distortion(state, tele)
-        row.output_moments = moments(tele)
     except TeleportError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row

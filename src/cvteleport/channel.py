@@ -52,7 +52,7 @@ from .grid import (
     moments,
     normalize,
 )
-from .optics import SqueezingParams, epr_state
+from .optics import SqueezingParams, _require_width, epr_state
 
 log = logging.getLogger(__name__)
 
@@ -133,11 +133,6 @@ class General:
 
 
 KernelRegime = Ideal | ConvolutionOnly | MultiplicationOnly | General
-
-
-def _require_width(name: str, value: float) -> None:
-    if not (np.isscalar(value) and np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite width")
 
 
 def regime_for(params: SqueezingParams) -> KernelRegime:
@@ -657,15 +652,15 @@ def _outcome_density(
     return density
 
 
+#: Cells of each axis of the tabulated joint density of (x3, p4).
+_JOINT_CELLS = 257
+
 #: Cells of the tabulated marginal when a single outcome coordinate is proper.
 _MARGINAL_CELLS = 1025
 
 
 def build_outcome_distribution(
-    psi: SampledWaveFunction,
-    params: SqueezingParams,
-    n_x3: int = 257,
-    n_p4: int = 257,
+    psi: SampledWaveFunction, params: SqueezingParams
 ) -> OutcomeDistribution:
     """Homodyne-outcome density of every coordinate the regime makes proper.
 
@@ -676,7 +671,7 @@ def build_outcome_distribution(
     `_outcome_density`.  An ideal width makes the conjugate coordinate
     improper and irrelevant to its regime (sigma_b = inf: x3, sigma_a = 0:
     p4); it becomes one cell at 0 with step 0, and the proper one gets
-    _MARGINAL_CELLS cells instead of n_x3 or n_p4.  Both widths ideal leave
+    _MARGINAL_CELLS cells instead of _JOINT_CELLS.  Both widths ideal leave
     nothing to tabulate.
     """
     regime = regime_for(params)
@@ -686,11 +681,11 @@ def build_outcome_distribution(
         )
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     proper = (regime.sigma_b < np.inf, regime.sigma_a > 0.0)
-    counts = (n_x3, n_p4) if all(proper) else (_MARGINAL_CELLS, _MARGINAL_CELLS)
-    axes = zip((mean_x3, mean_p4), (var_x3, var_p4), counts, proper)
+    count = _JOINT_CELLS if all(proper) else _MARGINAL_CELLS
+    axes = zip((mean_x3, mean_p4), (var_x3, var_p4), proper)
     (x3_values, x3_step), (p4_values, p4_step) = [
         _centered_grid(mean, np.sqrt(var), count) if keep else (np.zeros(1), 0.0)
-        for mean, var, count, keep in axes
+        for mean, var, keep in axes
     ]
     density = _outcome_density(psi, regime.sigma_a, regime.sigma_b, x3_values, p4_values)
     table = OutcomeDistribution(x3_values, p4_values, density, x3_step, p4_step)

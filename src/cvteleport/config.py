@@ -172,7 +172,11 @@ def parse_config(path) -> RunConfig:
             raise ParseError(
                 f"scenario is missing {sorted(missing)}", pstr, start
             )
-        label, _ = raw["label"]
+        label, label_line = raw["label"]
+        # A label names the scenario's output files and its report.csv field.
+        if not label or not label.isprintable() or any(c in label for c in "/\\,"):
+            message = "label must be printable and non-empty, without '/', '\\' or ','"
+            raise ParseError(f"{message}, got {label!r}", pstr, label_line)
         if label in labels:
             raise ParseError(f"duplicate scenario label {label!r}", pstr, start)
         labels.add(label)

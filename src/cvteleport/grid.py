@@ -138,9 +138,9 @@ class MomentSummary:
 def normalize(psi: SampledWaveFunction) -> SampledWaveFunction:
     """Scale to unit L2 norm under the dx measure.
 
-    Raises ZeroNormError when the squared norm is below 1e-300; the global
-    phase of the amplitudes is untouched.  Amplitudes whose squared norm
-    overflows are first divided by their largest real or imaginary part.
+    Raises ZeroNormError when the squared norm is below ZERO_NORM_FLOOR; the
+    global phase is untouched.  Amplitudes whose squared norm overflows are
+    first divided by their largest real or imaginary part.
     """
     amps = psi.amplitudes
     with np.errstate(over="ignore"):
@@ -192,8 +192,7 @@ def to_position(
     """
     mg = phi.grid
     if position_grid is None:
-        dx = _TWO_PI / (mg.n * mg.dx)
-        position_grid = GridSpec(x_min=-(mg.n // 2) * dx, dx=dx, n=mg.n)
+        position_grid = mg.conjugate()
     elif not position_grid.is_conjugate_of(mg):
         raise GridMismatchError("target grid is not conjugate to the momentum grid")
     amps = _position_transform_along(phi.amplitudes, mg, position_grid, axis=0)

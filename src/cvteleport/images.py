@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import fidelity
 from .channel import KernelRegime, MeasurementOutcome, teleport
 from .errors import UnsupportedFormatError, ZeroNormError
 from .grid import GridSpec, SampledWaveFunction, normalize
@@ -26,7 +27,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ImageAsset:
-    """A grayscale image: float pixel matrix (rows x cols) plus the max level."""
+    """A grayscale image: float pixel matrix (rows x cols) plus the max level (1..65535)."""
 
     pixels: np.ndarray
     maxval: int
@@ -35,8 +36,8 @@ class ImageAsset:
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2 or px.shape[0] < 8 or px.shape[1] < 8:
             raise ValueError("images must be at least 8x8")
-        if self.maxval not in (255, 65535):
-            raise ValueError("maxval must be 255 or 65535")
+        if not 1 <= self.maxval <= 65535:
+            raise ValueError("maxval must be 1..65535")
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -84,7 +85,6 @@ def load_image(path) -> ImageAsset:
         raise UnsupportedFormatError(f"graymap is {width}x{height}, below 8x8")
     if maxval <= 0 or maxval > 65535:
         raise UnsupportedFormatError(f"unsupported max value {maxval}")
-    maxval = 255 if maxval <= 255 else 65535
     if magic == b"P2":
         try:
             values = np.array(data[offset - 1 :].split(), dtype=float)
@@ -96,26 +96,25 @@ def load_image(path) -> ImageAsset:
             raise UnsupportedFormatError("P2 pixel count mismatch")
         pixels = values.reshape(height, width)
     else:
-        raw = data[offset:]
-        if maxval == 255:
-            need = width * height
-            if len(raw) < need:
-                raise UnsupportedFormatError("P5 payload too short")
-            pixels = np.frombuffer(raw[:need], dtype=np.uint8).astype(float)
-        else:
-            need = 2 * width * height
-            if len(raw) < need:
-                raise UnsupportedFormatError("P5 payload too short")
-            pixels = np.frombuffer(raw[:need], dtype=">u2").astype(float)
-        pixels = pixels.reshape(height, width)
+        dtype = _sample_dtype(maxval)
+        need = dtype.itemsize * width * height
+        raw = data[offset : offset + need]
+        if len(raw) < need:
+            raise UnsupportedFormatError("P5 payload too short")
+        pixels = np.frombuffer(raw, dtype=dtype).astype(float).reshape(height, width)
     return ImageAsset(pixels=pixels, maxval=maxval)
 
 
+def _sample_dtype(maxval: int) -> np.dtype:
+    """A P5 sample: one byte below a maxval of 256, else two, big-endian."""
+    return np.dtype(np.uint8 if maxval < 256 else ">u2")
+
+
 def save_image(path, asset: ImageAsset) -> None:
-    """Write a binary (P5) graymap; 16-bit samples are big-endian."""
+    """Write a binary (P5) graymap at the asset's maxval."""
     px = np.clip(np.rint(asset.pixels), 0, asset.maxval)
     header = f"P5\n{asset.width} {asset.height}\n{asset.maxval}\n".encode()
-    payload = px.astype(np.uint8 if asset.maxval == 255 else ">u2").tobytes()
+    payload = px.astype(_sample_dtype(asset.maxval)).tobytes()
     atomic_write_bytes(path, header + payload)
 
 
@@ -175,8 +174,7 @@ def teleport_image(
         except ZeroNormError:
             log.warning("column %d annihilated; rendered black", j)
             continue
-        overlap = np.vdot(state.amplitudes, tele.amplitudes) * grid.dx
-        fidelities[j] = min(abs(overlap) ** 2, 1.0)
+        fidelities[j] = fidelity(state, tele)
         prob = tele.probability()[offset : offset + length]
         out_raw[:, j] = prob
         top = prob.max()

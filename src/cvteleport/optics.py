@@ -31,7 +31,7 @@ from .errors import (
     SentinelNotMaterializableError,
     ZeroNormError,
 )
-from .grid import GridSpec, SampledWaveFunction, normalize
+from .grid import GridSpec, SampledWaveFunction, ZERO_NORM_FLOOR, normalize
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -54,6 +54,11 @@ class _IdealSentinel:
 IDEAL = _IdealSentinel()
 
 
+def _require_width(name: str, value) -> None:
+    if not (np.isscalar(value) and np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite width")
+
+
 @dataclass(frozen=True)
 class SqueezingParams:
     """EPR-source configuration: Gaussian widths or ideal sentinels.
@@ -70,8 +75,7 @@ class SqueezingParams:
             value = getattr(self, name)
             if value is IDEAL:
                 continue
-            if not (np.isscalar(value) and np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite width or IDEAL")
+            _require_width(name, value)
             object.__setattr__(self, name, float(value))
 
     @property
@@ -115,7 +119,7 @@ class TwoModeState:
 
     def normalized(self) -> "TwoModeState":
         n = self.norm()
-        if n**2 < 1e-300:
+        if n**2 < ZERO_NORM_FLOOR:
             raise ZeroNormError("two-mode state has vanishing norm")
         return TwoModeState(self.grid_a, self.grid_b, self.amplitudes / n)
 
@@ -167,8 +171,7 @@ def squeezed_vacuum(sigma: float, grid: GridSpec) -> SampledWaveFunction:
     Position spread is sigma/sqrt(2) and momentum spread 1/(sigma*sqrt(2)).
     The grid must span at least 12 sigma so the tails fit.
     """
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be a positive finite width")
+    _require_width("sigma", sigma)
     if grid.span < 12.0 * sigma:
         raise GridTooNarrowError(
             f"span {grid.span:g} cannot hold a width-{sigma:g} squeezed state "

@@ -20,9 +20,9 @@ from .analysis import (
 from .channel import regime_for
 from .config import DEFAULT_GRID, RunConfig, parse_grid
 from .errors import EmptyScenarioListError, ParseError, TeleportError
-from .grid import to_momentum
+from .grid import SampledWaveFunction, to_momentum
 from .optics import IDEAL
-from .images import load_image, save_image, teleport_image
+from .images import ImageAsset, load_image, save_image, teleport_image
 from .signals import (
     atomic_write_text,
     bundled_silhouette_path,
@@ -116,27 +116,33 @@ def run(config: RunConfig) -> int:
     """Execute a configuration; returns the process exit status.
 
     Config and I/O failures raise (the CLI maps them to exit 1); scenario
-    failures are recorded in the report and yield exit 2.
+    failures are recorded in the report and yield exit 2.  The output
+    directory is created only once the input has been found, has passed the
+    refusals of its kind and has loaded, so a config error writes nothing.
     """
     if not config.scenarios:
         raise EmptyScenarioListError("no scenarios to run")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     input_path = resolve_input_path(config.input_path)
     if not input_path.exists():
         raise ParseError("no such input file", path=str(input_path))
     if _is_graymap(input_path):
-        return _run_image(config, input_path, out_dir)
-    return _run_signal(config, input_path, out_dir)
-
-
-def _run_signal(config: RunConfig, input_path: Path, out_dir: Path) -> int:
-    if config.image_mode is not None:
+        _refuse_image_keys(config)
+        execute, source = _run_image, load_image(input_path)
+    elif config.image_mode is not None:
         raise ParseError("image_mode applies to image inputs only; the input is a signal")
-    state = load_signal(input_path, config.grid or parse_grid(DEFAULT_GRID))
-    scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
-    report = run_sweep(scenarios, state, enforce_span_rule=True)
+    else:
+        grid = config.grid or parse_grid(DEFAULT_GRID)
+        execute, source = _run_signal, load_signal(input_path, grid)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = execute(config, source, out_dir)
     write_report(out_dir / "report.csv", report)
+    return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK
+
+
+def _run_signal(config: RunConfig, state: SampledWaveFunction, out_dir: Path) -> FidelityReport:
+    scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
+    report = run_sweep(scenarios, state)
     for row in report.rows:
         _log_row(row)
         if row.failed:
@@ -150,10 +156,10 @@ def _run_signal(config: RunConfig, input_path: Path, out_dir: Path) -> int:
         mid, half = row.input_moments.mean_x, 0.75 * row.input_moments.support_length
         window = (mid - half, mid + half)
         _write_profiles(out_dir, row, window)
-    return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK
+    return report
 
 
-def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
+def _refuse_image_keys(config: RunConfig) -> None:
     if config.grid is not None:
         raise ParseError(
             "grid applies to signal inputs only (from the config or --grid); "
@@ -170,7 +176,9 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
                 f"scenario {scenario.label!r}: a scenario grid is not supported "
                 "for image inputs, whose grid follows the image"
             )
-    asset = load_image(input_path)
+
+
+def _run_image(config: RunConfig, asset: ImageAsset, out_dir: Path) -> FidelityReport:
     image_mode = config.image_mode or "column-wise"
     line_length = asset.height if image_mode == "column-wise" else asset.width
     rows = []
@@ -178,9 +186,8 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
         outcome = scenario.outcome
         row = ScenarioResult.of(scenario, x3=outcome.x3, p4=outcome.p4)
         rows.append(row)
-        regime = regime_for(scenario.params)
         try:
-            result = teleport_image(asset, regime, outcome, image_mode)
+            result = teleport_image(asset, regime_for(scenario.params), outcome, image_mode)
         except TeleportError as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         else:
@@ -192,6 +199,4 @@ def _run_image(config: RunConfig, input_path: Path, out_dir: Path) -> int:
                 row.fidelity = float(valid.mean())
             _write_profiles(out_dir, row, (0.0, float(line_length)))
         _log_row(row)
-    report = FidelityReport(rows=rows)
-    write_report(out_dir / "report.csv", report)
-    return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK
+    return FidelityReport(rows=rows)

@@ -86,7 +86,7 @@ def silhouette():
 
 @pytest.fixture(scope="module")
 def scenario_report(silhouette):
-    return run_sweep(reference_scenarios(), silhouette, enforce_span_rule=True)
+    return run_sweep(reference_scenarios(), silhouette)
 
 
 def test_criterion_01_ideal_channel_identity(silhouette):

@@ -127,6 +127,31 @@ def test_parse_config_rejects_non_finite_and_negative(tmp_path, text, line):
 
 
 @pytest.mark.parametrize(
+    "label",
+    ["../escape", "{tmp}/abs", "a,b", "", "a\\b", "a\tb"],
+    ids=["parent", "absolute", "comma", "empty", "backslash", "tab"],
+)
+def test_parse_config_refuses_a_label_that_cannot_name_its_files(tmp_path, label):
+    # a label names output files and a report.csv field: nothing may leave
+    # the output directory or add a field
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "out"
+    label = label.format(tmp=tmp_path)
+    text = (
+        f"input = bundled:silhouette\noutput_dir = {out}\n\n[scenario]\n"
+        f"label = {label}\nsigma_a = 0.5\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
+    )
+    path = write_config(tmp_path, text)
+    with pytest.raises(ParseError, match="label must be") as err:
+        parse_config(path)
+    assert err.value.path == str(path) and err.value.line == 5
+    assert main(["run", str(path)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "work"]
+    assert not list(work.iterdir())
+
+
+@pytest.mark.parametrize(
     "text, line",
     [
         ("seed = 1\nseed = 2\n" + SCENARIO.format(sa=1, x3=0, p4=0), 4),
@@ -380,6 +405,42 @@ def test_cli_empty_scenarios_is_config_error(tmp_path, capsys):
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err == "error: no scenarios to run\n"
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing-input", "signal-image_mode", "image-global-grid", "image-grid-option",
+        "image-sampled", "image-scenario-grid", "unparsable-signal",
+    ],
+)
+def test_cli_config_error_creates_no_output_dir(tmp_path, capsys, case):
+    from cvteleport import ImageAsset, save_image
+
+    out = tmp_path / "out"
+    image = tmp_path / "input.pgm"
+    save_image(image, ImageAsset(pixels=np.full((16, 16), 100.0), maxval=255))
+    garbage = tmp_path / "garbage.txt"
+    garbage.write_text("0.0 1.0\nnot a number\n")
+    head, extra, argv = f"input = {image}\noutput_dir = {out}\n", "", []
+    scenario = "\n[scenario]\nlabel = s\nsigma_a = 1\nsigma_b = ideal\nx3 = {x3}\np4 = 0\n"
+    if case == "missing-input":
+        head = head.replace(str(image), str(tmp_path / "missing.txt"))
+    elif case == "signal-image_mode":
+        head = f"input = bundled:silhouette\noutput_dir = {out}\nimage_mode = row-wise\n"
+    elif case == "image-global-grid":
+        head += "grid = -8:8:64\n"
+    elif case == "image-grid-option":
+        argv = ["--grid", "-8:8:64"]
+    elif case == "image-scenario-grid":
+        extra = "grid = -8:8:64\n"
+    elif case == "unparsable-signal":
+        head = head.replace(str(image), str(garbage))
+    x3 = "sample" if case == "image-sampled" else "0"
+    path = write_config(tmp_path, head + scenario.format(x3=x3) + extra)
+    assert main(["run", str(path)] + argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_seed_override_changes_sampled_outcomes(tmp_path):

@@ -43,6 +43,21 @@ def test_p5_sixteen_bit_round_trip(tmp_path):
     assert np.array_equal(back.pixels, np.rint(img.pixels))
 
 
+@pytest.mark.parametrize("maxval, sample_bytes", [(100, 1), (1000, 2)])
+def test_p5_round_trip_keeps_any_maxval(tmp_path, maxval, sample_bytes):
+    # samples take one byte below a maxval of 256 and two, big-endian, above
+    rng = np.random.default_rng(maxval)
+    img = ImageAsset(pixels=rng.integers(0, maxval + 1, (10, 12)).astype(float), maxval=maxval)
+    path = tmp_path / "img.pgm"
+    save_image(path, img)
+    header = f"P5\n12 10\n{maxval}\n".encode()
+    assert path.read_bytes()[: len(header)] == header
+    assert path.stat().st_size == len(header) + sample_bytes * 120
+    back = load_image(path)
+    assert back.maxval == maxval
+    assert np.array_equal(back.pixels, img.pixels)
+
+
 def test_p2_parsing(tmp_path):
     path = tmp_path / "ascii.pgm"
     rows = [" ".join(str((r * 13 + c * 7) % 256) for c in range(12)) for r in range(10)]
@@ -77,6 +92,31 @@ def test_unsupported_format(tmp_path, capsys):
 def test_minimum_size_enforced():
     with pytest.raises(ValueError):
         ImageAsset(pixels=np.ones((4, 4)), maxval=255)
+
+
+@pytest.mark.parametrize("maxval", [0, 65536])
+def test_maxval_out_of_range_is_refused(maxval):
+    with pytest.raises(ValueError, match="maxval"):
+        ImageAsset(pixels=np.ones((8, 8)), maxval=maxval)
+
+
+def test_ideal_image_run_keeps_the_maxval(tmp_path):
+    # full white at maxval 100 stays full white, not 100/255 grey
+    pixels = np.full((16, 16), 100.0)
+    pixels[4:12, 3:9] = np.arange(48).reshape(8, 6)
+    image = tmp_path / "input.pgm"
+    image.write_bytes(b"P5\n16 16\n100\n" + pixels.astype(np.uint8).tobytes())
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"input = {image}\noutput_dir = {out}\n\n[scenario]\n"
+        "label = ideal\nsigma_a = ideal\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
+    )
+    assert main(["run", str(config)]) == 0
+    assert (out / "ideal.pgm").read_bytes().startswith(b"P5\n16 16\n100\n")
+    back = load_image(out / "ideal.pgm")
+    assert back.maxval == 100
+    assert np.array_equal(back.pixels, pixels)
 
 
 def test_ideal_image_teleport_lossless(tmp_path):

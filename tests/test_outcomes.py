@@ -111,7 +111,7 @@ def test_density_matches_bruteforce_integration(unit_grid):
     amps = np.exp(-((unit_grid.points - 0.5) ** 2) / 4 + 1j * beta * unit_grid.points**2)
     psi = normalize(SampledWaveFunction(unit_grid, amps))
     sa, sb = 0.6, 1.8
-    dist = build_outcome_distribution(psi, SqueezingParams(sa, sb), n_x3=65, n_p4=65)
+    dist = build_outcome_distribution(psi, SqueezingParams(sa, sb))
 
     s2 = np.sqrt(2.0)
     v = np.linspace(-15.5, 15.5, 3001)
@@ -125,7 +125,7 @@ def test_density_matches_bruteforce_integration(unit_grid):
         f = pair @ (np.exp(-1j * s2 * v * p4) * psi_v) * (v[1] - v[0])
         return np.sum(np.abs(f) ** 2) * (x5[1] - x5[0])
 
-    probes = [(10, 20), (32, 32), (50, 12), (20, 50)]
+    probes = [(41, 81), (128, 128), (200, 49), (81, 200)]
     brute_vals = np.array(
         [brute(dist.x3_values[i], dist.p4_values[j], sb) for i, j in probes]
     )
@@ -134,7 +134,7 @@ def test_density_matches_bruteforce_integration(unit_grid):
     assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-9
 
     # an ideal sigma_b leaves the p4 marginal, the same at every x3
-    p4s = dist.p4_values[[12, 20, 32, 50]]
+    p4s = dist.p4_values[[49, 81, 128, 200]]
     brute_vals = np.array([brute(0.0, p4, np.inf) for p4 in p4s])
     ratios = brute_vals / _outcome_density(psi, sa, np.inf, np.zeros(1), p4s)[0]
     assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-9
@@ -425,7 +425,7 @@ def test_outcome_density_over_budget_fails_before_allocating():
     draw = SampleWithSeed(1)
     scenarios = [
         Scenario("too_big", SqueezingParams(1e-5, 1e-5), draw),
-        Scenario("fits", SqueezingParams(5.0, 5.0), draw, GridSpec(-128.0, 0.5, 512)),
+        Scenario("fits", SqueezingParams(5.0, 5.0), draw, GridSpec(-256.0, 0.5, 1024)),
     ]
     report = run_sweep(scenarios, psi)
     assert report.by_label("too_big").error.startswith("OutcomeTooLargeError: ")
