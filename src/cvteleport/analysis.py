@@ -83,8 +83,9 @@ def envelope_profile(
 class SampleWithSeed:
     """Marker asking the sweep to draw the outcome itself.
 
-    Either coordinate may be pinned; only the remaining one is taken from
-    the sampled pair.  A seed of None must be filled in before the sweep.
+    Either coordinate may be pinned; the other is then drawn from its
+    density given the pinned value.  A seed of None must be filled in before
+    the sweep.
     """
 
     seed: int | None
@@ -168,10 +169,8 @@ def _run_one(scenario: Scenario, input_state: SampledWaveFunction) -> ScenarioRe
     try:
         state = resample(input_state, scenario.grid or input_state.grid)
         if isinstance(request, SampleWithSeed):
-            drawn = sample_outcome(state, params, request.seed)
-            outcome = MeasurementOutcome(
-                drawn.x3 if request.fixed_x3 is None else request.fixed_x3,
-                drawn.p4 if request.fixed_p4 is None else request.fixed_p4,
+            outcome = sample_outcome(
+                state, params, request.seed, request.fixed_x3, request.fixed_p4
             )
         else:
             outcome = request

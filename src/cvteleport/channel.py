@@ -168,7 +168,7 @@ def teleport(
     """Teleported state for one measurement outcome, normalized.
 
     Every regime is the kernel at its two widths (``sigma_a`` = 0 and
-    ``sigma_b`` = inf are the ideal limits); both ideal is the exact identity.
+    ``sigma_b`` = inf are the ideal limits); both ideal return psi itself.
     Raises ZeroNormError when the kernel annihilates the state (a physically
     improbable outcome rendered numerically void rather than silently
     renormalized noise) and GridTooNarrowError when the output leaks into the
@@ -176,7 +176,7 @@ def teleport(
     """
     sigma_a, sigma_b = regime.sigma_a, regime.sigma_b
     if sigma_a == 0.0 and sigma_b == np.inf:
-        return SampledWaveFunction(psi.grid, psi.amplitudes)
+        return psi
     return _finish(psi.grid, _apply_kernel(psi, sigma_a, sigma_b, outcome))
 
 
@@ -191,26 +191,21 @@ def _apply_kernel(
       A <  B: exp(-2A c_x^2 + iq c_x) exp(-(B-A)(c_x+c_v)^2) exp(-2A c_v^2 - iq c_v);
     no factor exceeds 1, so none underflows where the kernel does not.
 
-    sigma_b = inf (B = 0) leaves no envelope, and the middle factor acts
-    through its exact transform: fft, the spectral factors of
-    `_kernel_factors`, ifft.  Otherwise the envelopes are formed here and the
-    Toeplitz (Hankel on the reversed input) middle factor is a direct sum
-    over the band of taps `_kernel_factors` keeps: an FFT would smear
-    rounding over envelopes spanning e^-100, and sigma_a = 0 (or far below
-    the grid step) leaves the single tap at lag 0.  The sum carries no dx or
-    trapezoid end weights: normalization absorbs the constant dx.  The
-    factors depend on the grid, the widths and the outcome only, so the
-    columns of an image, which share all of those, build them once.
+    sigma_b = inf (B = 0) leaves no envelope, and the middle factor is
+    ifft(fft(psi) * window) with the spectral window of `_kernel_factors`.
+    Otherwise the envelopes are formed here and the Toeplitz (Hankel on the
+    reversed input) middle factor is a direct sum over the band of taps
+    `_kernel_factors` keeps: an FFT would smear rounding over envelopes
+    spanning e^-100, and sigma_a = 0 (or far below the grid step) leaves the
+    single tap at lag 0.  The sum carries no dx or trapezoid end weights:
+    normalization absorbs the constant dx.  The factors depend on the grid,
+    the widths and the outcome only, so the columns of an image, which share
+    all of those, build them once.
     """
     g = psi.grid
     factors = _kernel_factors(g, sigma_a, sigma_b, outcome.x3, outcome.p4)
     if sigma_b == np.inf:
-        before, window, after, scale = factors
-        spectrum = np.fft.fft(psi.amplitudes)
-        spectrum *= before
-        spectrum *= window
-        spectrum *= after
-        return np.fft.ifft(spectrum) * scale
+        return np.fft.ifft(np.fft.fft(psi.amplitudes) * factors)
     taps, start = factors
     sa, sb = 2.0 * sigma_a, 2.0 * sigma_b
     c = g.points - _SQRT2 * outcome.x3
@@ -233,13 +228,11 @@ def _apply_kernel(
 def _kernel_factors(grid: GridSpec, sigma_a: float, sigma_b: float, x3: float, p4: float):
     """The psi-independent factors of `_apply_kernel`, kept for the next call.
 
-    sigma_b = inf: (before, window, after, scale) in FFT order, so that the
-    kernel is ifft(fft(psi) * before * window * after) * scale, the forward
-    transform's phase, the window exp(-sigma_a^2 (p - q)^2) and the inverse
-    transform's phase of `to_momentum`/`to_position` without their shifts.
-    The window's exponent is offset by its in-band minimum, so strongly
-    off-band outcomes (huge p4, tiny sigma_a) tilt the spectrum exactly
-    instead of underflowing.
+    sigma_b = inf: the window exp(-sigma_a^2 (p - q)^2) in FFT order.  Input
+    and output share one grid, so the transform's phases and scales cancel
+    and the kernel is ifft(fft(psi) * window).  The window's exponent is
+    offset by its in-band minimum, so strongly off-band outcomes (huge p4,
+    tiny sigma_a) tilt the spectrum exactly instead of underflowing.
 
     Finite sigma_b: (taps, start), the Toeplitz or Hankel taps from the first
     to the last nonzero one, tap k sitting at index start + k of the full
@@ -252,20 +245,14 @@ def _kernel_factors(grid: GridSpec, sigma_a: float, sigma_b: float, x3: float, p
     """
     q = _SQRT2 * p4
     if sigma_b == np.inf:
-        momentum = grid.conjugate()
-        ps = momentum.points
-        before = np.exp(-1j * ps * grid.x_min) * (grid.dx / np.sqrt(_TWO_PI))
+        ps = np.fft.ifftshift(grid.conjugate().points)
         with np.errstate(over="ignore"):
             exponent = (sigma_a * (ps - q)) ** 2
         if exponent.min() == np.inf:  # so wide a sigma_a keeps the nearest momenta alone
             exponent = np.where(np.abs(ps - q) == np.abs(ps - q).min(), 0.0, np.inf)
         window = np.exp(-(exponent - exponent.min()))
-        after = np.exp(1j * ps * grid.x_min)
-        scale = momentum.dx * momentum.n / np.sqrt(_TWO_PI)
-        factors = tuple(np.fft.ifftshift(f) for f in (before, window, after))
-        for f in factors:
-            f.setflags(write=False)
-        return (*factors, scale)
+        window.setflags(write=False)
+        return window
     n, sa, sb = grid.n, 2.0 * sigma_a, 2.0 * sigma_b
     # x_i - v_j at tap index i - j + n - 1
     lag = np.arange(1 - n, n) * grid.dx
@@ -572,7 +559,8 @@ def _outcome_density(
     """
     g = psi.grid
     lam_s, mu = _lambda_coefficients(sigma_a, sigma_b)
-    t = _SQRT2 * np.asarray(x3_values, dtype=float)
+    # The flat window (lam_s = 0) reads no x3, and a huge one would square to inf.
+    t = _SQRT2 * (np.asarray(x3_values, dtype=float) * (lam_s > 0.0))
     q = _SQRT2 * np.asarray(p4_values, dtype=float)
     factor = _least_power_of_two(
         np.sqrt(2.0 * lam_s * g.dx**2 / _ALIAS_FREE_BOUND),
@@ -600,7 +588,8 @@ def _outcome_density(
         + 40.0 * lags * (size + q.size)  # the lag tables
         + 8.0 * t.size * (q.size + 2.0 * lags)  # the lag sums and the density
     )
-    coordinates = "x3" if mu == np.inf else "p4" if lam_s == 0.0 else "x3 and p4"
+    drawn = [name for name, size in (("x3", t.size), ("p4", q.size)) if size > 1]
+    coordinates = " and ".join(drawn) or "no coordinate"
     log.debug(
         "outcome density: %s, F %d, rows %d, N %d, lags %d, about %.1f MB",
         coordinates, factor, rows, size, lags, nbytes / 1e6,
@@ -660,19 +649,20 @@ _MARGINAL_CELLS = 1025
 
 
 def build_outcome_distribution(
-    psi: SampledWaveFunction, params: SqueezingParams
+    psi: SampledWaveFunction, params: SqueezingParams, x3=None, p4=None
 ) -> OutcomeDistribution:
-    """Homodyne-outcome density of every coordinate the regime makes proper.
+    """Homodyne-outcome density of every coordinate left to draw.
 
     The outcome grid covers +-6 analytic standard deviations around the
     analytic means.  The density is the x5-integrated squared amplitude of the
     pre-measurement state: the remote-mode integral is carried out in closed
     form, which leaves the input's windowed autocorrelation of
-    `_outcome_density`.  An ideal width makes the conjugate coordinate
-    improper and irrelevant to its regime (sigma_b = inf: x3, sigma_a = 0:
-    p4); it becomes one cell at 0 with step 0, and the proper one gets
-    _MARGINAL_CELLS cells instead of _JOINT_CELLS.  Both widths ideal leave
-    nothing to tabulate.
+    `_outcome_density`.  A coordinate fixed by ``x3`` or ``p4`` is one cell
+    at its value with step 0, so the other is drawn given it.  An ideal width
+    makes the conjugate coordinate improper and irrelevant to its regime
+    (sigma_b = inf: x3, sigma_a = 0: p4); unless fixed, it is one cell at 0
+    with step 0.  A single coordinate left to draw gets _MARGINAL_CELLS cells,
+    two get _JOINT_CELLS each.  Both widths ideal leave nothing to tabulate.
     """
     regime = regime_for(params)
     if isinstance(regime, Ideal):
@@ -681,11 +671,13 @@ def build_outcome_distribution(
         )
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     proper = (regime.sigma_b < np.inf, regime.sigma_a > 0.0)
-    count = _JOINT_CELLS if all(proper) else _MARGINAL_CELLS
-    axes = zip((mean_x3, mean_p4), (var_x3, var_p4), proper)
+    free = [keep and value is None for keep, value in zip(proper, (x3, p4))]
+    count = _JOINT_CELLS if all(free) else _MARGINAL_CELLS
+    axes = zip((mean_x3, mean_p4), (var_x3, var_p4), free, (x3, p4))
     (x3_values, x3_step), (p4_values, p4_step) = [
-        _centered_grid(mean, np.sqrt(var), count) if keep else (np.zeros(1), 0.0)
-        for mean, var, keep in axes
+        _centered_grid(mean, np.sqrt(var), count) if draw
+        else (np.array([0.0 if value is None else value], dtype=float), 0.0)
+        for mean, var, draw, value in axes
     ]
     density = _outcome_density(psi, regime.sigma_a, regime.sigma_b, x3_values, p4_values)
     table = OutcomeDistribution(x3_values, p4_values, density, x3_step, p4_step)
@@ -702,23 +694,21 @@ def _centered_grid(mean: float, std: float, count: int):
 
 
 def sample_outcomes(
-    psi: SampledWaveFunction,
-    params: SqueezingParams,
-    seed: int,
-    count: int,
+    psi: SampledWaveFunction, params: SqueezingParams, seed: int, count: int, x3=None, p4=None
 ):
     """Draw homodyne outcomes; deterministic given the seed.
 
-    Every draw reads the table of `build_outcome_distribution`; an improper
-    coordinate is returned as exactly 0.0.
+    Every draw reads the table of `build_outcome_distribution`: a fixed
+    coordinate is returned as its value and the other is drawn given it; an
+    improper coordinate that is not fixed is returned as exactly 0.0.
     """
     rng = np.random.default_rng(seed)
-    return build_outcome_distribution(psi, params).sample(rng, count)
+    return build_outcome_distribution(psi, params, x3, p4).sample(rng, count)
 
 
 def sample_outcome(
-    psi: SampledWaveFunction, params: SqueezingParams, seed: int
+    psi: SampledWaveFunction, params: SqueezingParams, seed: int, x3=None, p4=None
 ) -> MeasurementOutcome:
     """Single outcome draw (see :func:`sample_outcomes`)."""
-    x3, p4 = sample_outcomes(psi, params, seed, 1)
+    x3, p4 = sample_outcomes(psi, params, seed, 1, x3, p4)
     return MeasurementOutcome(float(x3[0]), float(p4[0]))

@@ -174,6 +174,39 @@ def test_parse_config_reports_repeated_keys_and_bad_image_mode_at_their_line(
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}:")
 
 
+_HEAD = "input = x\noutput_dir = {out}\n"
+_ONE = SCENARIO.format(sa=1, x3=0, p4=0)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (_HEAD + "[scenarios]\n", 3, "unknown section"),
+        (_HEAD + "seed 3\n", 3, "expected 'key = value'"),
+        (_HEAD + _ONE + "mode = 1\n", 9, "unknown scenario key"),
+        ("input = x\n" + _ONE, None, "missing required key 'output_dir'"),
+        (_HEAD + "\n[scenario]\nlabel = a\nsigma_a = 1\n", 4, "scenario is missing"),
+        (_HEAD + SCENARIO.format(sa=1, x3="abc", p4=0), 7, "x3 must be a number"),
+        (_HEAD + "seed = 1.5\n" + _ONE, 3, "non-negative integer"),
+    ],
+    ids=[
+        "unknown-section", "no-equals", "unknown-scenario-key", "no-output_dir",
+        "scenario-missing-keys", "x3-not-a-number", "seed-not-an-integer",
+    ],
+)
+def test_parse_config_refusals_name_their_line_and_write_nothing(
+    tmp_path, capsys, text, line, message
+):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text.format(out=out))
+    with pytest.raises(ParseError, match=message) as err:
+        parse_config(path)
+    assert err.value.path == str(path) and err.value.line == line
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_cli_run_success_and_outputs(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, BASE.format(out=out))
@@ -311,19 +344,20 @@ def test_cli_v_logs_one_line_per_image_scenario(tmp_path, caplog):
 
 
 #: x3 and p4 of the derived-seed config below, as report.csv spells them.  An
-#: unseeded draw takes its seed from SeedSequence((master seed, scenario index)).
+#: unseeded draw takes its seed from SeedSequence((master seed, scenario index)),
+#: and p4_only draws p4 from its density given the fixed x3.
 DERIVED_SEED_OUTCOMES = {
     None: [
         ("both", "28.794411016275948", "-0.15987001656024621"),
         ("fixed", "0.0", "0.0"),
         ("seeded", "-0.14892090362406418", "0.4782492968832362"),
-        ("p4_only", "0.25", "-0.702718655243616"),
+        ("p4_only", "0.25", "-0.644761441298377"),
     ],
     5: [
         ("both", "55.75786366407171", "0.7951226189467685"),
         ("fixed", "0.0", "0.0"),
         ("seeded", "-0.14892090362406418", "0.4782492968832362"),
-        ("p4_only", "0.25", "0.07726041557752727"),
+        ("p4_only", "0.25", "-0.1193760257537513"),
     ],
 }
 
@@ -618,7 +652,7 @@ def test_cli_image_run(tmp_path):
     assert (out / "report.csv").read_text().splitlines() == [
         "label,sigma_a,sigma_b,x3,p4,fidelity,l2_distortion",
         "ideal,ideal,ideal,0.0,0.0,1.0,",
-        "blur,1.2,ideal,0.0,0.4,0.9212757265143382,",
+        "blur,1.2,ideal,0.0,0.4,0.9212757265143381,",
         "spill,20.0,ideal,0.0,0.0,nan,",
     ]
     assert not (out / "spill.pgm").exists()

@@ -89,6 +89,36 @@ def test_unsupported_format(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n8 8", "truncated graymap header"),
+        (b"P5\n8 eight\n255\n" + bytes(64), "malformed graymap header"),
+        (b"P5\n8 8\n0\n" + bytes(64), "unsupported max value 0"),
+        (b"P2\n8 8\n255\n" + b"1 " * 63 + b"\n", "P2 pixel count mismatch"),
+        (b"P5\n8 8\n255\n" + bytes(63), "P5 payload too short"),
+    ],
+    ids=["truncated-header", "non-integer-header", "maxval-0", "p2-count", "p5-short"],
+)
+def test_malformed_graymap_is_refused_by_name(tmp_path, data, message):
+    path = tmp_path / "input.pgm"
+    path.write_bytes(data)
+    with pytest.raises(UnsupportedFormatError, match=message):
+        load_image(path)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"input = {path}\noutput_dir = {tmp_path / 'out'}\n\n[scenario]\n"
+        "label = ideal\nsigma_a = ideal\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
+    )
+    assert main(["run", str(config)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_teleport_image_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'column-wise' or 'row-wise'"):
+        teleport_image(stripes_image(), Ideal(), MeasurementOutcome(0.0, 0.0), "diagonal")
+
+
 def test_minimum_size_enforced():
     with pytest.raises(ValueError):
         ImageAsset(pixels=np.ones((4, 4)), maxval=255)
@@ -145,13 +175,15 @@ def test_convolution_image_regression():
     "regime, digest",
     [
         (General(2.0, 60.0), "423b4028f134305d0417755a22ff4e9ac50f0dc19fdfa5026d22716e3129c6ba"),
-        (ConvolutionOnly(2.0), "bc201a0eaaa4449a5f6fa4c56b5590cb436ed7efb5eeee075c98986e99218c05"),
+        (ConvolutionOnly(2.0), "069e161976ee2452ace4d7eff6323cf6641bf0a06b281a20637ec7424612248a"),
     ],
     ids=["general", "convolution"],
 )
 def test_seeded_image_raw_is_frozen(regime, digest):
     # A seeded 256 x 256 image at outcome (10, 0.2): the raw |psi_tel|^2
-    # matrix, recorded before the kernel factors were kept between columns.
+    # matrix.  The General digest was recorded before the kernel factors were
+    # kept between columns, the convolution one after its spectral factors
+    # became the window alone (1.3e-15 of the peak from the four-factor path).
     rng = np.random.default_rng(1)
     img = ImageAsset(pixels=rng.integers(20, 231, (256, 256), np.uint8), maxval=255)
     result = teleport_image(img, regime, MeasurementOutcome(10.0, 0.2))

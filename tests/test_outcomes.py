@@ -16,6 +16,7 @@ from cvteleport import (
     SampleWithSeed,
     Scenario,
     SqueezingParams,
+    ZeroNormError,
     build_outcome_distribution,
     gaussian_packet,
     load_signal,
@@ -521,6 +522,48 @@ def test_sampling_with_ideal_narrow_pins_p4(packet):
     m = moments(packet)
     vx3 = m.std_x**2 / 2 + 3.0**2 / 8
     assert x3.var() == pytest.approx(vx3, rel=0.05)
+
+
+def _chirped_packet():
+    """psi ~ exp(-x^2/(4 w^2) + i kappa x^2), w^2 = 32, kappa = 0.05, and kappa w^2."""
+    g = GridSpec(-1024.0, 0.5, 4096)
+    amplitudes = np.exp(-(g.points**2) / 128.0 + 0.05j * g.points**2)
+    return normalize(SampledWaveFunction(g, amplitudes)), 0.05 * 32.0
+
+
+@pytest.mark.parametrize("spread", [-2.0, 0.0, 1.5])
+def test_fixed_x3_draws_p4_from_its_conditional_density(spread):
+    # The chirp correlates x1 with p1, so Cov(x3, p4) = kappa w^2 and p4
+    # given x3 is N(mean_p4 + c (x3 - mean_x3)/var_x3, var_p4 - c^2/var_x3);
+    # the marginal would centre every row on mean_p4.  Measured: 7.3e-16.
+    psi, c = _chirped_packet()
+    params = SqueezingParams(0.185, 8.4)
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
+    x3 = mean_x3 + spread * np.sqrt(var_x3)
+    dist = build_outcome_distribution(psi, params, x3=x3)
+    assert dist.x3_values.tolist() == [x3] and dist.x3_step == 0.0
+    assert dist.density.shape == (1, _MARGINAL_CELLS)
+    mean = mean_p4 + c * (x3 - mean_x3) / var_x3
+    want = np.exp(-((dist.p4_values - mean) ** 2) / (2.0 * (var_p4 - c**2 / var_x3)))
+    row, want = dist.density[0] / dist.density.sum(), want / want.sum()
+    assert np.max(np.abs(row - want)) <= 5e-15 * want.max()
+    x3_drawn, _ = sample_outcomes(psi, params, seed=2, count=3, x3=x3)
+    assert x3_drawn.tolist() == [x3] * 3
+
+
+def test_fixed_coordinate_of_zero_probability_is_refused():
+    psi, _ = _chirped_packet()
+    with pytest.raises(ZeroNormError, match="outcome density vanished"):
+        sample_outcome(psi, SqueezingParams(0.185, 8.4), seed=1, x3=1e6)
+
+
+def test_fixed_improper_coordinate_is_kept_whatever_its_size():
+    # the density ignores an improper coordinate, so even 1e300 draws
+    psi, _ = _chirped_packet()
+    x3, p4 = sample_outcomes(psi, SqueezingParams(0.185, IDEAL), 1, 3, x3=1e300)
+    assert x3.tolist() == [1e300] * 3 and np.all(np.isfinite(p4))
+    x3, p4 = sample_outcomes(psi, SqueezingParams(IDEAL, 8.4), 1, 3, p4=-1e300)
+    assert p4.tolist() == [-1e300] * 3 and np.all(np.isfinite(x3))
 
 
 def test_doubly_ideal_channel_not_samplable(packet):
