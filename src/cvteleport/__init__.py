@@ -56,9 +56,7 @@ from .optics import (
     squeezed_vacuum,
 )
 from .analysis import (
-    EnvelopeProfile,
     FidelityReport,
-    KernelProfile,
     SampleWithSeed,
     Scenario,
     envelope_profile,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,14 +23,19 @@ from .grid import (
     SampledWaveFunction,
     inner_product,
     moments,
-    resample,
 )
 from .optics import SqueezingParams, _require_width
 
 
 def fidelity(psi_in: SampledWaveFunction, psi_tel: SampledWaveFunction) -> float:
-    """Squared overlap |<psi_in|psi_tel>|^2 of two normalized states."""
-    value = abs(inner_product(psi_in, psi_tel)) ** 2
+    """Squared overlap |<psi_in|psi_tel>|^2 / (<psi_in|psi_in> <psi_tel|psi_tel>).
+
+    Dividing by both squared norms makes it exactly 1.0 for identical states,
+    whose norms are 1 only to rounding; the clamp keeps it at most 1.
+    """
+    value = abs(inner_product(psi_in, psi_tel)) ** 2 / (
+        inner_product(psi_in, psi_in).real * inner_product(psi_tel, psi_tel).real
+    )
     return float(min(value, 1.0))
 
 
@@ -39,44 +45,29 @@ def l2_distortion(psi_in: SampledWaveFunction, psi_tel: SampledWaveFunction) -> 
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * psi_in.grid.dx))
 
 
-@dataclass(frozen=True)
-class KernelProfile:
-    """Sampled convolution kernel with real and imaginary parts split out."""
-
-    u: np.ndarray
-    values: np.ndarray
-
-    @property
-    def real(self) -> np.ndarray:
-        return self.values.real
-
-    @property
-    def imag(self) -> np.ndarray:
-        return self.values.imag
-
-
-@dataclass(frozen=True)
-class EnvelopeProfile:
-    x: np.ndarray
-    values: np.ndarray
-
-
 def kernel_profile(
     sigma_a: float, p4: float, window: tuple[float, float], num: int = 1001
-) -> KernelProfile:
-    """Convolution kernel k(u) = exp(i*sqrt(2)*p4*u) exp(-(u/(2 sigma_a))^2)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, k(u)) at ``num`` points across ``window``, both arrays.
+
+    k(u) = exp(i*sqrt(2)*p4*u) exp(-(u/(2 sigma_a))^2) is the complex
+    convolution kernel.
+    """
     _require_width("sigma_a", sigma_a)
     u = np.linspace(window[0], window[1], num)
-    return KernelProfile(u, convolution_kernel(sigma_a, p4, u))
+    return u, convolution_kernel(sigma_a, p4, u)
 
 
 def envelope_profile(
     sigma_b: float, x3: float, window: tuple[float, float], num: int = 1001
-) -> EnvelopeProfile:
-    """Multiplication envelope exp(-((x - sqrt(2)*x3)/sigma_b)^2)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, e(x)) at ``num`` points across ``window``, both arrays.
+
+    e(x) = exp(-((x - sqrt(2)*x3)/sigma_b)^2) is the multiplication envelope.
+    """
     _require_width("sigma_b", sigma_b)
     x = np.linspace(window[0], window[1], num)
-    return EnvelopeProfile(x, envelope(sigma_b, x3, x))
+    return x, envelope(sigma_b, x3, x)
 
 
 @dataclass(frozen=True)
@@ -119,9 +110,12 @@ class ScenarioResult:
 
     @classmethod
     def of(cls, scenario: Scenario, **fields) -> ScenarioResult:
-        """A row naming the scenario, its regime and widths; the rest from ``fields``."""
-        params = scenario.params
+        """A row naming the scenario, its regime, widths and fixed outcome; the
+        rest from ``fields``.  A sampled outcome is filled in once drawn."""
+        params, outcome = scenario.params, scenario.outcome
         regime = type(regime_for(params)).__name__
+        if isinstance(outcome, MeasurementOutcome):
+            fields = {"x3": outcome.x3, "p4": outcome.p4, **fields}
         return cls(scenario.label, regime, params.sigma_a, params.sigma_b, **fields)
 
     @property
@@ -144,10 +138,16 @@ class FidelityReport:
         return any(row.failed for row in self.rows)
 
 
-def run_sweep(scenarios: list[Scenario], input_state: SampledWaveFunction) -> FidelityReport:
+def run_sweep(
+    scenarios: list[Scenario], load: Callable[[GridSpec | None], SampledWaveFunction]
+) -> FidelityReport:
     """Teleport the input through every scenario, in order, and assemble the report.
 
-    Each scenario's grid must satisfy the span rule of `channel.validate_span`.
+    ``load(grid)`` returns the input placed on ``grid``, None meaning the
+    run's own grid; each scenario runs on ``load(scenario.grid)`` as it is,
+    and is scored against that same state.  A state on another grid than
+    the scenario's own is a caller fault and raises ValueError.  Each
+    scenario's grid must satisfy the span rule of `channel.validate_span`.
     Scenario failures (ZeroNorm, GridTooNarrow, ...) are recorded per row and
     do not abort the sweep.  Identical seeds give identical reports.
     """
@@ -156,18 +156,23 @@ def run_sweep(scenarios: list[Scenario], input_state: SampledWaveFunction) -> Fi
     labels = [s.label for s in scenarios]
     if len(set(labels)) != len(labels):
         raise ValueError("scenario labels must be unique within a sweep")
-    rows = [_run_one(s, input_state) for s in scenarios]
+    rows = [_run_one(s, load) for s in scenarios]
     return FidelityReport(rows=rows)
 
 
-def _run_one(scenario: Scenario, input_state: SampledWaveFunction) -> ScenarioResult:
+def _run_one(scenario: Scenario, load) -> ScenarioResult:
     request = scenario.outcome
     if isinstance(request, SampleWithSeed) and request.seed is None:
         raise ValueError(f"scenario {scenario.label!r}: a sampled outcome needs a seed")
     params = scenario.params
     row = ScenarioResult.of(scenario, l2_distortion=float("nan"))
     try:
-        state = resample(input_state, scenario.grid or input_state.grid)
+        state = load(scenario.grid)
+        if scenario.grid is not None and state.grid != scenario.grid:
+            raise ValueError(
+                f"scenario {scenario.label!r}: the input was placed on {state.grid}, "
+                f"not on the scenario's grid {scenario.grid}"
+            )
         if isinstance(request, SampleWithSeed):
             outcome = sample_outcome(
                 state, params, request.seed, request.fixed_x3, request.fixed_p4

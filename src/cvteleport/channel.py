@@ -548,10 +548,12 @@ def _outcome_density(
     lag up to d_max wraps; P = |FFT|^2 gives A_t(d) = sum_k P(k) exp(i*k*d)
     at d = m*h_d for 0 <= d <= d_max = min(sqrt(ln(1/eps)/mu), rows*h), with
     h_d = 2*pi/(max|q| + pi/h + 2*sqrt(mu*ln(1/eps))), the step at which the
-    lag sum does not alias.  A_t(-d) = conj A_t(d), so the lag sum is real:
-    two real matmuls.  The input is read as its samples: exact on inputs the
-    grid resolves, while a sharply cut one keeps band-edge content that the
-    samples fold back.
+    lag sum does not alias.  A q farther than pi/h + 2*sqrt(mu*ln(1/eps))
+    from 0, where the smoothed band of |F_t|^2 is below eps, has density 0
+    and is left out of that max; when every q is, the density vanishes.
+    A_t(-d) = conj A_t(d), so the lag sum is real: two real matmuls.  The
+    input is read as its samples: exact on inputs the grid resolves, while a
+    sharply cut one keeps band-edge content that the samples fold back.
 
     The arrays (the interpolant, one block of rows and transforms, the lag
     tables and the output) are estimated, logged at DEBUG and checked
@@ -571,6 +573,10 @@ def _outcome_density(
     support = np.flatnonzero(psi.amplitudes)
     available = support[-1] - support[0] + 1 if factor == 1.0 else g.n * factor
     h = g.dx / factor
+    band, smoothing = np.pi / h, 2.0 * np.sqrt(mu * _LOG_EPS)
+    near = np.abs(q) <= band + smoothing
+    if not near.any():
+        raise ZeroNormError("outcome density vanished on the outcome grid")
     with np.errstate(divide="ignore"):
         reach = np.sqrt(_LOG_EPS / (2.0 * lam_s))
         rows = min(available, np.floor(2.0 * reach / h) + 1.0)
@@ -578,7 +584,7 @@ def _outcome_density(
             size, lags = 0.0, 1.0
         else:
             d_max = min(np.sqrt(_LOG_EPS / mu), rows * h)
-            step = _TWO_PI / (np.abs(q).max() + np.pi / h + 2.0 * np.sqrt(mu * _LOG_EPS))
+            step = _TWO_PI / (np.abs(q[near]).max() + band + smoothing)
             lags = np.floor(d_max / step) + 1.0
             size = _least_power_of_two(rows + d_max / h, lambda f: f >= rows + d_max / h)
     block = max(1.0, min(t.size, _TRANSFORM_BLOCK // (rows + size)))
@@ -611,20 +617,21 @@ def _outcome_density(
         lam = 2.0 * lam_s
         k = _TWO_PI * np.fft.fftfreq(size, h)
         d = step * np.arange(lags)
-        kd, qd = np.multiply.outer(k, d), np.multiply.outer(d, q)
+        kd, qd = np.multiply.outer(k, d), np.multiply.outer(d, q[near])
         table = np.hstack([np.cos(kd), np.sin(kd)])  # A_t(d) = P @ table, cos then sin
         weights = np.vstack([np.cos(qd), np.sin(qd)])  # Re A cos(qd) + Im A sin(qd)
         weights *= np.tile(np.where(d > 0.0, 2.0, 1.0) * np.exp(-mu * d**2), 2)[:, None]
     first = np.clip(np.ceil((t - reach - x0) / h), 0, available - rows).astype(np.intp)
     windows = np.lib.stride_tricks.sliding_window_view(data, rows)
-    density = np.empty((t.size, q.size))
+    density = np.zeros((t.size, q.size))
     for lo in range(0, t.size, block):
         part = slice(lo, lo + block)
         # The window over each x3's rows.  Rows past the reach (a window
         # wider than the data is slid back onto it) are set to 0 rather than
         # sent through exp, which is severalfold slower where it underflows.
         window = (x0 + first[part] * h - t[part])[:, None] + np.arange(rows) * h
-        window *= window
+        with np.errstate(over="ignore"):  # a far x3 squares to inf, outside the reach
+            window *= window
         inside = window <= reach**2
         np.minimum(window, reach**2, out=window)
         window *= -lam
@@ -635,7 +642,7 @@ def _outcome_density(
             continue
         spectrum = np.fft.fft(windows[first[part]] * window, size)
         power = spectrum.real**2 + spectrum.imag**2
-        density[part] = (power @ table) @ weights
+        density[part, near] = (power @ table) @ weights
     if not density.sum() > 0.0:
         raise ZeroNormError("outcome density vanished on the outcome grid")
     return density

@@ -311,8 +311,6 @@ def resample(psi: SampledWaveFunction, grid: GridSpec) -> SampledWaveFunction:
     Amplitudes are zero outside the source span.  When the target points
     coincide with source points the values carry over exactly.
     """
-    if grid == psi.grid:
-        return normalize(psi)
     return place_samples(psi.grid.points, psi.amplitudes, grid)
 
 

@@ -73,14 +73,13 @@ def write_report(path, report: FidelityReport) -> None:
 
 
 def write_kernel_profile(path, sigma_a: float, p4: float, window) -> None:
-    prof = kernel_profile(sigma_a, p4, window)
-    table = np.column_stack((prof.u, prof.real, prof.imag))
-    write_table(path, "u,real,imag\n", table, "%r,%r,%r\n")
+    u, k = kernel_profile(sigma_a, p4, window)
+    write_table(path, "u,real,imag\n", np.column_stack((u, k.real, k.imag)), "%r,%r,%r\n")
 
 
 def write_envelope_profile(path, sigma_b: float, x3: float, window) -> None:
-    prof = envelope_profile(sigma_b, x3, window)
-    write_table(path, "x,value\n", np.column_stack((prof.x, prof.values)), "%r,%r\n")
+    x, e = envelope_profile(sigma_b, x3, window)
+    write_table(path, "x,value\n", np.column_stack((x, e)), "%r,%r\n")
 
 
 def _write_profiles(out_dir: Path, row: ScenarioResult, window) -> None:
@@ -131,8 +130,8 @@ def run(config: RunConfig) -> int:
     elif config.image_mode is not None:
         raise ParseError("image_mode applies to image inputs only; the input is a signal")
     else:
-        grid = config.grid or parse_grid(DEFAULT_GRID)
-        execute, source = _run_signal, load_signal(input_path, grid)
+        state = load_signal(input_path, config.grid or parse_grid(DEFAULT_GRID))
+        execute, source = _run_signal, _placements(input_path, state)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = execute(config, source, out_dir)
@@ -140,9 +139,18 @@ def run(config: RunConfig) -> int:
     return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK
 
 
-def _run_signal(config: RunConfig, state: SampledWaveFunction, out_dir: Path) -> FidelityReport:
+def _placements(path: Path, state: SampledWaveFunction):
+    """``load(grid)`` for `run_sweep`: the run's loaded ``state`` itself for
+    None or its own grid, else the file's samples placed once on ``grid``.
+
+    Nothing is kept per grid, so each placement lives for its scenario only.
+    """
+    return lambda grid: state if grid in (None, state.grid) else load_signal(path, grid)
+
+
+def _run_signal(config: RunConfig, load, out_dir: Path) -> FidelityReport:
     scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
-    report = run_sweep(scenarios, state)
+    report = run_sweep(scenarios, load)
     for row in report.rows:
         _log_row(row)
         if row.failed:
@@ -183,11 +191,11 @@ def _run_image(config: RunConfig, asset: ImageAsset, out_dir: Path) -> FidelityR
     line_length = asset.height if image_mode == "column-wise" else asset.width
     rows = []
     for scenario in config.scenarios:
-        outcome = scenario.outcome
-        row = ScenarioResult.of(scenario, x3=outcome.x3, p4=outcome.p4)
+        row = ScenarioResult.of(scenario)
         rows.append(row)
         try:
-            result = teleport_image(asset, regime_for(scenario.params), outcome, image_mode)
+            regime = regime_for(scenario.params)
+            result = teleport_image(asset, regime, scenario.outcome, image_mode)
         except TeleportError as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         else:

@@ -79,6 +79,34 @@ def closed_form_joint(psi, params, x3_values, p4_values):
     )
 
 
+def closed_form_teleport(grid, mu, w, k0, sigma_a, sigma_b, x3, p4):
+    """psi_tel on ``grid`` for psi(v) ~ exp(-(v - mu)^2/(4 w^2) + i*k0*v), normalized.
+
+    With a = 1/(4 sigma_a^2), b = 1/(4 sigma_b^2), c = 1/(4 w^2),
+    T = 2*sqrt(2)*x3 and q = sqrt(2)*p4 the kernel integral over v is
+    Gaussian, so psi_tel(x) ~ exp(beta^2/(4 alpha) + gamma) with
+    alpha = a + b + c, beta = 2a*x - 2b*(x - T) + 2c*mu + i*(k0 - q) and
+    gamma = -a*x^2 - b*(x - T)^2 + i*q*x - c*mu^2.  The dropped factors are
+    real and positive, so the global phase is the channel's.  The widths are
+    a regime's: sigma_b = inf sets b = 0, and sigma_a = 0 is the limit
+    exp(-((x - sqrt(2)*x3)/sigma_b)^2) * psi(x).
+    """
+    x = grid.points
+    c = 1.0 / (4.0 * w**2)
+    b = 1.0 / (4.0 * sigma_b**2)
+    if sigma_a == 0.0:
+        exponent = -4.0 * b * (x - np.sqrt(2.0) * x3) ** 2 - c * (x - mu) ** 2 + 1j * k0 * x
+    else:
+        a = 1.0 / (4.0 * sigma_a**2)
+        T, q = 2.0 * np.sqrt(2.0) * x3, np.sqrt(2.0) * p4
+        alpha = a + b + c
+        beta = 2.0 * a * x - 2.0 * b * (x - T) + 2.0 * c * mu + 1j * (k0 - q)
+        gamma = -a * x**2 - b * (x - T) ** 2 + 1j * q * x - c * mu**2
+        exponent = beta**2 / (4.0 * alpha) + gamma
+    exponent -= exponent.real.max()
+    return normalize(SampledWaveFunction(grid, np.exp(exponent)))
+
+
 def pytest_configure(config):
     # The tests run with database=None, but hypothesis still caches the
     # constants it finds in local modules; keep that cache in pytest's own.

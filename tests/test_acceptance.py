@@ -86,7 +86,11 @@ def silhouette():
 
 @pytest.fixture(scope="module")
 def scenario_report(silhouette):
-    return run_sweep(reference_scenarios(), silhouette)
+    # as `teleport run` does: a scenario grid gets the file placed on that grid
+    def load(grid):
+        return silhouette if grid is None else load_bundled_silhouette(grid)
+
+    return run_sweep(reference_scenarios(), load)
 
 
 def test_criterion_01_ideal_channel_identity(silhouette):
@@ -189,25 +193,25 @@ def test_criterion_05_combined_strong_squeezing_fidelity_floor(scenario_report):
 
 
 def test_criterion_06_kernel_and_envelope_anchors():
-    prof = kernel_profile(1 / 5.4, 2.7, (-2.0, 2.0), num=8001)
-    mag = np.abs(prof.values)
+    u, k = kernel_profile(1 / 5.4, 2.7, (-2.0, 2.0), num=8001)
+    mag = np.abs(k)
     after = np.flatnonzero((mag[:-1] >= np.exp(-1)) & (mag[1:] < np.exp(-1)))[-1]
     frac = (np.exp(-1) - mag[after]) / (mag[after + 1] - mag[after])
-    efold = prof.u[after] + frac * (prof.u[after + 1] - prof.u[after])
+    efold = u[after] + frac * (u[after + 1] - u[after])
 
-    idx = np.flatnonzero(np.diff(np.sign(prof.real)) != 0)
-    u, re = prof.u, prof.real
+    re = k.real
+    idx = np.flatnonzero(np.diff(np.sign(re)) != 0)
     crossings = u[idx] - re[idx] * (u[idx + 1] - u[idx]) / (re[idx + 1] - re[idx])
     wavenumber = np.pi / np.mean(np.diff(crossings))
     print(f"criterion 6: e-folding {efold:.6f}, wavenumber {wavenumber:.6f}")
     assert efold == pytest.approx(0.37, abs=1e-3)
     assert wavenumber == pytest.approx(3.818, abs=1e-3)
 
-    env = envelope_profile(280.0, -280.0, (0.0, 100.0), num=101)
+    _, env = envelope_profile(280.0, -280.0, (0.0, 100.0), num=101)
     direct0 = np.exp(-(((0.0 - np.sqrt(2) * -280.0) / 280.0) ** 2))
     direct100 = np.exp(-(((100.0 - np.sqrt(2) * -280.0) / 280.0) ** 2))
-    assert env.values[0] == pytest.approx(direct0, abs=1e-12)
-    assert env.values[-1] == pytest.approx(direct100, abs=1e-12)
+    assert env[0] == pytest.approx(direct0, abs=1e-12)
+    assert env[-1] == pytest.approx(direct100, abs=1e-12)
 
 
 def test_criterion_07_measurement_statistics(silhouette):

@@ -31,15 +31,31 @@ def test_fidelity_identical_and_orthogonal(unit_grid):
     assert fidelity(even, odd) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "grid", [GridSpec(-16.0, 0.125, 256), GridSpec(-3.0, 0.75, 8), GridSpec(0.0, 0.5, 4096)]
+)
+def test_fidelity_of_a_state_with_itself_is_exactly_one(grid):
+    # A normalized state's squared norm is 1 only to rounding; dividing the
+    # overlap by both squared norms makes the self-fidelity exactly 1.
+    rng = np.random.default_rng(grid.n)
+    for scale in (1.0, 3.7e-5):
+        for _ in range(10):
+            amps = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+            psi = normalize(SampledWaveFunction(grid, amps))
+            assert fidelity(psi, psi) == 1.0
+            scaled = SampledWaveFunction(grid, scale * psi.amplitudes)
+            assert fidelity(scaled, scaled) == 1.0
+
+
 def test_kernel_profile_real_when_p4_zero():
-    prof = kernel_profile(0.5, 0.0, (-3.0, 3.0))
-    assert np.all(prof.imag == 0.0)
-    assert prof.real.max() == pytest.approx(1.0)
+    _, k = kernel_profile(0.5, 0.0, (-3.0, 3.0))
+    assert np.all(k.imag == 0.0)
+    assert k.real.max() == pytest.approx(1.0)
 
 
 def test_kernel_profile_zero_crossing_spacing():
-    prof = kernel_profile(1 / 5.4, 2.7, (-2.0, 2.0), num=4001)
-    re, u = prof.real, prof.u
+    u, k = kernel_profile(1 / 5.4, 2.7, (-2.0, 2.0), num=4001)
+    re = k.real
     idx = np.flatnonzero(np.diff(np.sign(re)) != 0)
     crossings = u[idx] - re[idx] * (u[idx + 1] - u[idx]) / (re[idx + 1] - re[idx])
     spacing = np.mean(np.diff(crossings))
@@ -48,23 +64,23 @@ def test_kernel_profile_zero_crossing_spacing():
 
 def test_kernel_profile_imaginary_to_real_ratio():
     # the imaginary part is about half the real peak for these parameters
-    prof = kernel_profile(1 / 5.4, 2.7, (-30.0, 70.0), num=100001)
-    ratio = np.max(np.abs(prof.imag)) / np.max(np.abs(prof.real))
+    _, k = kernel_profile(1 / 5.4, 2.7, (-30.0, 70.0), num=100001)
+    ratio = np.max(np.abs(k.imag)) / np.max(np.abs(k.real))
     assert ratio == pytest.approx(0.5235716278513092, abs=1e-6)
 
 
 def test_envelope_profile_centered():
-    prof = envelope_profile(2.0, 0.0, (-4.0, 4.0), num=801)
-    mid = np.argmin(np.abs(prof.x))
-    assert prof.values[mid] == pytest.approx(1.0)
+    x, env = envelope_profile(2.0, 0.0, (-4.0, 4.0), num=801)
+    mid = np.argmin(np.abs(x))
+    assert env[mid] == pytest.approx(1.0)
 
 
 def test_envelope_profile_offset_anchor():
     # width 280 centred at sqrt(2)*(-280) ~ -396
-    prof = envelope_profile(280.0, -280.0, (0.0, 100.0), num=101)
-    assert prof.values[0] == pytest.approx(0.13533528323661262, abs=1e-12)
-    assert prof.values[-1] == pytest.approx(0.04338230825147612, abs=1e-12)
-    assert prof.values[-1] / prof.values[0] == pytest.approx(
+    _, env = envelope_profile(280.0, -280.0, (0.0, 100.0), num=101)
+    assert env[0] == pytest.approx(0.13533528323661262, abs=1e-12)
+    assert env[-1] == pytest.approx(0.04338230825147612, abs=1e-12)
+    assert env[-1] / env[0] == pytest.approx(
         0.3205543093712593, abs=1e-9
     )
 
@@ -79,7 +95,7 @@ def test_run_sweep_single_ideal_scenario(unit_grid):
                 MeasurementOutcome(0.0, 0.0),
             )
         ],
-        psi,
+        lambda grid: psi,
     )
     row = report.by_label("ideal")
     assert row.fidelity == pytest.approx(1.0, abs=1e-9)
@@ -87,13 +103,48 @@ def test_run_sweep_single_ideal_scenario(unit_grid):
     assert row.regime == "Ideal"
 
 
+def test_run_sweep_runs_each_scenario_on_its_load_as_it_is(unit_grid):
+    # the grid-less scenario gets load(None), the other load(its grid); the
+    # Ideal channel hands its input back, so each row's output is that state
+    psi = gaussian_packet(unit_grid, 0.3, 1.2)
+    own = GridSpec(-16.0, 0.0625, 512)
+    placed = gaussian_packet(own, 0.3, 1.2)
+    asked = []
+
+    def load(grid):
+        asked.append(grid)
+        return psi if grid is None else placed
+
+    ideal = SqueezingParams(IDEAL, IDEAL)
+    report = run_sweep(
+        [
+            Scenario("run", ideal, MeasurementOutcome(0.0, 0.0)),
+            Scenario("own", ideal, MeasurementOutcome(0.0, 0.0), own),
+        ],
+        load,
+    )
+    assert asked == [None, own]
+    assert report.by_label("run").output is psi
+    assert report.by_label("own").output is placed
+    assert report.by_label("run").fidelity == report.by_label("own").fidelity == 1.0
+
+
+def test_run_sweep_refuses_an_input_on_another_grid(unit_grid):
+    # a load that ignores its argument must not run silently on the wrong grid
+    psi = gaussian_packet(unit_grid, 0.0, 1.0)
+    own = GridSpec(-8.0, 0.0625, 256)
+    scenario = Scenario("own", SqueezingParams(IDEAL, IDEAL), MeasurementOutcome(0, 0), own)
+    with pytest.raises(ValueError, match="scenario 'own': the input was placed on"):
+        run_sweep([scenario], lambda grid: psi)
+
+
 def test_run_sweep_empty_and_duplicate_labels(unit_grid):
     psi = gaussian_packet(unit_grid, 0.0, 1.0)
     with pytest.raises(EmptyScenarioListError):
-        run_sweep([], psi)
+        run_sweep([], lambda grid: psi)
     scn = Scenario("a", SqueezingParams(IDEAL, IDEAL), MeasurementOutcome(0, 0))
     with pytest.raises(ValueError):
-        run_sweep([scn, scn], psi)
+        run_sweep([scn, scn], lambda grid: psi)
 
 
 def test_run_sweep_records_failures_per_row(unit_grid):
@@ -106,7 +157,7 @@ def test_run_sweep_records_failures_per_row(unit_grid):
             MeasurementOutcome(0.05, 0.0),
         ),
     ]
-    report = run_sweep(scenarios, psi)
+    report = run_sweep(scenarios, lambda grid: psi)
     assert not report.by_label("good").failed
     bad = report.by_label("annihilated")
     assert bad.failed and "ZeroNorm" in bad.error
@@ -120,8 +171,8 @@ def test_run_sweep_reruns_identically():
         Scenario("s", SqueezingParams(0.5, 2.0), SampleWithSeed(17)),
         Scenario("t", SqueezingParams(0.7, 2.4), SampleWithSeed(18)),
     ]
-    r1 = run_sweep(scenarios, psi)
-    r2 = run_sweep(scenarios, psi)
+    r1 = run_sweep(scenarios, lambda grid: psi)
+    r2 = run_sweep(scenarios, lambda grid: psi)
     assert [row.label for row in r1.rows] == ["s", "t"]
     for a, b in zip(r1.rows, r2.rows):
         assert not a.failed
@@ -139,7 +190,7 @@ def test_sample_with_fixed_coordinate(unit_grid):
             SampleWithSeed(17, fixed_x3=0.25),
         )
     ]
-    row = run_sweep(scenarios, psi).rows[0]
+    row = run_sweep(scenarios, lambda grid: psi).rows[0]
     assert row.x3 == 0.25
     assert row.p4 != 0.0
 
@@ -149,7 +200,7 @@ def test_run_sweep_refuses_an_unseeded_draw(unit_grid):
     psi = gaussian_packet(unit_grid, 0.5, 1.0)
     scenario = Scenario("unseeded", SqueezingParams(0.5, 2.0), SampleWithSeed(None))
     with pytest.raises(ValueError, match="needs a seed"):
-        run_sweep([scenario], psi)
+        run_sweep([scenario], lambda grid: psi)
 
 
 def test_fidelity_monotone_in_squeezing(unit_grid):
@@ -188,7 +239,7 @@ def test_report_moments_populated(unit_grid):
     psi = gaussian_packet(unit_grid, 0.4, 1.1)
     report = run_sweep(
         [Scenario("c", SqueezingParams(0.6, IDEAL), MeasurementOutcome(0.0, 1.0))],
-        psi,
+        lambda grid: psi,
     )
     row = report.rows[0]
     assert row.input_moments is not None

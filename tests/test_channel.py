@@ -38,7 +38,7 @@ from cvteleport.channel import (
     envelope,
 )
 
-from conftest import convolve_sampled_kernel, random_state, rel_l2
+from conftest import closed_form_teleport, convolve_sampled_kernel, random_state, rel_l2
 
 SQRT2 = np.sqrt(2.0)
 
@@ -254,6 +254,34 @@ def test_general_matches_dense_quadrature(sa, sb, outcome, grid, packet):
     out = MeasurementOutcome(*outcome)
     reference = _dense_quadrature(psi, sa, sb, out)
     assert rel_l2(reference, teleport(psi, General(sa, sb), out)) <= 1e-12
+
+
+@pytest.mark.parametrize("dx", [0.5, 0.25, 0.125])
+@pytest.mark.parametrize(
+    "regime, x3, p4",
+    [
+        (General(1.0, 2.0), 0.5, 0.3),
+        (General(3.0, 1.0), 0.5, 0.3),  # the Hankel branch
+        (General(2.0, 60.0), 0.5, 0.3),
+        (ConvolutionOnly(0.7), 0.5, 0.3),
+        (MultiplicationOnly(8.4), 0.5, 0.3),
+        (MultiplicationOnly(8.4), 4.2, 0.3),
+        (MultiplicationOnly(8.4), 33.0, 0.3),
+    ],
+    ids=["a<b", "hankel", "wide-b", "conv", "mult", "mult-4.2", "mult-33"],
+)
+def test_teleport_matches_the_closed_form_gaussian(dx, regime, x3, p4):
+    # A chirp-free Gaussian with a kick through every regime at outcomes
+    # where the output is well conditioned; the worst measured miss is
+    # 6.8e-15 (ConvolutionOnly, dx 0.125).  General(2, 60) at (4.2, 2.7)
+    # misses by 1.3 on every dx: the input's spectrum at sqrt(2)*p4 is
+    # rounding noise there (ROADMAP item 7), so it is not tested here.
+    mu, w, k0 = 3.0, 6.0, 0.4
+    grid = GridSpec(-128.0, dx, int(256.0 / dx))
+    x = grid.points
+    psi = normalize(SampledWaveFunction(grid, np.exp(-((x - mu) ** 2) / (4 * w**2) + 1j * k0 * x)))
+    exact = closed_form_teleport(grid, mu, w, k0, regime.sigma_a, regime.sigma_b, x3, p4)
+    assert rel_l2(exact, teleport(psi, regime, MeasurementOutcome(x3, p4))) <= 1e-14
 
 
 def _apply_kernel_over_every_tap(psi, sigma_a, sigma_b, outcome):

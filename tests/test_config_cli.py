@@ -515,6 +515,100 @@ def test_cli_grid_override(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: grid '{huge}' has"), argv
 
 
+def test_cli_scenario_grid_runs_the_file_placed_on_that_grid(tmp_path, monkeypatch):
+    # The run's grid is -512:512:1024.  The scenario at -256:256:1024 runs
+    # load_signal on its own grid bit for bit (a resample of the run's
+    # samples missed it by 0.0324 relative L2); the grid-less one runs the
+    # state the runner loaded, that object itself.
+    from cvteleport import ConvolutionOnly, MeasurementOutcome, analysis, runner, teleport
+    from cvteleport.signals import bundled_silhouette_path, load_signal
+
+    loaded, ran = [], {}
+
+    def spy_load(path, grid):
+        loaded.append(load_signal(path, grid))
+        return loaded[-1]
+
+    def spy_teleport(psi, regime, outcome):
+        ran[type(regime).__name__] = psi
+        return teleport(psi, regime, outcome)
+
+    monkeypatch.setattr(runner, "load_signal", spy_load)
+    monkeypatch.setattr(analysis, "teleport", spy_teleport)
+    out = tmp_path / "out"
+    text = (
+        f"input = bundled:silhouette\ngrid = -512:512:1024\noutput_dir = {out}\n"
+        "\n[scenario]\nlabel = own\nsigma_a = 0.5\nsigma_b = ideal\nx3 = 0\np4 = 0.3\n"
+        "grid = -256:256:1024\n"
+        "\n[scenario]\nlabel = plain\nsigma_a = ideal\nsigma_b = 8.4\nx3 = 35\np4 = 0\n"
+    )
+    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    own = parse_grid("-256:256:1024")
+    assert [state.grid for state in loaded] == [parse_grid("-512:512:1024"), own]
+    assert ran["MultiplicationOnly"] is loaded[0]
+    placed = load_signal(bundled_silhouette_path(), own)
+    assert np.array_equal(ran["ConvolutionOnly"].amplitudes, placed.amplitudes)
+    x, re, im = np.loadtxt(out / "own_teleported.txt", unpack=True)
+    want = teleport(placed, ConvolutionOnly(0.5), MeasurementOutcome(0.0, 0.3))
+    assert np.array_equal(x, own.points)
+    assert np.array_equal(re + 1j * im, want.amplitudes)
+    # the sweep itself places nothing
+    assert not {"resample", "place_samples", "normalize"} & set(vars(analysis))
+
+
+def test_cli_scenario_grid_that_cuts_the_signal_fails_by_name(tmp_path, caplog):
+    # The silhouette spans [0, 100]; a scenario grid from 50 once ran its
+    # right half alone, resampled from the run's grid, at fidelity 1.0.  The
+    # failed row still names its fixed outcome.
+    out = tmp_path / "out"
+    text = (
+        f"input = bundled:silhouette\ngrid = -256:256:1024\noutput_dir = {out}\n"
+        "\n[scenario]\nlabel = cut\nsigma_a = ideal\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
+        "grid = 50:306:512\n"
+    )
+    assert main(["run", str(write_config(tmp_path, text))]) == 2
+    assert (
+        "scenario cut failed: GridTooNarrowError: signal spans [0, 100] but the grid "
+        "covers [50, 305.5]"
+    ) in caplog.text
+    assert (out / "report.csv").read_text().splitlines()[1] == "cut,ideal,ideal,0.0,0.0,nan,nan"
+
+
+def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
+    # A fixed p4 of 1e300 lies beyond the input's band, smoothed, so its
+    # density row is 0: once a 1e298-MB OutcomeTooLargeError that blamed the
+    # grid.  A fixed x3 of 1e300 once overflowed squaring its window
+    # distance.  Each now fails its row with ZeroNormError, warning-free.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    scenarios = [
+        ("far_p4_ideal_b", "ideal", "sample", "1e300"),
+        ("far_p4", "8.4", "sample", "1e300"),
+        ("far_x3", "8.4", "1e300", "sample"),
+    ]
+    text = f"input = bundled:silhouette\ngrid = -256:256:1024\noutput_dir = {out}\n"
+    for label, sigma_b, x3, p4 in scenarios:
+        text += (
+            f"\n[scenario]\nlabel = {label}\nsigma_a = 0.185\nsigma_b = {sigma_b}\n"
+            f"x3 = {x3}\np4 = {p4}\n"
+        )
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cvteleport.cli", "run",
+         str(write_config(tmp_path, text))],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [
+        f"scenario {label} failed: ZeroNormError: outcome density vanished on the outcome grid"
+        for label, *_ in scenarios
+    ]
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [label for label, *_ in scenarios]
+    assert all(row.endswith(",nan,nan") for row in rows)
+
+
 def test_cli_extreme_widths_fail_their_sampled_scenarios(tmp_path, caplog):
     # Widths whose squares or inverse squares overflow give an outcome spread
     # no grid can tabulate: each such sampled scenario is a failed row, the
@@ -590,10 +684,9 @@ def test_cli_kernel_and_envelope_outputs(tmp_path):
     assert lines[0] == "u,real,imag"
     u, re, im = map(float, lines[1].split(","))
     assert u == -3.0
-    prof = kernel_profile(0.185185, 2.7, (-3.0, 3.0))
+    us, k = kernel_profile(0.185185, 2.7, (-3.0, 3.0))
     assert lines[1:] == [
-        f"{float(u)!r},{float(re)!r},{float(im)!r}"
-        for u, re, im in zip(prof.u, prof.real, prof.imag)
+        f"{float(u)!r},{float(re)!r},{float(im)!r}" for u, re, im in zip(us, k.real, k.imag)
     ]
 
     ecsv = tmp_path / "e.csv"
@@ -604,8 +697,8 @@ def test_cli_kernel_and_envelope_outputs(tmp_path):
     assert lines[0] == "x,value"
     x0, v0 = map(float, lines[1].split(","))
     assert v0 == pytest.approx(np.exp(-((0 + np.sqrt(2) * 280.0) / 280.0) ** 2))
-    prof = envelope_profile(280.0, -280.0, (0.0, 100.0))
-    assert lines[1:] == [f"{float(x)!r},{float(v)!r}" for x, v in zip(prof.x, prof.values)]
+    xs, env = envelope_profile(280.0, -280.0, (0.0, 100.0))
+    assert lines[1:] == [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, env)]
 
 
 def test_cli_kernel_of_a_tiny_width_is_exact_without_a_warning(tmp_path):
@@ -652,7 +745,7 @@ def test_cli_image_run(tmp_path):
     assert (out / "report.csv").read_text().splitlines() == [
         "label,sigma_a,sigma_b,x3,p4,fidelity,l2_distortion",
         "ideal,ideal,ideal,0.0,0.0,1.0,",
-        "blur,1.2,ideal,0.0,0.4,0.9212757265143381,",
+        "blur,1.2,ideal,0.0,0.4,0.9212757265143382,",
         "spill,20.0,ideal,0.0,0.0,nan,",
     ]
     assert not (out / "spill.pgm").exists()

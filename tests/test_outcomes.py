@@ -428,7 +428,11 @@ def test_outcome_density_over_budget_fails_before_allocating():
         Scenario("too_big", SqueezingParams(1e-5, 1e-5), draw),
         Scenario("fits", SqueezingParams(5.0, 5.0), draw, GridSpec(-256.0, 0.5, 1024)),
     ]
-    report = run_sweep(scenarios, psi)
+    # as `teleport run` does: a scenario grid gets the file placed on that grid
+    report = run_sweep(
+        scenarios,
+        lambda grid: psi if grid is None else load_signal(bundled_silhouette_path(), grid),
+    )
     assert report.by_label("too_big").error.startswith("OutcomeTooLargeError: ")
     assert not report.by_label("fits").failed
 
