@@ -26,7 +26,6 @@ from .errors import (
     OutcomeTooLargeError,
     ParseError,
     SentinelNotMaterializableError,
-    ShiftOffGridError,
     TeleportError,
     UnsupportedFormatError,
     ZeroNormError,
@@ -40,20 +39,13 @@ from .grid import (
     moments,
     normalize,
     resample,
-    shift_p,
-    shift_x,
     to_momentum,
-    to_position,
 )
 from .optics import (
     IDEAL,
     SqueezingParams,
     TwoModeState,
-    beam_splitter,
-    epr_from_beam_splitter,
     epr_state,
-    product_state,
-    squeezed_vacuum,
 )
 from .analysis import (
     FidelityReport,

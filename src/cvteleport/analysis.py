@@ -110,12 +110,15 @@ class ScenarioResult:
 
     @classmethod
     def of(cls, scenario: Scenario, **fields) -> ScenarioResult:
-        """A row naming the scenario, its regime, widths and fixed outcome; the
-        rest from ``fields``.  A sampled outcome is filled in once drawn."""
+        """A row naming the scenario, its regime, widths and fixed or pinned
+        outcome coordinates; the rest from ``fields``.  A sampled coordinate is
+        filled in once drawn."""
         params, outcome = scenario.params, scenario.outcome
         regime = type(regime_for(params)).__name__
         if isinstance(outcome, MeasurementOutcome):
             fields = {"x3": outcome.x3, "p4": outcome.p4, **fields}
+        else:
+            fields = {"x3": outcome.fixed_x3, "p4": outcome.fixed_p4, **fields}
         return cls(scenario.label, regime, params.sigma_a, params.sigma_b, **fields)
 
     @property

@@ -13,10 +13,6 @@ class GridMismatchError(TeleportError):
     """Two sampled objects live on incompatible grids."""
 
 
-class ShiftOffGridError(TeleportError):
-    """A position shift would push significant probability mass off the grid."""
-
-
 class GridTooNarrowError(TeleportError):
     """The grid span cannot hold the requested state or operation."""
 

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    ShiftOffGridError,
-    ZeroNormError,
-)
+from .errors import GridMismatchError, ZeroNormError
 
 _TWO_PI = 2.0 * np.pi
 
@@ -75,12 +71,6 @@ class GridSpec:
         """The zero-centred momentum lattice determined by this grid."""
         dp = self.dp
         return GridSpec(x_min=-(self.n // 2) * dp, dx=dp, n=self.n)
-
-    def is_conjugate_of(self, other: "GridSpec") -> bool:
-        return (
-            self.n == other.n
-            and abs(self.dx * other.dx * self.n / _TWO_PI - 1.0) < 1e-12
-        )
 
 
 class SampledWaveFunction:
@@ -181,24 +171,6 @@ def to_momentum(psi: SampledWaveFunction) -> SampledWaveFunction:
     return SampledWaveFunction(psi.grid.conjugate(), amps)
 
 
-def to_position(
-    phi: SampledWaveFunction, position_grid: GridSpec | None = None
-) -> SampledWaveFunction:
-    """Position representation of a momentum-space function.
-
-    ``position_grid`` may be any grid conjugate to ``phi``'s lattice (same n,
-    dx*dp*n = 2*pi); its origin is free because the transform carries the
-    exact exp(i*p*x) phases.  Defaults to the zero-centred choice.
-    """
-    mg = phi.grid
-    if position_grid is None:
-        position_grid = mg.conjugate()
-    elif not position_grid.is_conjugate_of(mg):
-        raise GridMismatchError("target grid is not conjugate to the momentum grid")
-    amps = _position_transform_along(phi.amplitudes, mg, position_grid, axis=0)
-    return SampledWaveFunction(position_grid, amps)
-
-
 def moments(psi: SampledWaveFunction) -> MomentSummary:
     """Position and momentum means/spreads plus the support length.
 
@@ -228,46 +200,6 @@ def moments(psi: SampledWaveFunction) -> MomentSummary:
     var_p = float(np.dot((ps - mean_p) ** 2, rho_p))
     std_p = float(np.sqrt(max(var_p, 0.0)))
     return MomentSummary(mean_x, std_x, support_length, mean_p, std_p)
-
-
-def shift_x(psi: SampledWaveFunction, s: float) -> SampledWaveFunction:
-    """Translate by a whole number of bins (s must sit on the dx lattice).
-
-    Vacated bins are zero-filled.  Raises ShiftOffGridError when more than
-    1e-4 of the probability mass would fall off the grid; sub-bin shifts are
-    rejected (apply a momentum-representation phase instead).
-    """
-    ratio = s / psi.grid.dx
-    k = int(round(ratio))
-    if abs(ratio - k) > 1e-9:
-        raise ValueError(
-            f"shift {s!r} is not a whole number of grid bins (dx={psi.grid.dx!r})"
-        )
-    amps = psi.amplitudes
-    if k == 0:
-        return SampledWaveFunction(psi.grid, amps)
-    total = np.sum(np.abs(amps) ** 2)
-    if total > 0.0:
-        lost = np.sum(np.abs(amps[-k:]) ** 2) if k > 0 else np.sum(np.abs(amps[:-k]) ** 2)
-        if lost / total > 1e-4:
-            raise ShiftOffGridError(
-                f"shift by {s:g} would move {lost / total:.3g} of the mass off the grid"
-            )
-    out = np.zeros_like(amps)
-    if k > 0:
-        out[k:] = amps[:-k]
-    else:
-        out[:k] = amps[-k:]
-    return SampledWaveFunction(psi.grid, out)
-
-
-def shift_p(psi: SampledWaveFunction, q: float) -> SampledWaveFunction:
-    """Momentum boost: multiply the amplitude at x by exp(i q x)."""
-    if not np.isfinite(q):
-        raise ValueError("momentum shift must be finite")
-    return SampledWaveFunction(
-        psi.grid, psi.amplitudes * np.exp(1j * q * psi.grid.points)
-    )
 
 
 def inner_product(psi: SampledWaveFunction, chi: SampledWaveFunction) -> complex:

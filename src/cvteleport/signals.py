@@ -5,7 +5,9 @@ Signal format: UTF-8 text, ``#`` comments, two or three numeric columns
 separated.  Positions must be strictly increasing with uniform spacing.
 Files written here carry 17 significant digits so save/load round trips are
 exact at double precision; momentum-space emissions add a
-``# representation: p`` header line.
+``# representation: p`` header line.  The bundled silhouette ships as such a
+file; the profile that generated it is kept in ``tests/conftest.py``, where a
+test checks that it still reproduces the asset.
 """
 
 from __future__ import annotations
@@ -123,44 +125,6 @@ def save_signal(path, psi: SampledWaveFunction, representation: str = "x") -> No
 # ---------------------------------------------------------------------------
 # Bundled silhouette asset
 # ---------------------------------------------------------------------------
-
-
-def _edge(x, a, b, w):
-    erf = np.vectorize(math.erf, otypes=[float])
-    return 0.5 * (erf((x - a) / w) - erf((x - b) / w))
-
-
-def silhouette_profile(x) -> np.ndarray:
-    """Procedural human-outline amplitude profile on [0, 100].
-
-    A standing figure seen head-first from x = 0: head and shoulders, chest,
-    a waist dip, hips, legs and feet, with small texture ripples and facial
-    notches for fine detail.  The block weights were calibrated once so the
-    normalized probability profile has mean ~50, spread ~28 and support ~100.
-    """
-    x = np.asarray(x, dtype=float)
-    y = 0.94 * _edge(x, 2.0, 26.0, 0.7)
-    y += 0.16 * np.exp(-(((x - 9.0) / 4.5) ** 2))
-    y -= 0.22 * np.exp(-(((x - 13.5) / 0.8) ** 2))  # mouth
-    y -= 0.13 * np.exp(-(((x - 19.5) / 0.9) ** 2))  # chin
-    y += (0.09 * np.sin(3.1 * x)) * _edge(x, 3.0, 13.0, 1.0)  # hair texture
-    y += 0.72 * _edge(x, 26.0, 38.0, 0.7)
-    y += 0.62 * _edge(x, 38.0, 56.0, 0.9)
-    y += 0.07 * np.exp(-(((x - 47.0) / 0.9) ** 2))  # belt
-    y += 1.15 * _edge(x, 56.0, 74.0, 0.7)
-    y += (0.07 * np.sin(2.4 * x)) * _edge(x, 58.0, 86.0, 1.0)  # fabric texture
-    y += 0.95 * _edge(x, 74.0, 92.0, 0.7)
-    y += 0.45 * _edge(x, 92.0, 99.0, 0.6)
-    return np.clip(y, 0.0, None)
-
-
-def write_silhouette_asset(path, dx: float = 0.5) -> None:
-    """Regenerate the bundled asset file (positions 0..100 step dx)."""
-    xs = np.arange(0.0, 100.0 + dx / 2, dx)
-    amps = silhouette_profile(xs)
-    head = "# bundled silhouette test signal\n"
-    head += "# real amplitude profile on [0, 100]; calibrated to mean ~50, spread ~28\n"
-    write_table(path, head, np.column_stack((xs, amps)), "%.17g %.17g\n")
 
 
 def bundled_silhouette_path() -> Path:

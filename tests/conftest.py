@@ -1,10 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from cvteleport import GridSpec, SampledWaveFunction, moments, normalize
+from cvteleport import (
+    GridMismatchError,
+    GridSpec,
+    GridTooNarrowError,
+    SampledWaveFunction,
+    SentinelNotMaterializableError,
+    SqueezingParams,
+    TwoModeState,
+    moments,
+    normalize,
+)
 from cvteleport.channel import _finish, convolution_kernel, outcome_moments
+from cvteleport.optics import _require_width
+from cvteleport.signals import write_table
+
+_SQRT2 = np.sqrt(2.0)
 
 # Every property test runs the same examples on every run: derandomized, with
 # no example database and no deadline.  A test sets only its max_examples.
@@ -105,6 +121,146 @@ def closed_form_teleport(grid, mu, w, k0, sigma_a, sigma_b, x3, p4):
         exponent = beta**2 / (4.0 * alpha) + gamma
     exponent -= exponent.real.max()
     return normalize(SampledWaveFunction(grid, np.exp(exponent)))
+
+
+# ---------------------------------------------------------------------------
+# The beam-splitter construction of the EPR resource: the reference that
+# `epr_state`'s closed form is checked against.
+#
+# The beam splitter is the quadrature substitution
+#
+#     Omega(x1, x2)  ->  Omega((x4 + x3)/sqrt(2), (x4 - x3)/sqrt(2)),
+#
+# the wave-function image of the single-photon action |1> -> (|3>+|4>)/sqrt(2),
+# |2> -> (|4>-|3>)/sqrt(2): the mode operators map as a1 = (a3+a4)/sqrt(2),
+# a2 = (a4-a3)/sqrt(2), which on quadratures reads x1 = (x4+x3)/sqrt(2),
+# x2 = (x4-x3)/sqrt(2), i.e. exactly the substitution above.  Port 2 feeds the
+# output *difference* quadrature, so shining the x-squeezed beam (width sigma_a)
+# into port 2 and the p-squeezed beam (width sigma_b) into port 1 produces the
+# x-correlated two-mode resource
+#
+#     phi(x2, x5) ~ exp(-((x2-x5)/(2 sigma_a))^2) * exp(-((x2+x5)/(2 sigma_b))^2),
+#
+# which `epr_state` evaluates directly in closed form.
+# ---------------------------------------------------------------------------
+
+
+def product_state(psi_a: SampledWaveFunction, psi_b: SampledWaveFunction) -> TwoModeState:
+    """Separable state psi_a(x_a) * psi_b(x_b)."""
+    return TwoModeState(
+        psi_a.grid, psi_b.grid, np.outer(psi_a.amplitudes, psi_b.amplitudes)
+    )
+
+
+def beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeState:
+    """Balanced beam splitter as a coordinate-rotation resampling.
+
+    The output value at (y1, y2) is the input evaluated at
+    ((y2+y1)/sqrt(2), (y2-y1)/sqrt(2)) by bilinear interpolation, zero outside
+    the grid.  Requires identical square grids on both modes so the rotated
+    coordinates land on the common lattice; norm is preserved to the
+    interpolation error (O(dx^2) for smooth states).
+    """
+    if state.grid_a != state.grid_b:
+        raise GridMismatchError("beam splitter needs identical grids on both modes")
+    g = state.grid_a
+    xs = g.points
+    Y1, Y2 = np.meshgrid(xs, xs, indexing="ij")
+    if inverse:
+        a, b = (Y1 - Y2) / _SQRT2, (Y1 + Y2) / _SQRT2
+    else:
+        a, b = (Y2 + Y1) / _SQRT2, (Y2 - Y1) / _SQRT2
+    return TwoModeState(g, g, _bilinear(state.amplitudes, xs, a, b))
+
+
+def _bilinear(values: np.ndarray, xs: np.ndarray, a, b) -> np.ndarray:
+    """Bilinear lookup of ``values`` on the lattice xs x xs at (a, b); zero outside."""
+    dx = xs[1] - xs[0]
+    ia = np.clip(np.floor((a - xs[0]) / dx).astype(np.intp), 0, xs.size - 2)
+    ib = np.clip(np.floor((b - xs[0]) / dx).astype(np.intp), 0, xs.size - 2)
+    ta = (a - xs[ia]) / dx
+    tb = (b - xs[ib]) / dx
+    lo = (1.0 - tb) * values[ia, ib] + tb * values[ia, ib + 1]
+    hi = (1.0 - tb) * values[ia + 1, ib] + tb * values[ia + 1, ib + 1]
+    inside = (a >= xs[0]) & (a <= xs[-1]) & (b >= xs[0]) & (b <= xs[-1])
+    return np.where(inside, (1.0 - ta) * lo + ta * hi, 0.0)
+
+
+def squeezed_vacuum(sigma: float, grid: GridSpec) -> SampledWaveFunction:
+    """Squeezed-vacuum Gaussian pi^(-1/4) sigma^(-1/2) exp(-x^2/(2 sigma^2)).
+
+    Position spread is sigma/sqrt(2) and momentum spread 1/(sigma*sqrt(2)).
+    The grid must span at least 12 sigma so the tails fit.
+    """
+    _require_width("sigma", sigma)
+    if grid.span < 12.0 * sigma:
+        raise GridTooNarrowError(
+            f"span {grid.span:g} cannot hold a width-{sigma:g} squeezed state "
+            f"(needs >= {12.0 * sigma:g})"
+        )
+    xs = grid.points
+    amps = np.exp(-(xs**2) / (2.0 * sigma**2)) / (np.pi**0.25 * np.sqrt(sigma))
+    return normalize(SampledWaveFunction(grid, amps))
+
+
+def epr_from_beam_splitter(params: SqueezingParams, grid: GridSpec) -> TwoModeState:
+    """EPR resource built physically: squeezed beams through the beam splitter.
+
+    The wide (p-squeezed, sigma_b) beam enters port 1 and the narrow
+    (x-squeezed, sigma_a) beam enters port 2, so the output difference
+    quadrature is squeezed and the result matches :func:`epr_state` up to
+    interpolation error.
+    """
+    if params.a_is_ideal or params.b_is_ideal:
+        raise SentinelNotMaterializableError(
+            "ideal squeezing limits have no grid representation"
+        )
+    wide = squeezed_vacuum(params.sigma_b, grid)
+    narrow = squeezed_vacuum(params.sigma_a, grid)
+    return beam_splitter(product_state(wide, narrow)).normalized()
+
+
+# ---------------------------------------------------------------------------
+# The generator of the bundled silhouette asset
+# ---------------------------------------------------------------------------
+
+
+def _edge(x, a, b, w):
+    erf = np.vectorize(math.erf, otypes=[float])
+    return 0.5 * (erf((x - a) / w) - erf((x - b) / w))
+
+
+def silhouette_profile(x) -> np.ndarray:
+    """Procedural human-outline amplitude profile on [0, 100].
+
+    A standing figure seen head-first from x = 0: head and shoulders, chest,
+    a waist dip, hips, legs and feet, with small texture ripples and facial
+    notches for fine detail.  The block weights were calibrated once so the
+    normalized probability profile has mean ~50, spread ~28 and support ~100.
+    """
+    x = np.asarray(x, dtype=float)
+    y = 0.94 * _edge(x, 2.0, 26.0, 0.7)
+    y += 0.16 * np.exp(-(((x - 9.0) / 4.5) ** 2))
+    y -= 0.22 * np.exp(-(((x - 13.5) / 0.8) ** 2))  # mouth
+    y -= 0.13 * np.exp(-(((x - 19.5) / 0.9) ** 2))  # chin
+    y += (0.09 * np.sin(3.1 * x)) * _edge(x, 3.0, 13.0, 1.0)  # hair texture
+    y += 0.72 * _edge(x, 26.0, 38.0, 0.7)
+    y += 0.62 * _edge(x, 38.0, 56.0, 0.9)
+    y += 0.07 * np.exp(-(((x - 47.0) / 0.9) ** 2))  # belt
+    y += 1.15 * _edge(x, 56.0, 74.0, 0.7)
+    y += (0.07 * np.sin(2.4 * x)) * _edge(x, 58.0, 86.0, 1.0)  # fabric texture
+    y += 0.95 * _edge(x, 74.0, 92.0, 0.7)
+    y += 0.45 * _edge(x, 92.0, 99.0, 0.6)
+    return np.clip(y, 0.0, None)
+
+
+def write_silhouette_asset(path, dx: float = 0.5) -> None:
+    """Regenerate the bundled asset file (positions 0..100 step dx)."""
+    xs = np.arange(0.0, 100.0 + dx / 2, dx)
+    amps = silhouette_profile(xs)
+    head = "# bundled silhouette test signal\n"
+    head += "# real amplitude profile on [0, 100]; calibrated to mean ~50, spread ~28\n"
+    write_table(path, head, np.column_stack((xs, amps)), "%.17g %.17g\n")
 
 
 def pytest_configure(config):

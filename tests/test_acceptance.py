@@ -24,7 +24,6 @@ from cvteleport import (
     Scenario,
     SqueezingParams,
     envelope_profile,
-    epr_from_beam_splitter,
     epr_state,
     fidelity,
     gaussian_packet,
@@ -41,7 +40,7 @@ from cvteleport import (
 from cvteleport.channel import outcome_moments
 from cvteleport.cli import main
 
-from conftest import random_state, rel_l2
+from conftest import epr_from_beam_splitter, random_state, rel_l2
 
 G_DEFAULT = GridSpec(-256.0, 0.5, 1024)
 G_WIDE = GridSpec(-4096.0, 0.5, 16384)

@@ -25,7 +25,6 @@ from cvteleport import (
     normalize,
     oracle_teleport,
     regime_for,
-    squeezed_vacuum,
     teleport,
     to_momentum,
     validate_span,
@@ -38,7 +37,13 @@ from cvteleport.channel import (
     envelope,
 )
 
-from conftest import closed_form_teleport, convolve_sampled_kernel, random_state, rel_l2
+from conftest import (
+    closed_form_teleport,
+    convolve_sampled_kernel,
+    random_state,
+    rel_l2,
+    squeezed_vacuum,
+)
 
 SQRT2 = np.sqrt(2.0)
 

@@ -604,9 +604,12 @@ def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
         f"scenario {label} failed: ZeroNormError: outcome density vanished on the outcome grid"
         for label, *_ in scenarios
     ]
-    rows = (out / "report.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == [label for label, *_ in scenarios]
-    assert all(row.endswith(",nan,nan") for row in rows)
+    # each failed row still names the coordinate it pinned
+    assert (out / "report.csv").read_text().splitlines()[1:] == [
+        "far_p4_ideal_b,0.185,ideal,,1e+300,nan,nan",
+        "far_p4,0.185,8.4,,1e+300,nan,nan",
+        "far_x3,0.185,8.4,1e+300,,nan,nan",
+    ]
 
 
 def test_cli_extreme_widths_fail_their_sampled_scenarios(tmp_path, caplog):
@@ -892,3 +895,19 @@ def test_keys_that_cannot_take_effect_are_refused(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith(f"error: {key} applies to "), argv
+
+
+def test_readme_api_sketch_runs_and_matches_the_oracle(tmp_path):
+    # The README's Python API sketch runs as printed, warning-free, so a
+    # public name it uses cannot be removed or renamed unnoticed.
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    sketch = re.search(r"## Python API sketch\n.*?```python\n(.*?)```", readme, re.S)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", sketch.group(1)],
+        env=env, capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.split()[-1]) <= 1e-6

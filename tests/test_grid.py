@@ -5,18 +5,19 @@ from cvteleport import (
     GridMismatchError,
     GridSpec,
     SampledWaveFunction,
-    ShiftOffGridError,
     ZeroNormError,
     gaussian_packet,
     inner_product,
     moments,
     normalize,
-    shift_p,
-    shift_x,
     to_momentum,
-    to_position,
 )
-from cvteleport.grid import evaluate_bandlimited, place_samples, resample
+from cvteleport.grid import (
+    _position_transform_along,
+    evaluate_bandlimited,
+    place_samples,
+    resample,
+)
 
 from conftest import random_state, rel_l2
 
@@ -104,15 +105,11 @@ def test_round_trip_and_parseval(rng):
     for _ in range(100):
         psi = random_state(g, rng)
         phi = to_momentum(psi)
-        back = to_position(phi, g)
+        back = SampledWaveFunction(
+            g, _position_transform_along(phi.amplitudes, phi.grid, g, axis=0)
+        )
         assert rel_l2(psi, back) < 1e-10
         assert abs(psi.norm() - phi.norm()) < 1e-10
-
-
-def test_to_position_grid_mismatch(unit_grid):
-    phi = to_momentum(gaussian_packet(unit_grid, 0.0, 1.0))
-    with pytest.raises(GridMismatchError):
-        to_position(phi, GridSpec(-16.0, 0.25, 256))
 
 
 def test_moments_gaussian(unit_grid):
@@ -125,6 +122,11 @@ def test_moments_gaussian(unit_grid):
     assert m.mean_p == pytest.approx(0.0, abs=1e-9)
 
 
+def test_moments_mean_p_of_a_moving_packet(unit_grid):
+    m = moments(gaussian_packet(unit_grid, 0.0, 1.1, momentum=0.9))
+    assert m.mean_p == pytest.approx(0.9, abs=1e-6)
+
+
 def test_moments_single_spike():
     g = GridSpec(0.0, 0.5, 16)
     amps = np.zeros(16)
@@ -132,49 +134,6 @@ def test_moments_single_spike():
     m = moments(normalize(SampledWaveFunction(g, amps)))
     assert m.mean_x == pytest.approx(3.0)
     assert m.support_length == pytest.approx(g.dx)
-
-
-def test_shift_x_identity_and_translation(unit_grid):
-    psi = gaussian_packet(unit_grid, 0.0, 1.0)
-    assert rel_l2(shift_x(psi, 0.0), psi) == 0.0
-    s = 16 * unit_grid.dx
-    shifted = shift_x(psi, s)
-    m0, m1 = moments(psi), moments(shifted)
-    assert m1.mean_x == pytest.approx(m0.mean_x + s, abs=unit_grid.dx / 2)
-    assert m1.std_x == pytest.approx(m0.std_x, rel=1e-9)
-    assert abs(shifted.norm() - 1.0) < 1e-10
-
-
-def test_shift_x_off_lattice_rejected(unit_grid):
-    psi = gaussian_packet(unit_grid, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        shift_x(psi, 0.3 * unit_grid.dx)
-
-
-def test_shift_x_mass_off_grid():
-    g = GridSpec(-8.0, 0.125, 128)
-    psi = gaussian_packet(g, 5.0, 1.0)
-    with pytest.raises(ShiftOffGridError):
-        shift_x(psi, 64 * g.dx)
-
-
-def test_shift_x_parameter_scale():
-    # sqrt(2)*280 placed on an exactly commensurate lattice
-    target = np.sqrt(2.0) * 280.0
-    dx = target / 512
-    g = GridSpec(-1024 * dx, dx, 4096)
-    psi = gaussian_packet(g, 0.0, 30.0)
-    shifted = shift_x(psi, target)
-    assert moments(shifted).mean_x == pytest.approx(target, abs=dx / 2)
-
-
-def test_shift_p_fourier_translation(unit_grid):
-    q = 0.9
-    psi = gaussian_packet(unit_grid, 0.0, 1.1)
-    kicked = shift_p(psi, q)
-    assert abs(kicked.norm() - 1.0) < 1e-12
-    m = moments(kicked)
-    assert m.mean_p == pytest.approx(moments(psi).mean_p + q, abs=1e-6)
 
 
 def test_inner_product_basics(unit_grid):
@@ -197,14 +156,6 @@ def test_inner_product_shifted_gaussian_overlap(unit_grid):
     assert abs(inner_product(a, b)) == pytest.approx(
         np.exp(-(d**2) / (8 * std**2)), rel=1e-10
     )
-
-
-def test_shift_norm_preservation(rng):
-    g = GridSpec(-20.0, 40.0 / 512, 512)
-    for _ in range(20):
-        psi = random_state(g, rng)
-        assert abs(shift_x(psi, 4 * g.dx).norm() - psi.norm()) < 1e-10
-        assert abs(shift_p(psi, rng.uniform(-2, 2)).norm() - psi.norm()) < 1e-10
 
 
 def test_uncertainty_bound(rng):

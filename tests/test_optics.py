@@ -8,14 +8,12 @@ from cvteleport import (
     IDEAL,
     SentinelNotMaterializableError,
     SqueezingParams,
-    beam_splitter,
-    epr_from_beam_splitter,
     epr_state,
     gaussian_packet,
     moments,
-    product_state,
-    squeezed_vacuum,
 )
+
+from conftest import beam_splitter, epr_from_beam_splitter, product_state, squeezed_vacuum
 
 
 def test_squeezing_params_validation():

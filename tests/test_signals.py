@@ -21,11 +21,10 @@ from cvteleport.signals import (
     bundled_silhouette_path,
     load_bundled_silhouette,
     parse_signal_text,
-    write_silhouette_asset,
     write_table,
 )
 
-from conftest import rel_l2
+from conftest import rel_l2, write_silhouette_asset
 
 
 def test_round_trip_17_digits(tmp_path, unit_grid):
