@@ -217,11 +217,13 @@ def _apply_kernel(
         q = _SQRT2 * outcome.p4
         left = left * np.exp(1j * q * c)
         right = (right * np.exp(-1j * q * c))[::-1]
-    # np.convolve(right, taps) with the taps outside the band left out of the sum
-    full = np.zeros(3 * g.n - 2, dtype=np.complex128)
+    # The output is entries n-1 .. 2n-2 of the full convolution with every
+    # tap; the band's convolution sits at `start` of it and the rest is zero.
     part = np.convolve(right, taps)
-    full[start : start + part.size] = part
-    return left * full[g.n - 1 : 2 * g.n - 1]
+    out = np.zeros(g.n, dtype=np.complex128)
+    lo, hi = max(start, g.n - 1), min(start + part.size, 2 * g.n - 1)
+    out[lo - (g.n - 1) : hi - (g.n - 1)] = part[lo - start : hi - start]
+    return left * out
 
 
 @functools.lru_cache(maxsize=1)

@@ -45,9 +45,10 @@ SAMPLE = "sample"
 #: The grid of a signal run whose config and command line set none.
 DEFAULT_GRID = "-256:256:1024"
 
-#: Largest grid a config may request.  A run peaks at about 260 bytes per
-#: grid point (tracemalloc, n = 65536), so 2^21 points stay under the 1 GiB
-#: that ``channel.OUTCOME_MAX_BYTES`` allows an outcome density.
+#: Largest grid a config may request.  A run peaks at about 100 bytes per
+#: grid point (tracemalloc, one scenario of each regime, n = 65536 and
+#: 262144), so 2^21 points stay well under the 1 GiB that
+#: ``channel.OUTCOME_MAX_BYTES`` allows an outcome density.
 MAX_GRID_POINTS = 1 << 21
 
 

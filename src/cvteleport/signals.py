@@ -28,28 +28,54 @@ log = logging.getLogger(__name__)
 _ASSET_NAME = "silhouette.txt"
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file and rename; a failure leaves neither file behind."""
+#: Values formatted per block of `write_table`: whole rows, at least one.
+_BLOCK_VALUES = 4096
+
+
+def _atomic_write(path, parts) -> None:
+    """Write each bytes part of ``parts`` in turn to a temp file, then rename.
+
+    A failure, in a part or in the rename, leaves any old file as it was and
+    no temp file behind.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            for part in parts:
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_bytes(path, data: bytes) -> None:
+    _atomic_write(path, (data,))
+
+
+def atomic_write_text(path, text) -> None:
+    """Write ``text``, one str or an iterable of str parts, as UTF-8, atomically."""
+    parts = (text,) if isinstance(text, str) else text
+    _atomic_write(path, (part.encode("utf-8") for part in parts))
 
 
 def write_table(path, head: str, table, row: str) -> None:
     """Write ``head``, then ``row`` %-formatted with each row of the 2-D ``table``.
 
+    The rows are formatted, encoded and written a block of about _BLOCK_VALUES
+    values at a time, so a file's text never sits whole in memory.
     ``tolist()`` hands ``%r`` Python floats: numpy 2 scalars repr as np.float64(...).
     """
-    atomic_write_text(path, head + (row * len(table)) % tuple(table.ravel().tolist()))
+    rows = max(1, _BLOCK_VALUES // table.shape[1])
+
+    def parts():
+        yield head
+        for lo in range(0, len(table), rows):
+            block = table[lo : lo + rows]
+            yield (row * len(block)) % tuple(block.ravel().tolist())
+
+    atomic_write_text(path, parts())
 
 
 def parse_signal_text(text: str, path=None):

@@ -38,6 +38,7 @@ from cvteleport.channel import (
 )
 
 from conftest import (
+    apply_kernel_in_full_convolution,
     closed_form_teleport,
     convolve_sampled_kernel,
     random_state,
@@ -340,6 +341,37 @@ def test_kernel_band_matches_every_tap_bitwise(sigma_a, sigma_b, outcome):
     assert np.array_equal(got, want)
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@given(
+    log2_n=st.integers(3, 9),
+    dx=st.sampled_from([0.125, 0.5, 1.0]),
+    log_a=st.floats(np.log(1e-3), np.log(30.0)),
+    log_b=st.floats(np.log(1e-3), np.log(30.0)),
+    x3=st.floats(-0.6, 0.6),
+    p4=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Hankel bands wholly below and wholly above lag zero (tap index n - 1), at the
+# first and the last tap index, and past the taps, which leaves one zero tap.
+@example(log2_n=6, dx=0.5, log_a=0.0, log_b=np.log(0.05), x3=-0.2, p4=0.3, seed=1)
+@example(log2_n=6, dx=0.5, log_a=0.0, log_b=np.log(0.05), x3=0.2, p4=0.3, seed=2)
+@example(log2_n=6, dx=0.5, log_a=0.0, log_b=np.log(0.01), x3=-1 / (2 * SQRT2), p4=0.0, seed=3)
+@example(log2_n=6, dx=0.5, log_a=0.0, log_b=np.log(0.01), x3=62 / 64 / (2 * SQRT2), p4=0.0, seed=4)
+@example(log2_n=6, dx=0.5, log_a=0.0, log_b=np.log(0.01), x3=0.6, p4=0.0, seed=5)
+def test_kernel_window_matches_the_full_convolution_bitwise(
+    log2_n, dx, log_a, log_b, x3, p4, seed
+):
+    # x3 is a fraction of the span, so the Hankel band sweeps every tap index
+    n = 2**log2_n
+    g = GridSpec(-n * dx / 2.0, dx, n)
+    rng = np.random.default_rng(seed)
+    psi = SampledWaveFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    sigma_a, sigma_b = float(np.exp(log_a)), float(np.exp(log_b))
+    outcome = MeasurementOutcome(x3 * n * dx, p4)
+    got = _apply_kernel(psi, sigma_a, sigma_b, outcome)
+    want = apply_kernel_in_full_convolution(psi, sigma_a, sigma_b, outcome)
+    assert got.tobytes() == want.tobytes()
 
 
 _MEMO_CASES = [

@@ -1,6 +1,7 @@
 """Smoke test of tools/output_digest.py on one workload and one seed."""
 
 import hashlib
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -52,3 +53,12 @@ def test_output_digest_against_lists_only_what_differs(tmp_path):
         capture_output=True, text=True, timeout=240,
     )
     assert (same.returncode, same.stdout) == (0, "differ 0 of 16 entries\n")
+
+
+def test_text_change_counts_a_signed_zero_as_no_change():
+    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.text_change("0 -0\n", "0 0\n") == "field 0 column 0"
+    assert tool.text_change("1 -0 nan\n", "1 0 nan\n") == "field 0 column 0"
+    assert tool.text_change("2 -0\n", "1 0\n") == "field 0.5 column 1"

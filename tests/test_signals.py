@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,8 @@ from cvteleport import (
 )
 from cvteleport.cli import main
 from cvteleport.signals import (
+    _BLOCK_VALUES,
+    atomic_write_text,
     bundled_silhouette_path,
     load_bundled_silhouette,
     parse_signal_text,
@@ -199,6 +203,64 @@ def test_write_table_matches_per_element_formatting(tmp_path_factory, table):
     write_table(path, "", table, ",".join(["%r"] * cols) + "\n")
     want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
     assert path.read_bytes() == want.encode()
+
+
+_BLOCK_ROWS = _BLOCK_VALUES // 3  # rows of one block at 3 columns
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (0, 3), (1, 3), (_BLOCK_ROWS - 1, 3), (_BLOCK_ROWS, 3), (_BLOCK_ROWS + 1, 3),
+        (3 * _BLOCK_ROWS + 7, 3), (40, 256), (3, _BLOCK_VALUES + 904),
+    ],
+    ids=["empty", "one-row", "block-1", "block", "block+1", "blocks", "256-cols", "wide-row"],
+)
+def test_write_table_blocks_keep_every_byte(tmp_path, shape):
+    # tables that cross block edges, and rows wider than a block
+    rng = np.random.default_rng(shape[0] * 7919 + shape[1])
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    k = min(table.size, len(_EDGE_FLOATS))
+    table.flat[:k] = _EDGE_FLOATS[:k]
+    path = tmp_path / "t.txt"
+    cols = shape[1]
+    write_table(path, "# head\n", table, " ".join(["%.17g"] * cols) + "\n")
+    want = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in table)
+    assert path.read_bytes() == ("# head\n" + want).encode()
+    write_table(path, "", table, ",".join(["%r"] * cols) + "\n")
+    want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+    assert path.read_bytes() == want.encode()
+
+
+def test_write_table_memory_stays_bounded(tmp_path):
+    # 262144 x 3 values: 47.9 MB of text and its copies when formatted whole
+    table = np.random.default_rng(3).standard_normal((262144, 3))
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "t.txt", "# head\n", table, "%.17g %.17g %.17g\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+
+
+def test_streamed_write_that_fails_leaves_the_old_file(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"old bytes\n")
+
+    def parts():
+        yield "first part\n"
+        raise RuntimeError("a later part fails")
+
+    with pytest.raises(RuntimeError, match="later part"):
+        atomic_write_text(path, parts())
+    # a value %.17g cannot format, in the table's second block
+    table = np.zeros((2 * _BLOCK_ROWS, 3), dtype=object)
+    table[_BLOCK_ROWS, 1] = "text"
+    with pytest.raises(TypeError):
+        write_table(path, "# head\n", table, "%.17g %.17g %.17g\n")
+    assert path.read_bytes() == b"old bytes\n"
+    assert not list(tmp_path.glob("*.tmp-*"))
 
 
 @_SETTINGS

@@ -100,7 +100,7 @@ def text_change(mine: str, theirs: str) -> str:
                 continue
             if math.isfinite(b):
                 base_sq[column] = base_sq.get(column, 0.0) + b * b
-            if token == ref:
+            if token == ref or a == b:  # a == b: one value in two spellings, as -0 and 0
                 continue
             delta = abs(a - b)
             if not math.isfinite(delta):  # inf or nan on one side only
