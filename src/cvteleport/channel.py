@@ -14,7 +14,7 @@ Gaussian k(u) = exp(i*sqrt(2)*p4*u) * exp(-(u/(2 sigma_a))^2); ideal sigma_a
 leaves multiplication by the wide envelope exp(-((x5-sqrt(2)*x3)/sigma_b)^2).
 Each regime carries both widths, the ideal ones as class-level limits
 (sigma_a = 0, sigma_b = inf), and one function (`_apply_kernel`) evaluates
-the kernel at those widths: two Gaussian envelopes around one convolution.
+the kernel at those widths: two Gaussian envelopes around one FFT product.
 `oracle_teleport` never uses the kernel: it evolves the full three-mode state
 step by step (beam splitter, corrections, homodyne slice) on a small grid and
 is the independent reference the kernel path is tested against.
@@ -28,7 +28,6 @@ and makes the conjugate outcome coordinate improper.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, replace
 
@@ -68,11 +67,9 @@ ORACLE_MAX_POINTS = 64
 #: fig9b joint density needs about 2 MB.
 OUTCOME_MAX_BYTES = 1 << 30
 
-#: Below this exponent np.exp is exactly 0 (the smallest subnormal is e^-744.4).
-#: `_kernel_factors` evaluates the taps only above it and then flushes the
-#: tap parts that fall below the smallest normal float64 (e^-708.4) to 0, so
-#: the memoized taps the per-column sum reuses hold no subnormal operand.
-_EXP_UNDERFLOW = -746.0
+#: Momenta of a 2n window built at once: it is applied in blocks, never held
+#: whole beside the spectrum.
+_WINDOW_BLOCK = 1 << 13
 
 #: Fraction of output mass tolerated in the outermost grid bins.
 _EDGE_MASS_LIMIT = 1e-4
@@ -180,110 +177,109 @@ def teleport(
     return _finish(psi.grid, _apply_kernel(psi, sigma_a, sigma_b, outcome))
 
 
+# A tiny width sends an exponent to -inf, whose exp is the exact 0 wanted, and
+# an overflowing tilt to NaN, which the growth check below refuses.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _apply_kernel(
     psi: SampledWaveFunction, sigma_a: float, sigma_b: float, outcome: MeasurementOutcome
 ) -> np.ndarray:
-    """The kernel applied to psi: two Gaussian envelopes around one convolution.
+    """The kernel applied to psi: two Gaussian envelopes around one FFT product.
 
-    With A = 1/(4 sigma_a^2), B = 1/(4 sigma_b^2), c = x - sqrt(2)*x3 and
-    q = sqrt(2)*p4 the kernel factors exactly as
-      A >= B: exp(-2B c_x^2) exp(-(A-B)(x-v)^2 + iq(x-v)) exp(-2B c_v^2),
-      A <  B: exp(-2A c_x^2 + iq c_x) exp(-(B-A)(c_x+c_v)^2) exp(-2A c_v^2 - iq c_v);
-    no factor exceeds 1, so none underflows where the kernel does not.
-
-    sigma_b = inf (B = 0) leaves no envelope, and the middle factor is
-    ifft(fft(psi) * window) with the spectral window of `_kernel_factors`.
-    Otherwise the envelopes are formed here and the Toeplitz (Hankel on the
-    reversed input) middle factor is a direct sum over the band of taps
-    `_kernel_factors` keeps: an FFT would smear rounding over envelopes
-    spanning e^-100, and sigma_a = 0 (or far below the grid step) leaves the
-    single tap at lag 0.  The sum carries no dx or trapezoid end weights:
-    normalization absorbs the constant dx.  The factors depend on the grid,
-    the widths and the outcome only, so the columns of an image, which share
-    all of those, build them once.
+    With A = 1/(4 sigma_a^2), B = 1/(4 sigma_b^2), T = sqrt(2)*x3 and
+    q = sqrt(2)*p4, the kernel is, up to a positive constant,
+      A >= B: exp(-2B (x-c)^2) k(x-v) exp(-2B (v-T)^2 + a (v-x0)),
+              k(u) = exp(-(A-B) u^2 + (a + iq) u);
+      A <  B: exp(-2A (x-c)^2 + iq (x-x0)) m(x+v-2T)
+              * exp(-2A (v-T)^2 + a (v-x0) - iq (v-x0)),
+              m(s) = exp(-(B-A) s^2 - a s), Toeplitz on the reversed input.
+    With s = 2 min(A, B)/(A + B), c = x0 + s (T - x0) (x0 mirrored to 2T - x0
+    when A < B) is where the output of an input at x0 peaks, and the tilt
+    a = 4 min(A, B) (1 - s) (T - x0) makes up the move from T and shifts the
+    middle Gaussian.  x0 is where |psi(v)| exp(-2 (2 - s) min(A, B) (v-T)^2)
+    peaks, so the right factor (1 at x0) times |psi| grows from its value at x0
+    at most as exp(2 min(A, B) (1 - s) (v-x0)^2) however far T is; past 1/eps
+    the transform would keep no digit of the output: the outcome is void.  The
+    middle Gaussian is one FFT product on 2n points, which do not wrap, with
+    its transform as window: it is band-limited like the input, so the output
+    does not depend on whether the grid resolves sigma_a.  Wider than a tenth
+    of the span it would alias, and takes its taps' transform.  Entries below
+    eps of the largest are rounding and set to 0.  sigma_b = inf (B = 0)
+    leaves no envelope and a circular n-point product; sigma_a = 0 (A = inf)
+    leaves no transform, and x0 = T keeps the envelope absolute.
     """
     g = psi.grid
-    factors = _kernel_factors(g, sigma_a, sigma_b, outcome.x3, outcome.p4)
-    if sigma_b == np.inf:
-        return np.fft.ifft(np.fft.fft(psi.amplitudes) * factors)
-    taps, start = factors
-    sa, sb = 2.0 * sigma_a, 2.0 * sigma_b
-    c = g.points - _SQRT2 * outcome.x3
-    # A tiny width sends c / width to inf, whose exp is the exact 0 wanted.
-    with np.errstate(over="ignore"):
-        left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)  # the wider width sets both
-    right = left * psi.amplitudes
-    if sa > sb:
-        q = _SQRT2 * outcome.p4
-        left = left * np.exp(1j * q * c)
-        right = (right * np.exp(-1j * q * c))[::-1]
-    # The output is entries n-1 .. 2n-2 of the full convolution with every
-    # tap; the band's convolution sits at `start` of it and the rest is zero.
-    part = np.convolve(right, taps)
-    out = np.zeros(g.n, dtype=np.complex128)
-    lo, hi = max(start, g.n - 1), min(start + part.size, 2 * g.n - 1)
-    out[lo - (g.n - 1) : hi - (g.n - 1)] = part[lo - start : hi - start]
-    return left * out
-
-
-@functools.lru_cache(maxsize=1)
-def _kernel_factors(grid: GridSpec, sigma_a: float, sigma_b: float, x3: float, p4: float):
-    """The psi-independent factors of `_apply_kernel`, kept for the next call.
-
-    sigma_b = inf: the window exp(-sigma_a^2 (p - q)^2) in FFT order.  Input
-    and output share one grid, so the transform's phases and scales cancel
-    and the kernel is ifft(fft(psi) * window).  The window's exponent is
-    offset by its in-band minimum, so strongly off-band outcomes (huge p4,
-    tiny sigma_a) tilt the spectrum exactly instead of underflowing.
-
-    Finite sigma_b: (taps, start), the Toeplitz or Hankel taps from the first
-    to the last nonzero one, tap k sitting at index start + k of the full
-    convolution.  Their exponents are formed as -(u - w)(u + w), finite for
-    any width, and exp runs only over the lags where the real exponent is
-    above _EXP_UNDERFLOW.  Real or imaginary tap parts below the smallest
-    normal float64 are set to zero, keeping the band's length: they add
-    nothing a normal number can hold, and subnormal operands slow the sum
-    about ninefold.  The arrays are read-only.
-    """
-    q = _SQRT2 * p4
-    if sigma_b == np.inf:
-        ps = np.fft.ifftshift(grid.conjugate().points)
-        with np.errstate(over="ignore"):
-            exponent = (sigma_a * (ps - q)) ** 2
-        if exponent.min() == np.inf:  # so wide a sigma_a keeps the nearest momenta alone
-            exponent = np.where(np.abs(ps - q) == np.abs(ps - q).min(), 0.0, np.inf)
-        window = np.exp(-(exponent - exponent.min()))
-        window.setflags(write=False)
-        return window
-    n, sa, sb = grid.n, 2.0 * sigma_a, 2.0 * sigma_b
-    # x_i - v_j at tap index i - j + n - 1
-    lag = np.arange(1 - n, n) * grid.dx
-    # A tiny or zero width sends an exponent to inf, whose exp is the exact 0 wanted.
-    with np.errstate(over="ignore", divide="ignore"):
-        if sa <= sb:
-            u = np.divide(lag, sa, out=np.zeros_like(lag), where=lag != 0.0)
-            w = lag / sb
-        else:
-            # Against the reversed input, lag i - j pairs x_i with v_(n-1-j).
-            total = (grid.x_min - _SQRT2 * x3) + (grid.x_max - _SQRT2 * x3) + lag
-            u, w = total / sb, total / sa
-        exponent = -(u - w) * (u + w)
-    # Complex taps only where the real exponent leaves exp nonzero, then
-    # trimmed to the nonzero ones: MultiplicationOnly keeps one of 2n - 1.
-    live = np.flatnonzero(exponent > _EXP_UNDERFLOW)
-    start, hi = (live[0], live[-1] + 1) if live.size else (0, 1)
-    if sa <= sb:
-        taps = np.exp(exponent[start:hi] + 1j * q * lag[start:hi])
+    t, q = _SQRT2 * outcome.x3, _SQRT2 * outcome.p4
+    narrow, wide = min(sigma_a, sigma_b), max(sigma_a, sigma_b)
+    hankel = sigma_a > sigma_b
+    ratio = narrow / wide
+    share = 2.0 * ratio**2 / (1.0 + ratio**2)
+    if wide == np.inf:
+        size, right, tilt = g.n, psi.amplitudes, 0.0
     else:
-        taps = np.exp(exponent[start:hi])
-    band = np.flatnonzero(taps)
-    if band.size:  # else the output is zero and _finish raises ZeroNormError
-        taps = taps[band[0] : band[-1] + 1]
-        start += band[0]
-    parts = taps.view(np.float64)
-    parts[np.abs(parts) < np.finfo(np.float64).tiny] *= 0.0  # zeros keep their sign
-    taps.setflags(write=False)
-    return taps, start
+        size, x = 2 * g.n, g.points
+        exponent = -2.0 * ((x - t) / (2.0 * wide)) ** 2  # the envelope at T
+        x0, growth = t, 0.0
+        if sigma_a > 0.0:
+            log_psi = np.log(np.abs(psi.amplitudes))
+            peak = np.argmax(log_psi + (2.0 - share) * exponent)
+            x0 = x[peak]
+        tilt = (t - x0) / wide / wide * (1.0 - share)
+        exponent += tilt * (x - x0) + 2.0 * ((x0 - t) / (2.0 * wide)) ** 2  # 1 at x0
+        if sigma_a > 0.0:  # NaN where the envelope annihilates the state
+            growth = np.max(exponent + log_psi) - log_psi[peak]
+            del log_psi
+        if not growth <= _LOG_EPS:  # past 1/eps: the outcome is void
+            return np.zeros(g.n, dtype=np.complex128)
+        np.fmin(exponent, _LOG_EPS, out=exponent)  # exp(inf) * 0 is NaN
+        if hankel:
+            exponent = exponent - 1j * q * (x - x0)
+        right = np.exp(exponent) * psi.amplitudes
+        del exponent
+    if narrow > 0.0:
+        width = narrow / np.sqrt((1.0 - ratio) * (1.0 + ratio))
+        # On the reversed input, lag u pairs x with v = x_min + x_max - x + u:
+        # the Hankel Gaussian's argument x + v - 2T is u - lag0.
+        lag0, wave = (2.0 * t - g.x_min - g.x_max, 0.0) if hankel else (0.0, q)
+        tilt = -tilt if hankel else tilt
+        spectrum = np.fft.fft(right[::-1] if hankel else right, size)
+        del right
+        if wide < np.inf and 2.0 * width > 0.1 * g.span:
+            lag = g.dx * np.fft.fftfreq(size, 1.0 / size) - lag0
+            real = tilt * lag - (lag / (2.0 * width)) ** 2
+            taps = np.exp(real - real.max() + 1j * wave * (lag + lag0))
+            spectrum *= np.fft.fft(taps, out=taps)
+            del lag, real, taps
+        else:
+            # exp(-width^2 (p - wave)^2 - i (p - wave) shift), offset by its
+            # in-band maximum: far off band it tilts instead of underflowing
+            shift = lag0 + width * (2.0 * width * tilt)
+            p = np.arange(size, dtype=np.float64)  # fftfreq would hold an int copy
+            p[size // 2 :] -= size
+            p *= _TWO_PI / (size * g.dx)
+            p -= wave
+            nearest = np.abs(p).min()
+            floor = (width * nearest) ** 2
+            for lo in range(0, size, _WINDOW_BLOCK):
+                part = p[lo : lo + _WINDOW_BLOCK]
+                if floor == np.inf:  # the nearest momenta alone
+                    exponent = np.where(np.abs(part) == nearest, 0.0, -np.inf)
+                else:
+                    exponent = floor - (width * part) ** 2
+                if shift:
+                    exponent = exponent - 1j * shift * part
+                spectrum[lo : lo + _WINDOW_BLOCK] *= np.exp(exponent)
+            del p, part, exponent
+        # unscaled: normalization absorbs the 1/size
+        right = np.fft.ifft(spectrum, norm="forward", out=spectrum)[: g.n]
+    out = right
+    if wide < np.inf:
+        origin = 2.0 * t - x0 if hankel else x0
+        centre = origin + (t - origin) * share
+        left = -2.0 * ((x - centre) / (2.0 * wide)) ** 2
+        out = np.exp(left + 1j * q * (x - x0) if hankel else left) * right
+    magnitude = np.abs(out)
+    out[magnitude < np.finfo(np.float64).eps * magnitude.max()] = 0.0
+    return out
 
 
 def _finish(grid: GridSpec, raw: np.ndarray) -> SampledWaveFunction:

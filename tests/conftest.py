@@ -16,7 +16,7 @@ from cvteleport import (
     moments,
     normalize,
 )
-from cvteleport.channel import _finish, _kernel_factors, convolution_kernel, outcome_moments
+from cvteleport.channel import _finish, convolution_kernel, outcome_moments
 from cvteleport.optics import _require_width
 from cvteleport.signals import write_table
 
@@ -121,30 +121,6 @@ def closed_form_teleport(grid, mu, w, k0, sigma_a, sigma_b, x3, p4):
         exponent = beta**2 / (4.0 * alpha) + gamma
     exponent -= exponent.real.max()
     return normalize(SampledWaveFunction(grid, np.exp(exponent)))
-
-
-def apply_kernel_in_full_convolution(psi, sigma_a, sigma_b, outcome):
-    """`channel._apply_kernel` at finite sigma_b, built the long way round.
-
-    The band's convolution is placed at ``start`` of a zeroed array as long
-    as the full convolution with every tap (3n - 2), and the n outputs are
-    sliced out of it.
-    """
-    g = psi.grid
-    taps, start = _kernel_factors(g, sigma_a, sigma_b, outcome.x3, outcome.p4)
-    sa, sb = 2.0 * sigma_a, 2.0 * sigma_b
-    c = g.points - _SQRT2 * outcome.x3
-    with np.errstate(over="ignore"):
-        left = np.exp(-2.0 * (c / max(sa, sb)) ** 2)
-    right = left * psi.amplitudes
-    if sa > sb:
-        q = _SQRT2 * outcome.p4
-        left = left * np.exp(1j * q * c)
-        right = (right * np.exp(-1j * q * c))[::-1]
-    full = np.zeros(3 * g.n - 2, dtype=np.complex128)
-    part = np.convolve(right, taps)
-    full[start : start + part.size] = part
-    return left * full[g.n - 1 : 2 * g.n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -174,16 +174,17 @@ def test_convolution_image_regression():
 @pytest.mark.parametrize(
     "regime, digest",
     [
-        (General(2.0, 60.0), "423b4028f134305d0417755a22ff4e9ac50f0dc19fdfa5026d22716e3129c6ba"),
-        (ConvolutionOnly(2.0), "069e161976ee2452ace4d7eff6323cf6641bf0a06b281a20637ec7424612248a"),
+        (General(2.0, 60.0), "c254aaec71a7f6927b82699acbd5eb6aab62dc99aae44c91e87b7a66c389520b"),
+        (ConvolutionOnly(2.0), "8420218c0a345228a86e77e428d9a9528007084e21d3f5f34d9d93ceaa2916ac"),
     ],
     ids=["general", "convolution"],
 )
 def test_seeded_image_raw_is_frozen(regime, digest):
     # A seeded 256 x 256 image at outcome (10, 0.2): the raw |psi_tel|^2
-    # matrix.  The General digest was recorded before the kernel factors were
-    # kept between columns, the convolution one after its spectral factors
-    # became the window alone (1.3e-15 of the peak from the four-factor path).
+    # matrix.  Both digests were recorded when every regime became one FFT
+    # product with the rounding below eps of each column's peak set to 0;
+    # that moved the matrices by at most 1.2e-15 (General) and 8.8e-16
+    # (convolution) of their peak from the direct sum and the n-point window.
     rng = np.random.default_rng(1)
     img = ImageAsset(pixels=rng.integers(20, 231, (256, 256), np.uint8), maxval=255)
     result = teleport_image(img, regime, MeasurementOutcome(10.0, 0.2))
