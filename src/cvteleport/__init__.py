@@ -41,12 +41,7 @@ from .grid import (
     resample,
     to_momentum,
 )
-from .optics import (
-    IDEAL,
-    SqueezingParams,
-    TwoModeState,
-    epr_state,
-)
+from .optics import TwoModeState, epr_state
 from .analysis import (
     FidelityReport,
     SampleWithSeed,

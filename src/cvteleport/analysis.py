@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
+    KernelRegime,
     MeasurementOutcome,
     convolution_kernel,
     envelope,
-    regime_for,
     sample_outcome,
     teleport,
     validate_span,
@@ -24,7 +24,7 @@ from .grid import (
     inner_product,
     moments,
 )
-from .optics import SqueezingParams, _require_width
+from .optics import _require_width
 
 
 def fidelity(psi_in: SampledWaveFunction, psi_tel: SampledWaveFunction) -> float:
@@ -86,10 +86,10 @@ class SampleWithSeed:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One sweep entry: squeezing, an outcome (fixed or sampled), and a grid."""
+    """One sweep entry: a kernel regime, an outcome (fixed or sampled), and a grid."""
 
     label: str
-    params: SqueezingParams
+    regime: KernelRegime
     outcome: MeasurementOutcome | SampleWithSeed
     grid: GridSpec | None = None
 
@@ -98,8 +98,8 @@ class Scenario:
 class ScenarioResult:
     label: str
     regime: str
-    sigma_a: object
-    sigma_b: object
+    sigma_a: float
+    sigma_b: float
     x3: float | None = None
     p4: float | None = None
     fidelity: float = float("nan")
@@ -113,13 +113,13 @@ class ScenarioResult:
         """A row naming the scenario, its regime, widths and fixed or pinned
         outcome coordinates; the rest from ``fields``.  A sampled coordinate is
         filled in once drawn."""
-        params, outcome = scenario.params, scenario.outcome
-        regime = type(regime_for(params)).__name__
+        regime, outcome = scenario.regime, scenario.outcome
         if isinstance(outcome, MeasurementOutcome):
             fields = {"x3": outcome.x3, "p4": outcome.p4, **fields}
         else:
             fields = {"x3": outcome.fixed_x3, "p4": outcome.fixed_p4, **fields}
-        return cls(scenario.label, regime, params.sigma_a, params.sigma_b, **fields)
+        name = type(regime).__name__
+        return cls(scenario.label, name, regime.sigma_a, regime.sigma_b, **fields)
 
     @property
     def failed(self) -> bool:
@@ -167,7 +167,7 @@ def _run_one(scenario: Scenario, load) -> ScenarioResult:
     request = scenario.outcome
     if isinstance(request, SampleWithSeed) and request.seed is None:
         raise ValueError(f"scenario {scenario.label!r}: a sampled outcome needs a seed")
-    params = scenario.params
+    regime = scenario.regime
     row = ScenarioResult.of(scenario, l2_distortion=float("nan"))
     try:
         state = load(scenario.grid)
@@ -178,14 +178,14 @@ def _run_one(scenario: Scenario, load) -> ScenarioResult:
             )
         if isinstance(request, SampleWithSeed):
             outcome = sample_outcome(
-                state, params, request.seed, request.fixed_x3, request.fixed_p4
+                state, regime, request.seed, request.fixed_x3, request.fixed_p4
             )
         else:
             outcome = request
         row.x3, row.p4 = outcome.x3, outcome.p4
         row.input_moments = moments(state)
-        validate_span(state.grid, row.input_moments.support_length, outcome.x3, params.sigma_b)
-        tele = teleport(state, regime_for(params), outcome)
+        validate_span(state.grid, row.input_moments.support_length, outcome.x3, regime.sigma_b)
+        tele = teleport(state, regime, outcome)
         row.output = tele
         row.fidelity = fidelity(state, tele)
         row.l2_distortion = l2_distortion(state, tele)

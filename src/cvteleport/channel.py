@@ -38,7 +38,6 @@ from .errors import (
     IdealChannelOutcomeUnboundedError,
     OracleGridTooLargeError,
     OutcomeTooLargeError,
-    SentinelNotMaterializableError,
     ZeroNormError,
 )
 from .grid import (
@@ -51,7 +50,7 @@ from .grid import (
     moments,
     normalize,
 )
-from .optics import SqueezingParams, _require_width, epr_state
+from .optics import _require_width, epr_state
 
 log = logging.getLogger(__name__)
 
@@ -132,15 +131,21 @@ class General:
 KernelRegime = Ideal | ConvolutionOnly | MultiplicationOnly | General
 
 
-def regime_for(params: SqueezingParams) -> KernelRegime:
-    """Map squeezing parameters (with sentinels) onto the kernel regime."""
-    if params.a_is_ideal and params.b_is_ideal:
+def regime_for(sigma_a: float, sigma_b: float) -> KernelRegime:
+    """The kernel regime of the source widths sigma_a and sigma_b.
+
+    sigma_a = 0 and sigma_b = inf are the ideal limits (an infinitely
+    squeezed beam): the limits present name the regime, which carries both
+    widths as given.  Any other width must be positive and finite: a
+    negative or NaN width, sigma_a = inf or sigma_b = 0 raises ValueError.
+    """
+    if sigma_a == 0.0 and sigma_b == np.inf:
         return Ideal()
-    if params.b_is_ideal:
-        return ConvolutionOnly(params.sigma_a)
-    if params.a_is_ideal:
-        return MultiplicationOnly(params.sigma_b)
-    return General(params.sigma_a, params.sigma_b)
+    if sigma_b == np.inf:
+        return ConvolutionOnly(sigma_a)
+    if sigma_a == 0.0:
+        return MultiplicationOnly(sigma_b)
+    return General(sigma_a, sigma_b)
 
 
 def convolution_kernel(sigma_a: float, p4: float, u) -> np.ndarray:
@@ -298,14 +303,14 @@ def _finish(grid: GridSpec, raw: np.ndarray) -> SampledWaveFunction:
 
 
 def validate_span(
-    grid: GridSpec, support_length: float, x3: float, sigma_b: object
+    grid: GridSpec, support_length: float, x3: float, sigma_b: float
 ) -> None:
     """Enforce the scenario span rule before running a teleportation.
 
     The grid must satisfy span >= 2 * (support + sqrt(2)*|x3| + 6*sigma_b),
     with the envelope term dropped for an ideal (infinite) sigma_b.
     """
-    width = float(sigma_b) if np.isscalar(sigma_b) else 0.0
+    width = sigma_b if sigma_b < np.inf else 0.0
     required = 2.0 * (support_length + _SQRT2 * abs(x3) + 6.0 * width)
     if grid.span < required:
         raise GridTooNarrowError(
@@ -321,7 +326,7 @@ def validate_span(
 
 def oracle_teleport(
     psi: SampledWaveFunction,
-    params: SqueezingParams,
+    regime: General,
     outcome: MeasurementOutcome,
 ) -> SampledWaveFunction:
     """Brute-force reference: evolve the full three-mode state and condition.
@@ -334,17 +339,14 @@ def oracle_teleport(
     outcome-dependent global phase exp(i*x3*p4), and normalizes.
 
     Restricted to n <= 64 because memory and work scale as n^3; requires
-    finite squeezing on both inputs.
+    a `General` regime, finite squeezing on both inputs.
     """
     g = psi.grid
     if g.n > ORACLE_MAX_POINTS:
         raise OracleGridTooLargeError(
             f"oracle grids are limited to n <= {ORACLE_MAX_POINTS}, got {g.n}"
         )
-    if params.a_is_ideal or params.b_is_ideal:
-        raise SentinelNotMaterializableError(
-            "the full-state oracle requires finite squeezing on both inputs"
-        )
+    phi = epr_state(regime, g).amplitudes  # refuses an ideal width
     n = g.n
     xs = g.points
     ps = g.conjugate().points
@@ -358,7 +360,6 @@ def oracle_teleport(
     arg2 = ((X4 - X3) / _SQRT2).ravel()
     psi_rot = evaluate_bandlimited(psi, arg1).reshape(n, n)
 
-    phi = epr_state(params, g).amplitudes
     phi_spec = _momentum_transform_along(phi, g, axis=0)
     eval_kernel = np.exp(1j * np.multiply.outer(arg2, ps)) * (dp / np.sqrt(_TWO_PI))
     phi_rot = (eval_kernel @ phi_spec).reshape(n, n, n)
@@ -427,13 +428,13 @@ def _sample_cells(weights, rng, count):
     return np.minimum(flat, weights.size - 1)
 
 
-def outcome_moments(psi_moments, params: SqueezingParams):
+def outcome_moments(psi_moments, regime: KernelRegime):
     """Analytic means and variances of (x3, p4) from the mode decomposition."""
     var_x1 = psi_moments.std_x**2
     var_p1 = psi_moments.std_p**2
     with np.errstate(over="ignore", divide="ignore"):  # an extreme width gives inf
-        square_a = np.float64(0.0 if params.a_is_ideal else params.sigma_a) ** 2
-        square_b = np.float64(np.inf if params.b_is_ideal else params.sigma_b) ** 2
+        square_a = np.float64(regime.sigma_a) ** 2
+        square_b = np.float64(regime.sigma_b) ** 2
         var_xa, var_pa = square_a / 2.0, 1.0 / (2.0 * square_a)
         var_xb, var_pb = square_b / 2.0, 1.0 / (2.0 * square_b)
     mean_x3 = psi_moments.mean_x / _SQRT2
@@ -654,7 +655,7 @@ _MARGINAL_CELLS = 1025
 
 
 def build_outcome_distribution(
-    psi: SampledWaveFunction, params: SqueezingParams, x3=None, p4=None
+    psi: SampledWaveFunction, regime: KernelRegime, x3=None, p4=None
 ) -> OutcomeDistribution:
     """Homodyne-outcome density of every coordinate left to draw.
 
@@ -669,12 +670,11 @@ def build_outcome_distribution(
     with step 0.  A single coordinate left to draw gets _MARGINAL_CELLS cells,
     two get _JOINT_CELLS each.  Both widths ideal leave nothing to tabulate.
     """
-    regime = regime_for(params)
     if isinstance(regime, Ideal):
         raise IdealChannelOutcomeUnboundedError(
             "the ideal channel has a flat, improper outcome distribution"
         )
-    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), regime)
     proper = (regime.sigma_b < np.inf, regime.sigma_a > 0.0)
     free = [keep and value is None for keep, value in zip(proper, (x3, p4))]
     count = _JOINT_CELLS if all(free) else _MARGINAL_CELLS
@@ -699,7 +699,7 @@ def _centered_grid(mean: float, std: float, count: int):
 
 
 def sample_outcomes(
-    psi: SampledWaveFunction, params: SqueezingParams, seed: int, count: int, x3=None, p4=None
+    psi: SampledWaveFunction, regime: KernelRegime, seed: int, count: int, x3=None, p4=None
 ):
     """Draw homodyne outcomes; deterministic given the seed.
 
@@ -708,12 +708,12 @@ def sample_outcomes(
     improper coordinate that is not fixed is returned as exactly 0.0.
     """
     rng = np.random.default_rng(seed)
-    return build_outcome_distribution(psi, params, x3, p4).sample(rng, count)
+    return build_outcome_distribution(psi, regime, x3, p4).sample(rng, count)
 
 
 def sample_outcome(
-    psi: SampledWaveFunction, params: SqueezingParams, seed: int, x3=None, p4=None
+    psi: SampledWaveFunction, regime: KernelRegime, seed: int, x3=None, p4=None
 ) -> MeasurementOutcome:
     """Single outcome draw (see :func:`sample_outcomes`)."""
-    x3, p4 = sample_outcomes(psi, params, seed, 1, x3, p4)
+    x3, p4 = sample_outcomes(psi, regime, seed, 1, x3, p4)
     return MeasurementOutcome(float(x3[0]), float(p4[0]))

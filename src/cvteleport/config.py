@@ -14,14 +14,16 @@ Example::
     x3 = 0
     p4 = 180
 
-Each key appears at most once per section.  Sentinel widths are spelled
-exactly ``ideal``; an outcome coordinate may be ``sample``, and a scenario
+Each key appears at most once per section.  A width at its ideal limit,
+sigma_a = 0 or sigma_b = inf, is spelled exactly ``ideal`` (a number must be
+positive and finite); an outcome coordinate may be ``sample``, and a scenario
 ``seed`` is accepted only where one of them is.  The global ``grid`` (signal
 inputs) and ``image_mode`` (image inputs) stay unset in ``RunConfig`` unless
 given, so the runner can refuse the one its input cannot use.  The scenarios
-come back as ``analysis.Scenario`` objects: a ``MeasurementOutcome`` for fixed
-coordinates, else a ``SampleWithSeed`` whose seed, when the scenario sets
-none, the runner derives from the master seed and the scenario index.
+come back as ``analysis.Scenario`` objects: the kernel regime of the two
+widths, and a ``MeasurementOutcome`` for fixed coordinates, else a
+``SampleWithSeed`` whose seed, when the scenario sets none, the runner
+derives from the master seed and the scenario index.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import SampleWithSeed, Scenario
-from .channel import MeasurementOutcome
+from .channel import MeasurementOutcome, regime_for
 from .errors import ParseError
 from .grid import GridSpec
-from .optics import IDEAL, SqueezingParams
 
 _GLOBAL_KEYS = {"input", "grid", "output_dir", "seed", "image_mode"}
 _SCENARIO_KEYS = {"label", "sigma_a", "sigma_b", "x3", "p4", "seed", "grid"}
@@ -79,9 +80,13 @@ def parse_grid(spec: str, path=None, line=None) -> GridSpec:
     return grid
 
 
-def _parse_width(value: str, key: str, path, line):
+#: The limit each width spelled ``ideal`` stands for.
+_IDEAL_WIDTHS = {"sigma_a": 0.0, "sigma_b": math.inf}
+
+
+def _parse_width(value: str, key: str, path, line) -> float:
     if value == "ideal":
-        return IDEAL
+        return _IDEAL_WIDTHS[key]
     try:
         width = float(value)
     except ValueError:
@@ -198,7 +203,7 @@ def parse_config(path) -> RunConfig:
             )
         else:
             outcome = MeasurementOutcome(x3, p4)
-        scenarios.append(Scenario(label, SqueezingParams(sigma_a, sigma_b), outcome, scen_grid))
+        scenarios.append(Scenario(label, regime_for(sigma_a, sigma_b), outcome, scen_grid))
 
     return RunConfig(
         input_path=globals_raw["input"][0],

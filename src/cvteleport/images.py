@@ -71,7 +71,10 @@ def _read_header_tokens(data: bytes, count: int):
 
 
 def load_image(path) -> ImageAsset:
-    """Read a P2 (ASCII) or P5 (binary) portable graymap."""
+    """Read a P2 (ASCII) or P5 (binary) portable graymap.
+
+    Every sample must lie in 0..maxval of the header.
+    """
     data = Path(path).read_bytes()
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -102,6 +105,9 @@ def load_image(path) -> ImageAsset:
         if len(raw) < need:
             raise UnsupportedFormatError("P5 payload too short")
         pixels = np.frombuffer(raw, dtype=dtype).astype(float).reshape(height, width)
+    outside = pixels[(pixels < 0.0) | (pixels > maxval)]
+    if outside.size:
+        raise UnsupportedFormatError(f"sample {outside[0]:g} is outside 0..{maxval}")
     return ImageAsset(pixels=pixels, maxval=maxval)
 
 
@@ -153,7 +159,7 @@ def teleport_image(
     image rescales each column to its original peak so distortion stays
     visually comparable to the input.  Columns whose intensities vanish (or
     are annihilated by the kernel) are logged, rendered black, and carry a
-    NaN fidelity.
+    NaN fidelity; when no column survives, ZeroNormError is raised.
     """
     if mode not in ("column-wise", "row-wise"):
         raise ValueError("mode must be 'column-wise' or 'row-wise'")
@@ -180,6 +186,8 @@ def teleport_image(
         top = prob.max()
         if top > 0.0:
             out_display[:, j] = prob * (peak / top)
+    if np.isnan(fidelities).all():
+        raise ZeroNormError("every column was annihilated or has vanishing intensity")
     if mode == "row-wise":
         out_display = out_display.T
         out_raw = out_raw.T

@@ -17,11 +17,9 @@ from .analysis import (
     kernel_profile,
     run_sweep,
 )
-from .channel import regime_for
 from .config import DEFAULT_GRID, RunConfig, parse_grid
 from .errors import EmptyScenarioListError, ParseError, TeleportError
 from .grid import SampledWaveFunction, to_momentum
-from .optics import IDEAL
 from .images import ImageAsset, load_image, save_image, teleport_image
 from .signals import (
     atomic_write_text,
@@ -55,9 +53,11 @@ def _is_graymap(path: Path) -> bool:
         return False
 
 
-def _fmt(value) -> str:
+def _fmt(name: str, value) -> str:
     if value is None:
         return ""
+    if name.startswith("sigma_") and value in (0.0, np.inf):
+        return "ideal"  # a width at its limit, spelled as in configs
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -67,7 +67,7 @@ def write_report(path, report: FidelityReport) -> None:
     """Each report column is the ScenarioResult attribute that its header names."""
     fields = REPORT_HEADER.split(",")
     lines = [REPORT_HEADER] + [
-        ",".join(_fmt(getattr(row, name)) for name in fields) for row in report.rows
+        ",".join(_fmt(name, getattr(row, name)) for name in fields) for row in report.rows
     ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -83,11 +83,11 @@ def write_envelope_profile(path, sigma_b: float, x3: float, window) -> None:
 
 
 def _write_profiles(out_dir: Path, row: ScenarioResult, window) -> None:
-    if row.sigma_a is not IDEAL:
+    if row.sigma_a > 0.0:
         sa = row.sigma_a
         window_a = (-12.0 * sa, 12.0 * sa)
         write_kernel_profile(out_dir / f"{row.label}_kernel.csv", sa, row.p4, window_a)
-    if row.sigma_b is not IDEAL:
+    if row.sigma_b < np.inf:
         sb = row.sigma_b
         write_envelope_profile(out_dir / f"{row.label}_envelope.csv", sb, row.x3, window)
 
@@ -194,8 +194,7 @@ def _run_image(config: RunConfig, asset: ImageAsset, out_dir: Path) -> FidelityR
         row = ScenarioResult.of(scenario)
         rows.append(row)
         try:
-            regime = regime_for(scenario.params)
-            result = teleport_image(asset, regime, scenario.outcome, image_mode)
+            result = teleport_image(asset, scenario.regime, scenario.outcome, image_mode)
         except TeleportError as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         else:
@@ -203,8 +202,7 @@ def _run_image(config: RunConfig, asset: ImageAsset, out_dir: Path) -> FidelityR
             row_format = " ".join(["%r"] * result.raw.shape[1]) + "\n"
             write_table(out_dir / f"{row.label}_intensity.txt", "", result.raw, row_format)
             valid = result.column_fidelities[~np.isnan(result.column_fidelities)]
-            if valid.size:
-                row.fidelity = float(valid.mean())
+            row.fidelity = float(valid.mean())
             _write_profiles(out_dir, row, (0.0, float(line_length)))
         _log_row(row)
     return FidelityReport(rows=rows)

@@ -7,11 +7,11 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from cvteleport import (
     GridMismatchError,
+    General,
     GridSpec,
     GridTooNarrowError,
     SampledWaveFunction,
     SentinelNotMaterializableError,
-    SqueezingParams,
     TwoModeState,
     moments,
     normalize,
@@ -79,7 +79,7 @@ def closed_form_marginal(psi, params, values):
     zero.  The coordinate is p4 when sigma_b is ideal, else x3.
     """
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
-    mean, var = (mean_p4, var_p4) if params.b_is_ideal else (mean_x3, var_x3)
+    mean, var = (mean_p4, var_p4) if params.sigma_b == np.inf else (mean_x3, var_x3)
     return _gaussian(values, mean, var)
 
 
@@ -203,7 +203,7 @@ def squeezed_vacuum(sigma: float, grid: GridSpec) -> SampledWaveFunction:
     return normalize(SampledWaveFunction(grid, amps))
 
 
-def epr_from_beam_splitter(params: SqueezingParams, grid: GridSpec) -> TwoModeState:
+def epr_from_beam_splitter(params: General, grid: GridSpec) -> TwoModeState:
     """EPR resource built physically: squeezed beams through the beam splitter.
 
     The wide (p-squeezed, sigma_b) beam enters port 1 and the narrow
@@ -211,7 +211,7 @@ def epr_from_beam_splitter(params: SqueezingParams, grid: GridSpec) -> TwoModeSt
     quadrature is squeezed and the result matches :func:`epr_state` up to
     interpolation error.
     """
-    if params.a_is_ideal or params.b_is_ideal:
+    if params.sigma_a == 0.0 or params.sigma_b == np.inf:
         raise SentinelNotMaterializableError(
             "ideal squeezing limits have no grid representation"
         )

@@ -16,13 +16,11 @@ from cvteleport import (
     ConvolutionOnly,
     General,
     GridSpec,
-    IDEAL,
     Ideal,
     ImageAsset,
     MeasurementOutcome,
     MultiplicationOnly,
     Scenario,
-    SqueezingParams,
     envelope_profile,
     epr_state,
     fidelity,
@@ -31,6 +29,7 @@ from cvteleport import (
     load_bundled_silhouette,
     moments,
     oracle_teleport,
+    regime_for,
     run_sweep,
     sample_outcomes,
     teleport,
@@ -46,7 +45,7 @@ G_DEFAULT = GridSpec(-256.0, 0.5, 1024)
 G_WIDE = GridSpec(-4096.0, 0.5, 16384)
 G_WIDER = GridSpec(-8192.0, 0.5, 32768)
 
-FIG_PARAMS = SqueezingParams(1.0 / 180.0, 280.0)
+FIG_PARAMS = regime_for(1.0 / 180.0, 280.0)
 
 # fidelities computed once through the sweep path and frozen; fig9b and fig9c
 # were frozen again when the kernel stopped depending on whether the grid
@@ -67,14 +66,14 @@ FROZEN_FIDELITIES = {
 
 def reference_scenarios():
     return [
-        Scenario("fig4a", SqueezingParams(1 / 180, IDEAL), MeasurementOutcome(0.0, 180.0)),
-        Scenario("fig4b", SqueezingParams(1 / 180, IDEAL), MeasurementOutcome(0.0, 1800.0)),
-        Scenario("fig4c", SqueezingParams(1 / 5.4, IDEAL), MeasurementOutcome(0.0, 2.7)),
-        Scenario("fig4d", SqueezingParams(1 / 5.4, IDEAL), MeasurementOutcome(0.0, 10.8)),
-        Scenario("fig7a", SqueezingParams(IDEAL, 280.0), MeasurementOutcome(280.0, 0.0), G_WIDE),
-        Scenario("fig7b", SqueezingParams(IDEAL, 280.0), MeasurementOutcome(2800.0, 0.0), G_WIDER),
-        Scenario("fig7c", SqueezingParams(IDEAL, 8.4), MeasurementOutcome(4.2, 0.0)),
-        Scenario("fig7d", SqueezingParams(IDEAL, 8.4), MeasurementOutcome(33.0, 0.0)),
+        Scenario("fig4a", regime_for(1 / 180, np.inf), MeasurementOutcome(0.0, 180.0)),
+        Scenario("fig4b", regime_for(1 / 180, np.inf), MeasurementOutcome(0.0, 1800.0)),
+        Scenario("fig4c", regime_for(1 / 5.4, np.inf), MeasurementOutcome(0.0, 2.7)),
+        Scenario("fig4d", regime_for(1 / 5.4, np.inf), MeasurementOutcome(0.0, 10.8)),
+        Scenario("fig7a", regime_for(0.0, 280.0), MeasurementOutcome(280.0, 0.0), G_WIDE),
+        Scenario("fig7b", regime_for(0.0, 280.0), MeasurementOutcome(2800.0, 0.0), G_WIDER),
+        Scenario("fig7c", regime_for(0.0, 8.4), MeasurementOutcome(4.2, 0.0)),
+        Scenario("fig7d", regime_for(0.0, 8.4), MeasurementOutcome(33.0, 0.0)),
         Scenario("fig9b", FIG_PARAMS, MeasurementOutcome(280.0, 180.0), G_WIDE),
         Scenario("fig9c", FIG_PARAMS, MeasurementOutcome(2800.0, 1800.0), G_WIDER),
     ]
@@ -126,7 +125,7 @@ def test_criterion_02_oracle_equivalence():
         )
         out = MeasurementOutcome(x3, p4)
         kernel_path = teleport(psi, General(sa, sb), out)
-        oracle_path = oracle_teleport(psi, SqueezingParams(sa, sb), out)
+        oracle_path = oracle_teleport(psi, regime_for(sa, sb), out)
         worst = max(worst, rel_l2(oracle_path, kernel_path))
     elapsed = time.perf_counter() - start
     print(f"criterion 2: oracle equivalence worst rel L2 = {worst:.3g}, {elapsed:.1f} s")
@@ -137,7 +136,7 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_epr_construction_equivalence():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        params = SqueezingParams(rng.uniform(0.9, 2.4), rng.uniform(0.9, 2.4))
+        params = regime_for(rng.uniform(0.9, 2.4), rng.uniform(0.9, 2.4))
         errors = []
         for n in (256, 512):
             g = GridSpec(-16.0, 32.0 / n, n)

@@ -5,17 +5,16 @@ from cvteleport import (
     ConvolutionOnly,
     EmptyScenarioListError,
     GridSpec,
-    IDEAL,
     MeasurementOutcome,
     SampleWithSeed,
     SampledWaveFunction,
     Scenario,
-    SqueezingParams,
     envelope_profile,
     fidelity,
     gaussian_packet,
     kernel_profile,
     normalize,
+    regime_for,
     run_sweep,
     teleport,
     to_momentum,
@@ -91,7 +90,7 @@ def test_run_sweep_single_ideal_scenario(unit_grid):
         [
             Scenario(
                 "ideal",
-                SqueezingParams(IDEAL, IDEAL),
+                regime_for(0.0, np.inf),
                 MeasurementOutcome(0.0, 0.0),
             )
         ],
@@ -115,7 +114,7 @@ def test_run_sweep_runs_each_scenario_on_its_load_as_it_is(unit_grid):
         asked.append(grid)
         return psi if grid is None else placed
 
-    ideal = SqueezingParams(IDEAL, IDEAL)
+    ideal = regime_for(0.0, np.inf)
     report = run_sweep(
         [
             Scenario("run", ideal, MeasurementOutcome(0.0, 0.0)),
@@ -133,7 +132,7 @@ def test_run_sweep_refuses_an_input_on_another_grid(unit_grid):
     # a load that ignores its argument must not run silently on the wrong grid
     psi = gaussian_packet(unit_grid, 0.0, 1.0)
     own = GridSpec(-8.0, 0.0625, 256)
-    scenario = Scenario("own", SqueezingParams(IDEAL, IDEAL), MeasurementOutcome(0, 0), own)
+    scenario = Scenario("own", regime_for(0.0, np.inf), MeasurementOutcome(0, 0), own)
     with pytest.raises(ValueError, match="scenario 'own': the input was placed on"):
         run_sweep([scenario], lambda grid: psi)
 
@@ -142,7 +141,7 @@ def test_run_sweep_empty_and_duplicate_labels(unit_grid):
     psi = gaussian_packet(unit_grid, 0.0, 1.0)
     with pytest.raises(EmptyScenarioListError):
         run_sweep([], lambda grid: psi)
-    scn = Scenario("a", SqueezingParams(IDEAL, IDEAL), MeasurementOutcome(0, 0))
+    scn = Scenario("a", regime_for(0.0, np.inf), MeasurementOutcome(0, 0))
     with pytest.raises(ValueError):
         run_sweep([scn, scn], lambda grid: psi)
 
@@ -150,10 +149,10 @@ def test_run_sweep_empty_and_duplicate_labels(unit_grid):
 def test_run_sweep_records_failures_per_row(unit_grid):
     psi = gaussian_packet(unit_grid, 0.0, 1.0)
     scenarios = [
-        Scenario("good", SqueezingParams(IDEAL, IDEAL), MeasurementOutcome(0, 0)),
+        Scenario("good", regime_for(0.0, np.inf), MeasurementOutcome(0, 0)),
         Scenario(
             "annihilated",
-            SqueezingParams(IDEAL, 1e-3),
+            regime_for(0.0, 1e-3),
             MeasurementOutcome(0.05, 0.0),
         ),
     ]
@@ -168,8 +167,8 @@ def test_run_sweep_records_failures_per_row(unit_grid):
 def test_run_sweep_reruns_identically():
     psi = gaussian_packet(GridSpec(-32.0, 0.125, 512), 0.5, 1.0)
     scenarios = [
-        Scenario("s", SqueezingParams(0.5, 2.0), SampleWithSeed(17)),
-        Scenario("t", SqueezingParams(0.7, 2.4), SampleWithSeed(18)),
+        Scenario("s", regime_for(0.5, 2.0), SampleWithSeed(17)),
+        Scenario("t", regime_for(0.7, 2.4), SampleWithSeed(18)),
     ]
     r1 = run_sweep(scenarios, lambda grid: psi)
     r2 = run_sweep(scenarios, lambda grid: psi)
@@ -186,7 +185,7 @@ def test_sample_with_fixed_coordinate(unit_grid):
     scenarios = [
         Scenario(
             "pinned",
-            SqueezingParams(0.5, 2.0),
+            regime_for(0.5, 2.0),
             SampleWithSeed(17, fixed_x3=0.25),
         )
     ]
@@ -198,7 +197,7 @@ def test_sample_with_fixed_coordinate(unit_grid):
 def test_run_sweep_refuses_an_unseeded_draw(unit_grid):
     # a missing seed must never fall through to an OS-entropy generator
     psi = gaussian_packet(unit_grid, 0.5, 1.0)
-    scenario = Scenario("unseeded", SqueezingParams(0.5, 2.0), SampleWithSeed(None))
+    scenario = Scenario("unseeded", regime_for(0.5, 2.0), SampleWithSeed(None))
     with pytest.raises(ValueError, match="needs a seed"):
         run_sweep([scenario], lambda grid: psi)
 
@@ -238,7 +237,7 @@ def test_convolution_smooths_fine_detail():
 def test_report_moments_populated(unit_grid):
     psi = gaussian_packet(unit_grid, 0.4, 1.1)
     report = run_sweep(
-        [Scenario("c", SqueezingParams(0.6, IDEAL), MeasurementOutcome(0.0, 1.0))],
+        [Scenario("c", regime_for(0.6, np.inf), MeasurementOutcome(0.0, 1.0))],
         lambda grid: psi,
     )
     row = report.rows[0]

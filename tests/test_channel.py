@@ -10,14 +10,12 @@ from cvteleport import (
     General,
     GridSpec,
     GridTooNarrowError,
-    IDEAL,
     Ideal,
     MeasurementOutcome,
     MultiplicationOnly,
     OracleGridTooLargeError,
     SampledWaveFunction,
     SentinelNotMaterializableError,
-    SqueezingParams,
     TeleportError,
     ZeroNormError,
     gaussian_packet,
@@ -45,10 +43,31 @@ SQRT2 = np.sqrt(2.0)
 
 
 def test_regime_mapping():
-    assert isinstance(regime_for(SqueezingParams(IDEAL, IDEAL)), Ideal)
-    assert regime_for(SqueezingParams(0.5, IDEAL)) == ConvolutionOnly(0.5)
-    assert regime_for(SqueezingParams(IDEAL, 3.0)) == MultiplicationOnly(3.0)
-    assert regime_for(SqueezingParams(0.5, 3.0)) == General(0.5, 3.0)
+    assert isinstance(regime_for(0.0, np.inf), Ideal)
+    assert regime_for(0.5, np.inf) == ConvolutionOnly(0.5)
+    assert regime_for(0.0, 3.0) == MultiplicationOnly(3.0)
+    assert regime_for(0.5, 3.0) == General(0.5, 3.0)
+    # the limits present (sigma_a = 0, sigma_b = inf) name the class, which
+    # keeps both widths as given
+    named = {
+        (True, True): Ideal,
+        (False, True): ConvolutionOnly,
+        (True, False): MultiplicationOnly,
+        (False, False): General,
+    }
+    for sigma_a in (0.0, 1e-300, 0.5, 1e300):
+        for sigma_b in (1e-300, 3.0, 1e300, np.inf):
+            regime = regime_for(sigma_a, sigma_b)
+            assert type(regime) is named[sigma_a == 0.0, sigma_b == np.inf]
+            assert (regime.sigma_a, regime.sigma_b) == (sigma_a, sigma_b)
+    # any other width is refused
+    for sigma_a, sigma_b in [
+        (-0.5, 3.0), (0.5, -3.0), (-0.5, np.inf), (0.0, -3.0), (-np.inf, 3.0),
+        (np.nan, 3.0), (0.5, np.nan), (np.nan, np.inf), (0.0, np.nan),
+        (np.inf, 3.0), (np.inf, np.inf), (0.5, 0.0), (0.0, 0.0),
+    ]:
+        with pytest.raises(ValueError):
+            regime_for(sigma_a, sigma_b)
 
 
 def test_ideal_channel_is_exact_identity(unit_grid, rng):
@@ -188,7 +207,7 @@ def test_general_matches_oracle_across_parameters():
         )
         out = MeasurementOutcome(x3, p4)
         kernel_path = teleport(psi, General(sa, sb), out)
-        oracle_path = oracle_teleport(psi, SqueezingParams(sa, sb), out)
+        oracle_path = oracle_teleport(psi, regime_for(sa, sb), out)
         assert rel_l2(oracle_path, kernel_path) < 1e-6
 
 
@@ -388,11 +407,11 @@ def test_oracle_refuses_large_grids_and_sentinels():
     g = GridSpec(-12.0, 24.0 / 128, 128)
     psi = gaussian_packet(g, 0.0, 1.0)
     with pytest.raises(OracleGridTooLargeError):
-        oracle_teleport(psi, SqueezingParams(1.0, 1.0), MeasurementOutcome(0, 0))
+        oracle_teleport(psi, regime_for(1.0, 1.0), MeasurementOutcome(0, 0))
     g64 = GridSpec(-12.0, 24.0 / 64, 64)
     psi64 = gaussian_packet(g64, 0.0, 1.0)
     with pytest.raises(SentinelNotMaterializableError):
-        oracle_teleport(psi64, SqueezingParams(IDEAL, 1.0), MeasurementOutcome(0, 0))
+        oracle_teleport(psi64, regime_for(0.0, 1.0), MeasurementOutcome(0, 0))
 
 
 def test_oracle_equal_widths_outputs_resource_mode():
@@ -400,7 +419,7 @@ def test_oracle_equal_widths_outputs_resource_mode():
     # squeezed-vacuum mode itself, independent of the input.
     g = GridSpec(-12.0, 24.0 / 64, 64)
     psi = gaussian_packet(g, 0.6, 1.4)
-    out = oracle_teleport(psi, SqueezingParams(1.2, 1.2), MeasurementOutcome(0.0, 0.0))
+    out = oracle_teleport(psi, regime_for(1.2, 1.2), MeasurementOutcome(0.0, 0.0))
     vac = squeezed_vacuum(1.2, g)
     assert rel_l2(vac, out) < 1e-10
     assert fidelity(psi, out) == pytest.approx(0.8889477575654505, abs=1e-9)
@@ -409,7 +428,7 @@ def test_oracle_equal_widths_outputs_resource_mode():
 def test_oracle_asymmetric_widths_blur():
     g = GridSpec(-12.0, 24.0 / 64, 64)
     psi = gaussian_packet(g, 0.4, 0.9)
-    out = oracle_teleport(psi, SqueezingParams(0.7, 5.0), MeasurementOutcome(0.0, 0.0))
+    out = oracle_teleport(psi, regime_for(0.7, 5.0), MeasurementOutcome(0.0, 0.0))
     m_in, m_out = moments(psi), moments(out)
     assert m_out.std_x > m_in.std_x
     assert m_out.mean_x == pytest.approx(m_in.mean_x, abs=0.2)
@@ -421,7 +440,7 @@ def test_oracle_fidelity_monotone_toward_ideal():
     fids = [
         fidelity(
             psi,
-            oracle_teleport(psi, SqueezingParams(sa, 6.0), MeasurementOutcome(0, 0)),
+            oracle_teleport(psi, regime_for(sa, 6.0), MeasurementOutcome(0, 0)),
         )
         for sa in (2.0, 1.0, 0.5)
     ]
@@ -469,7 +488,7 @@ def test_probable_outcomes_keep_high_fidelity():
     sb = 10 * (abs(m.mean_x) + 3 * m.std_x)
     from cvteleport.channel import outcome_moments
 
-    mx3, vx3, mp4, vp4 = outcome_moments(m, SqueezingParams(sa, sb))
+    mx3, vx3, mp4, vp4 = outcome_moments(m, regime_for(sa, sb))
     worst = 1.0
     for dx3 in (-1, 0, 1):
         for dp4 in (-1, 0, 1):
@@ -496,7 +515,7 @@ def test_grid_too_narrow_on_edge_spill():
 
 def test_validate_span_rule():
     g = GridSpec(-256.0, 0.5, 1024)
-    validate_span(g, support_length=100.0, x3=0.0, sigma_b=IDEAL)
+    validate_span(g, support_length=100.0, x3=0.0, sigma_b=np.inf)
     with pytest.raises(GridTooNarrowError):
         validate_span(g, support_length=100.0, x3=280.0, sigma_b=280.0)
 

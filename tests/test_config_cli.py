@@ -17,7 +17,6 @@ from cvteleport import (
 )
 from cvteleport.cli import main
 from cvteleport.config import MAX_GRID_POINTS
-from cvteleport.optics import IDEAL
 
 
 BASE = """\
@@ -54,7 +53,7 @@ def test_parse_config_basics(tmp_path):
     assert cfg.seed == 11
     assert cfg.grid.n == 1024
     assert len(cfg.scenarios) == 2
-    assert cfg.scenarios[0].params.sigma_a is IDEAL
+    assert cfg.scenarios[0].regime.sigma_a == 0.0
     assert cfg.scenarios[1].outcome.p4 == 2.7
 
 
@@ -105,6 +104,9 @@ SCENARIO = "[scenario]\nlabel = a\nsigma_a = {sa}\nsigma_b = 1\nx3 = {x3}\np4 = 
     [
         ("seed = -3\n" + SCENARIO.format(sa=1, x3=0, p4=0), 3),
         ("\n" + SCENARIO.format(sa="inf", x3=0, p4=0), 6),
+        ("\n" + SCENARIO.format(sa=0, x3=0, p4=0), 6),
+        ("\n" + SCENARIO.format(sa=1, x3=0, p4=0).replace("b = 1", "b = inf"), 7),
+        ("\n" + SCENARIO.format(sa=1, x3=0, p4=0).replace("b = 1", "b = 0"), 7),
         ("\n" + SCENARIO.format(sa="nan", x3=0, p4=0), 6),
         ("\n" + SCENARIO.format(sa=1, x3="nan", p4=0), 8),
         ("\n" + SCENARIO.format(sa=1, x3=0, p4="inf"), 9),
@@ -114,7 +116,7 @@ SCENARIO = "[scenario]\nlabel = a\nsigma_a = {sa}\nsigma_b = 1\nx3 = {x3}\np4 = 
         ("\n" + SCENARIO.format(sa=1, x3=0, p4=0) + "grid = 0:1:4194304\n", 10),
     ],
     ids=[
-        "seed", "sigma_a-inf", "sigma_a-nan", "x3-nan", "p4-inf", "p4-neg-inf",
+        "seed", "sigma_a-inf", "sigma_a-0", "sigma_b-inf", "sigma_b-0", "sigma_a-nan", "x3-nan", "p4-inf", "p4-neg-inf",
         "scenario-seed", "grid-too-large", "scenario-grid-too-large",
     ],
 )
@@ -725,7 +727,7 @@ def test_cli_info_prints_moments(tmp_path, capsys):
 
 
 def test_cli_image_run(tmp_path):
-    from cvteleport import ImageAsset, MeasurementOutcome, SqueezingParams, save_image
+    from cvteleport import ImageAsset, MeasurementOutcome, save_image
     from cvteleport import load_image, teleport_image
     from cvteleport.channel import regime_for
 
@@ -762,7 +764,7 @@ def test_cli_image_run(tmp_path):
     rows_out = tmp_path / "rows"
     rows_text = text.replace(f"output_dir = {out}", f"output_dir = {rows_out}\nimage_mode = row-wise")
     assert main(["run", str(write_config(tmp_path, rows_text, "rows.cfg"))]) == 2
-    regime = regime_for(SqueezingParams(1.2, IDEAL))
+    regime = regime_for(1.2, np.inf)
     for mode, directory in (("column-wise", out), ("row-wise", rows_out)):
         raw = teleport_image(asset, regime, MeasurementOutcome(0.0, 0.4), mode).raw
         want = "".join(" ".join(repr(float(v)) for v in line) + "\n" for line in raw)

@@ -11,6 +11,7 @@ from cvteleport import (
     MeasurementOutcome,
     MultiplicationOnly,
     UnsupportedFormatError,
+    ZeroNormError,
     load_image,
     save_image,
     teleport_image,
@@ -97,8 +98,15 @@ def test_unsupported_format(tmp_path, capsys):
         (b"P5\n8 8\n0\n" + bytes(64), "unsupported max value 0"),
         (b"P2\n8 8\n255\n" + b"1 " * 63 + b"\n", "P2 pixel count mismatch"),
         (b"P5\n8 8\n255\n" + bytes(63), "P5 payload too short"),
+        (b"P2\n8 8\n255\n-5 " + b"1 " * 63 + b"\n", "sample -5 is outside 0..255"),
+        (b"P2\n8 8\n255\n" + b"1 " * 63 + b"300\n", "sample 300 is outside 0..255"),
+        (b"P5\n8 8\n100\n" + bytes([200]) + bytes(63), "sample 200 is outside 0..100"),
+        (b"P5\n8 8\n1000\n" + bytes(126) + b"\x03\xe9", "sample 1001 is outside 0..1000"),
     ],
-    ids=["truncated-header", "non-integer-header", "maxval-0", "p2-count", "p5-short"],
+    ids=[
+        "truncated-header", "non-integer-header", "maxval-0", "p2-count", "p5-short",
+        "p2-below-0", "p2-above-maxval", "p5-above-maxval", "p5-16-bit-above-maxval",
+    ],
 )
 def test_malformed_graymap_is_refused_by_name(tmp_path, data, message):
     path = tmp_path / "input.pgm"
@@ -212,6 +220,23 @@ def test_zero_norm_column_rendered_black():
     assert np.all(result.display.pixels[:, 7] == 0.0)
     assert np.isnan(result.column_fidelities[7])
     assert not np.isnan(result.column_fidelities[6])
+
+
+def test_image_with_no_surviving_column_fails_by_name(tmp_path):
+    # an envelope centred at sqrt(2)*1000 annihilates every column
+    img = stripes_image(h=16, w=16)
+    with pytest.raises(ZeroNormError):
+        teleport_image(img, MultiplicationOnly(0.5), MeasurementOutcome(1000.0, 0.0))
+    image, out = tmp_path / "input.pgm", tmp_path / "out"
+    save_image(image, img)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"input = {image}\noutput_dir = {out}\n\n[scenario]\n"
+        "label = far\nsigma_a = ideal\nsigma_b = 0.5\nx3 = 1000\np4 = 0\n"
+    )
+    assert main(["run", str(config)]) == 2
+    assert [p.name for p in out.iterdir()] == ["report.csv"]
+    assert (out / "report.csv").read_text().splitlines()[1] == "far,ideal,0.5,1000.0,0.0,nan,"
 
 
 def test_row_wise_mode_matches_transposed_columns():

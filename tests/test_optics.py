@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from cvteleport import (
+    ConvolutionOnly,
     GridMismatchError,
     GridSpec,
     GridTooNarrowError,
-    IDEAL,
     SentinelNotMaterializableError,
-    SqueezingParams,
     epr_state,
     gaussian_packet,
     moments,
+    regime_for,
 )
 
 from conftest import beam_splitter, epr_from_beam_splitter, product_state, squeezed_vacuum
@@ -18,11 +18,11 @@ from conftest import beam_splitter, epr_from_beam_splitter, product_state, squee
 
 def test_squeezing_params_validation():
     with pytest.raises(ValueError):
-        SqueezingParams(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        SqueezingParams(1.0, float("inf"))
-    p = SqueezingParams(IDEAL, 280.0)
-    assert p.a_is_ideal and not p.b_is_ideal
+        regime_for(-1.0, 2.0)
+    # sigma_b = inf is the ideal limit: the convolution-only regime
+    assert regime_for(1.0, float("inf")) == ConvolutionOnly(1.0)
+    p = regime_for(0.0, 280.0)
+    assert p.sigma_a == 0.0 and p.sigma_b != np.inf
 
 
 def test_squeezed_vacuum_unit_width():
@@ -56,7 +56,7 @@ def test_squeezed_vacuum_narrow_grid_rejected():
 def test_epr_state_separable_when_widths_match():
     g = GridSpec(-16.0, 0.125, 256)
     sigma = 1.3
-    state = epr_state(SqueezingParams(sigma, sigma), g)
+    state = epr_state(regime_for(sigma, sigma), g)
     expected = product_state(squeezed_vacuum(sigma, g), squeezed_vacuum(sigma, g))
     assert np.max(np.abs(state.amplitudes - expected.amplitudes)) < 1e-12
 
@@ -64,19 +64,19 @@ def test_epr_state_separable_when_widths_match():
 def test_epr_state_rejects_sentinels():
     g = GridSpec(-16.0, 0.125, 256)
     with pytest.raises(SentinelNotMaterializableError):
-        epr_state(SqueezingParams(IDEAL, 1.0), g)
+        epr_state(regime_for(0.0, 1.0), g)
 
 
 def test_epr_state_exact_exchange_symmetry():
     g = GridSpec(-16.0, 0.125, 256)
-    state = epr_state(SqueezingParams(0.4, 2.5), g)
+    state = epr_state(regime_for(0.4, 2.5), g)
     assert np.array_equal(state.amplitudes, state.amplitudes.T)
 
 
 def test_epr_correlation_ridge():
     # strongly squeezed pair concentrates along x2 = x5
     g = GridSpec(-16.0, 0.125, 256)
-    state = epr_state(SqueezingParams(0.1, 8.0), g)
+    state = epr_state(regime_for(0.1, 8.0), g)
     prob = np.abs(state.amplitudes) ** 2
     ridge = np.trace(prob) * g.dx
     anti = np.trace(np.fliplr(prob)) * g.dx
@@ -89,7 +89,7 @@ def test_epr_conditional_spread_monotone_in_sigma_a():
     mid = g.n // 2
     spreads = []
     for sigma_a in (1.6, 0.8, 0.4, 0.2):
-        state = epr_state(SqueezingParams(sigma_a, 3.0), g)
+        state = epr_state(regime_for(sigma_a, 3.0), g)
         column = np.abs(state.amplitudes[mid]) ** 2
         column /= column.sum()
         mean = np.dot(xs, column)
@@ -169,7 +169,7 @@ def test_beam_splitter_pinned_values(inverse, expected):
 
 def test_epr_from_beam_splitter_pinned_values():
     g = GridSpec(-12.0, 0.1875, 128)
-    built = epr_from_beam_splitter(SqueezingParams(1.0, 1.5), g)
+    built = epr_from_beam_splitter(regime_for(1.0, 1.5), g)
     probes = [(64, 64), (60, 70), (70, 58), (50, 75), (64, 20)]
     expected = [
         0.4616151876570709,
@@ -188,7 +188,7 @@ _EQUIVALENCE_PAIRS = [(0.9, 1.2), (2.1, 1.8), (1.0, 1.5), (1.6, 1.1), (2.0, 1.0)
 
 @pytest.mark.parametrize("sigma_a,sigma_b", _EQUIVALENCE_PAIRS)
 def test_epr_construction_equivalence(sigma_a, sigma_b):
-    params = SqueezingParams(sigma_a, sigma_b)
+    params = regime_for(sigma_a, sigma_b)
     errors = []
     for n in (256, 512):
         g = GridSpec(-16.0, 32.0 / n, n)

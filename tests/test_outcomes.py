@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from cvteleport import (
     GridSpec,
-    IDEAL,
     IdealChannelOutcomeUnboundedError,
     OutcomeTooLargeError,
     SampledWaveFunction,
     SampleWithSeed,
     Scenario,
-    SqueezingParams,
     ZeroNormError,
     build_outcome_distribution,
     gaussian_packet,
@@ -50,7 +48,7 @@ def packet(unit_grid):
 
 def test_gaussian_input_gives_product_of_gaussians(packet):
     # with unit widths everything is Gaussian; the joint density factorizes
-    dist = build_outcome_distribution(packet, SqueezingParams(1.0, 1.0))
+    dist = build_outcome_distribution(packet, regime_for(1.0, 1.0))
     m = moments(packet)
     vx = m.std_x**2 / 2 + 2 / 8
     vp = m.std_p**2 / 2 + 2 / 8
@@ -65,7 +63,7 @@ def test_gaussian_input_gives_product_of_gaussians(packet):
 
 
 def test_distribution_is_normalized_and_nonnegative(packet):
-    dist = build_outcome_distribution(packet, SqueezingParams(0.4, 2.5))
+    dist = build_outcome_distribution(packet, regime_for(0.4, 2.5))
     assert dist.total() == pytest.approx(1.0, abs=1e-6)
     assert np.all(dist.density >= 0.0)
 
@@ -73,7 +71,7 @@ def test_distribution_is_normalized_and_nonnegative(packet):
 def test_marginal_consistency_with_position_representation(packet):
     # the p4-marginal must agree with the x3 density computed directly from
     # the position-representation state
-    params = SqueezingParams(0.6, 1.8)
+    params = regime_for(0.6, 1.8)
     dist = build_outcome_distribution(packet, params)
     a = 1.0 / (4 * params.sigma_a**2)
     b = 1.0 / (4 * params.sigma_b**2)
@@ -92,7 +90,7 @@ def test_marginal_consistency_with_position_representation(packet):
 
 
 def test_table_moments_match_mode_decomposition(packet):
-    params = SqueezingParams(1 / 18.0, 28.0)
+    params = regime_for(1 / 18.0, 28.0)
     dist = build_outcome_distribution(packet, params)
     mx3, vx3, mp4, vp4 = outcome_moments(moments(packet), params)
     X3, P4 = np.meshgrid(dist.x3_values, dist.p4_values, indexing="ij")
@@ -112,7 +110,7 @@ def test_density_matches_bruteforce_integration(unit_grid):
     amps = np.exp(-((unit_grid.points - 0.5) ** 2) / 4 + 1j * beta * unit_grid.points**2)
     psi = normalize(SampledWaveFunction(unit_grid, amps))
     sa, sb = 0.6, 1.8
-    dist = build_outcome_distribution(psi, SqueezingParams(sa, sb))
+    dist = build_outcome_distribution(psi, regime_for(sa, sb))
 
     s2 = np.sqrt(2.0)
     v = np.linspace(-15.5, 15.5, 3001)
@@ -162,7 +160,7 @@ def test_outcome_density_memory_is_bounded():
     # the rows of every x3, transformed in blocks of 35 x 256, and a 256 x 46
     # lag table; peak 1.4 MB, where the pair table it replaced peaked at 4.9 MB
     psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
-    params = SqueezingParams(0.18518518518518517, 8.4)
+    params = regime_for(0.18518518518518517, 8.4)
     assert _peak_bytes(build_outcome_distribution, psi, params) < 8e6
 
 
@@ -171,13 +169,13 @@ def test_fig9b_outcome_density_memory_is_bounded():
     # where a 16335 x 41 pair table with its envelope blocks peaked at
     # 15.6 MB, and the whole lattice at 180 MB
     psi = load_signal(bundled_silhouette_path(), GridSpec(-4096.0, 0.5, 16384))
-    params = SqueezingParams(1 / 180.0, 280.0)
+    params = regime_for(1 / 180.0, 280.0)
     assert _peak_bytes(build_outcome_distribution, psi, params) < 25e6
 
 
 def _outcome_values(psi, sigma_a, sigma_b, n_out):
     """The x3 and p4 rows of the outcome grid."""
-    params = SqueezingParams(sigma_a, sigma_b)
+    params = regime_for(sigma_a, sigma_b)
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     p4_values = _centered_grid(mean_p4, np.sqrt(var_p4), n_out)[0]
     return _centered_grid(mean_x3, np.sqrt(var_x3), n_out)[0], p4_values
@@ -211,7 +209,7 @@ def test_x3_only_marginal_contracts_only_the_input_support():
     # lag 0 needs no transform (N 0).  The marginal matches the sum over
     # every nonzero sample, and the draws are the ones that sum gives.
     psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
-    params = SqueezingParams(IDEAL, 8.4)
+    params = regime_for(0.0, 8.4)
     with mock.patch.object(channel, "_sample_cells", wraps=_sample_cells) as spy:
         (x3, _), logged = _logged_density(sample_outcomes, psi, params, 1, 1000)
     assert logged[:5] == ("x3", 1, 201, 0, 1)
@@ -234,7 +232,7 @@ def _drawn_marginal(psi, params):
     with mock.patch.object(channel, "_sample_cells", wraps=_sample_cells) as spy:
         sample_outcomes(psi, params, seed=1, count=1)
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
-    mean, var = (mean_p4, var_p4) if params.b_is_ideal else (mean_x3, var_x3)
+    mean, var = (mean_p4, var_p4) if params.sigma_b == np.inf else (mean_x3, var_x3)
     return _centered_grid(mean, np.sqrt(var), _MARGINAL_CELLS)[0], spy.call_args.args[0]
 
 
@@ -255,8 +253,8 @@ def test_marginals_match_the_closed_form(dx, log_a, log_b):
         SampledWaveFunction(grid, np.exp(-((grid.points - 3.0) ** 2) / (4.0 * 36.0)))
     )
     for params in [
-        SqueezingParams(dx * float(np.exp(log_a)), IDEAL),
-        SqueezingParams(IDEAL, dx * float(np.exp(log_b))),
+        regime_for(dx * float(np.exp(log_a)), np.inf),
+        regime_for(0.0, dx * float(np.exp(log_b))),
     ]:
         values, density = _drawn_marginal(psi, params)
         exact = closed_form_marginal(psi, params, values)
@@ -276,7 +274,7 @@ def _joint_error(psi, sigma_a, sigma_b, n_out):
     """The joint density's largest miss of `closed_form_joint`, over its maximum."""
     x3_values, p4_values = _outcome_values(psi, sigma_a, sigma_b, n_out)
     density = _outcome_density(psi, sigma_a, sigma_b, x3_values, p4_values)
-    exact = closed_form_joint(psi, SqueezingParams(sigma_a, sigma_b), x3_values, p4_values)
+    exact = closed_form_joint(psi, regime_for(sigma_a, sigma_b), x3_values, p4_values)
     assert np.all(density >= 0.0)
     return np.max(np.abs(density / density.max() - exact / exact.max()))
 
@@ -327,9 +325,8 @@ def test_joint_density_matches_the_closed_form_at_any_widths(dx, log_a, log_b, e
     assert _joint_error(_gaussian_packet_on(dx), sigma_a, sigma_b, 65) <= 1e-12
 
 
-def _doubling_factor(psi, params):
+def _doubling_factor(psi, regime):
     """The lattice factor as the doubling loop over the window's alias bound finds it."""
-    regime = regime_for(params)
     lam_s = _lambda_coefficients(regime.sigma_a, regime.sigma_b)[0]
     factor = 1
     while not _dx_rows_alias_free(2.0 * lam_s, psi.grid.dx / factor):
@@ -337,11 +334,10 @@ def _doubling_factor(psi, params):
     return factor
 
 
-def _logged_factor(psi, params, values):
+def _logged_factor(psi, regime, values):
     """The lattice factor F the outcome density of a single draw logs."""
-    regime = regime_for(params)
     x3_values, p4_values = (
-        (np.zeros(1), values) if params.b_is_ideal else (values, np.zeros(1))
+        (np.zeros(1), values) if regime.sigma_b == np.inf else (values, np.zeros(1))
     )
     _, logged = _logged_density(
         _outcome_density, psi, regime.sigma_a, regime.sigma_b, x3_values, p4_values
@@ -367,8 +363,8 @@ def test_marginal_lattice_factor_matches_the_doubling_loop(log2_n, dx, cut, log_
     psi = SampledWaveFunction(g, np.where(kept, rng.normal(size=g.n) + 1.0, 0.0))
     values = np.linspace(-1.0, 1.0, 9)
     for params in [
-        SqueezingParams(g.span * float(np.exp(log_a)), IDEAL),
-        SqueezingParams(IDEAL, dx * float(np.exp(log_b))),
+        regime_for(g.span * float(np.exp(log_a)), np.inf),
+        regime_for(0.0, dx * float(np.exp(log_b))),
     ]:
         assert _logged_factor(psi, params, values) == _doubling_factor(psi, params)
 
@@ -396,7 +392,7 @@ def test_marginal_budget_error_names_what_the_draw_needs():
     # (343597 MB) plus one block of rows; the message names that whole size.
     psi = load_signal(bundled_silhouette_path(), GridSpec(-65536.0, 0.5, 262144))
     with pytest.raises(OutcomeTooLargeError, match=r"needs about 343598 MB, over the 1074"):
-        sample_outcomes(psi, SqueezingParams(IDEAL, 1e-4), seed=1, count=1)
+        sample_outcomes(psi, regime_for(0.0, 1e-4), seed=1, count=1)
 
 
 def test_outcome_density_over_budget_fails_before_allocating():
@@ -409,15 +405,15 @@ def test_outcome_density_over_budget_fails_before_allocating():
     # dx/262144, and sigma_b = 1e-4 (x3 only) to dx/32768.
     grid = GridSpec(-65536.0, 0.5, 262144)
     psi = load_signal(bundled_silhouette_path(), grid)
-    for sigma_a, sigma_b in [(5.0, 5.0), (IDEAL, 5.0), (5.0, 5000.0)]:
-        params = SqueezingParams(sigma_a, sigma_b)
+    for sigma_a, sigma_b in [(5.0, 5.0), (0.0, 5.0), (5.0, 5000.0)]:
+        params = regime_for(sigma_a, sigma_b)
         assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 60e6
-    for sigma_a, sigma_b in [(IDEAL, 5000.0), (5.0, IDEAL), (1e7, IDEAL)]:
-        params = SqueezingParams(sigma_a, sigma_b)
+    for sigma_a, sigma_b in [(0.0, 5000.0), (5.0, np.inf), (1e7, np.inf)]:
+        params = regime_for(sigma_a, sigma_b)
         assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 30e6
 
     def refuse_all():
-        for params in [SqueezingParams(1e-5, 1e-5), SqueezingParams(IDEAL, 1e-4)]:
+        for params in [regime_for(1e-5, 1e-5), regime_for(0.0, 1e-4)]:
             with pytest.raises(OutcomeTooLargeError, match="budget"):
                 sample_outcomes(psi, params, seed=1, count=1)
 
@@ -425,8 +421,8 @@ def test_outcome_density_over_budget_fails_before_allocating():
 
     draw = SampleWithSeed(1)
     scenarios = [
-        Scenario("too_big", SqueezingParams(1e-5, 1e-5), draw),
-        Scenario("fits", SqueezingParams(5.0, 5.0), draw, GridSpec(-256.0, 0.5, 1024)),
+        Scenario("too_big", regime_for(1e-5, 1e-5), draw),
+        Scenario("fits", regime_for(5.0, 5.0), draw, GridSpec(-256.0, 0.5, 1024)),
     ]
     # as `teleport run` does: a scenario grid gets the file placed on that grid
     report = run_sweep(
@@ -441,10 +437,10 @@ def test_build_distribution_tabulates_the_proper_coordinate_alone(packet):
     # One ideal width leaves the conjugate coordinate improper: one cell at
     # 0 with step 0.  The proper one gets 1025 cells, and its density
     # integrates to 1 and is the Gaussian packet's closed-form marginal.
-    for params in [SqueezingParams(0.5, IDEAL), SqueezingParams(IDEAL, 1.0)]:
+    for params in [regime_for(0.5, np.inf), regime_for(0.0, 1.0)]:
         dist = build_outcome_distribution(packet, params)
         axes = [(dist.x3_values, dist.x3_step), (dist.p4_values, dist.p4_step)]
-        if params.b_is_ideal:  # x3 is the improper coordinate
+        if params.sigma_b == np.inf:  # x3 is the improper coordinate
             axes.reverse()
         (values, step), (improper, improper_step) = axes
         assert improper.tolist() == [0.0] and improper_step == 0.0
@@ -455,7 +451,7 @@ def test_build_distribution_tabulates_the_proper_coordinate_alone(packet):
         # the table holds +-6 std, so it misses the 2e-9 of mass beyond them
         exact = closed_form_marginal(packet, params, values)
         assert np.max(np.abs(density - exact)) <= 1e-8 * exact.max()
-    ideal = SqueezingParams(IDEAL, IDEAL)
+    ideal = regime_for(0.0, np.inf)
     with pytest.raises(IdealChannelOutcomeUnboundedError):
         build_outcome_distribution(packet, ideal)
     with pytest.raises(IdealChannelOutcomeUnboundedError):
@@ -463,7 +459,7 @@ def test_build_distribution_tabulates_the_proper_coordinate_alone(packet):
 
 
 def test_sampling_statistics_match_analytics(packet):
-    params = SqueezingParams(0.7, 2.0)
+    params = regime_for(0.7, 2.0)
     n = 100_000
     x3, p4 = sample_outcomes(packet, params, seed=77, count=n)
     mx3, vx3, mp4, vp4 = outcome_moments(moments(packet), params)
@@ -488,20 +484,20 @@ def test_sampled_means_match_the_outcome_moments(log_a, log_b, seed):
     sigma_a, sigma_b = float(np.exp(log_a)), float(np.exp(log_b))
     count = 4000
     for params in [
-        SqueezingParams(sigma_a, sigma_b),
-        SqueezingParams(sigma_a, IDEAL),
-        SqueezingParams(IDEAL, sigma_b),
+        regime_for(sigma_a, sigma_b),
+        regime_for(sigma_a, np.inf),
+        regime_for(0.0, sigma_b),
     ]:
         x3, p4 = sample_outcomes(psi, params, seed=seed, count=count)
         mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
-        if not params.b_is_ideal:
+        if not params.sigma_b == np.inf:
             assert abs(x3.mean() - mean_x3) <= 5.0 * np.sqrt(var_x3 / count), params
-        if not params.a_is_ideal:
+        if not params.sigma_a == 0.0:
             assert abs(p4.mean() - mean_p4) <= 5.0 * np.sqrt(var_p4 / count), params
 
 
 def test_sampling_is_deterministic(packet):
-    params = SqueezingParams(0.7, 2.0)
+    params = regime_for(0.7, 2.0)
     a = sample_outcomes(packet, params, seed=5, count=1000)
     b = sample_outcomes(packet, params, seed=5, count=1000)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -511,7 +507,7 @@ def test_sampling_is_deterministic(packet):
 
 
 def test_sampling_with_ideal_wide_pins_x3(packet):
-    params = SqueezingParams(0.5, IDEAL)
+    params = regime_for(0.5, np.inf)
     x3, p4 = sample_outcomes(packet, params, seed=3, count=20_000)
     assert np.all(x3 == 0.0)
     m = moments(packet)
@@ -520,7 +516,7 @@ def test_sampling_with_ideal_wide_pins_x3(packet):
 
 
 def test_sampling_with_ideal_narrow_pins_p4(packet):
-    params = SqueezingParams(IDEAL, 3.0)
+    params = regime_for(0.0, 3.0)
     x3, p4 = sample_outcomes(packet, params, seed=3, count=20_000)
     assert np.all(p4 == 0.0)
     m = moments(packet)
@@ -541,7 +537,7 @@ def test_fixed_x3_draws_p4_from_its_conditional_density(spread):
     # given x3 is N(mean_p4 + c (x3 - mean_x3)/var_x3, var_p4 - c^2/var_x3);
     # the marginal would centre every row on mean_p4.  Measured: 7.3e-16.
     psi, c = _chirped_packet()
-    params = SqueezingParams(0.185, 8.4)
+    params = regime_for(0.185, 8.4)
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     x3 = mean_x3 + spread * np.sqrt(var_x3)
     dist = build_outcome_distribution(psi, params, x3=x3)
@@ -558,46 +554,46 @@ def test_fixed_x3_draws_p4_from_its_conditional_density(spread):
 def test_fixed_coordinate_of_zero_probability_is_refused():
     psi, _ = _chirped_packet()
     with pytest.raises(ZeroNormError, match="outcome density vanished"):
-        sample_outcome(psi, SqueezingParams(0.185, 8.4), seed=1, x3=1e6)
+        sample_outcome(psi, regime_for(0.185, 8.4), seed=1, x3=1e6)
 
 
 def test_fixed_improper_coordinate_is_kept_whatever_its_size():
     # the density ignores an improper coordinate, so even 1e300 draws
     psi, _ = _chirped_packet()
-    x3, p4 = sample_outcomes(psi, SqueezingParams(0.185, IDEAL), 1, 3, x3=1e300)
+    x3, p4 = sample_outcomes(psi, regime_for(0.185, np.inf), 1, 3, x3=1e300)
     assert x3.tolist() == [1e300] * 3 and np.all(np.isfinite(p4))
-    x3, p4 = sample_outcomes(psi, SqueezingParams(IDEAL, 8.4), 1, 3, p4=-1e300)
+    x3, p4 = sample_outcomes(psi, regime_for(0.0, 8.4), 1, 3, p4=-1e300)
     assert p4.tolist() == [-1e300] * 3 and np.all(np.isfinite(x3))
 
 
 def test_doubly_ideal_channel_not_samplable(packet):
     with pytest.raises(IdealChannelOutcomeUnboundedError):
-        sample_outcomes(packet, SqueezingParams(IDEAL, IDEAL), seed=1, count=10)
+        sample_outcomes(packet, regime_for(0.0, np.inf), seed=1, count=10)
 
 
 def test_probable_band_coverage_strong_squeezing(packet):
     # |p4| <= 1/sigma_a captures at least 95% of the mass
     sigma_a = 1 / 180.0
-    x3, p4 = sample_outcomes(packet, SqueezingParams(sigma_a, IDEAL), 11, 50_000)
+    x3, p4 = sample_outcomes(packet, regime_for(sigma_a, np.inf), 11, 50_000)
     assert np.mean(np.abs(p4) <= 1.0 / sigma_a) >= 0.95
 
 
 def test_seeded_draws_are_frozen(packet):
     # Values recorded before the outcome-density code was refactored; any
     # change to the tabulated density or to the sampler shows up here.
-    x3, p4 = sample_outcomes(packet, SqueezingParams(0.4, 2.5), seed=7, count=4)
+    x3, p4 = sample_outcomes(packet, regime_for(0.4, 2.5), seed=7, count=4)
     assert x3.tolist() == [
         0.8912376438701297, 1.8761711822860867, 1.3079869089671898, -0.1849225255761894
     ]
     assert p4.tolist() == [
         -0.41664545246061274, 0.2857098466231387, 0.6129343667250595, -0.44147508724690776
     ]
-    x3, p4 = sample_outcomes(packet, SqueezingParams(0.4, IDEAL), seed=7, count=4)
+    x3, p4 = sample_outcomes(packet, regime_for(0.4, np.inf), seed=7, count=4)
     assert x3.tolist() == [0.0, 0.0, 0.0, 0.0]
     assert p4.tolist() == [
         0.31862280021841344, 1.288435478396001, 0.7668925648324717, -0.7570665159352675
     ]
-    x3, p4 = sample_outcomes(packet, SqueezingParams(IDEAL, 2.5), seed=7, count=4)
+    x3, p4 = sample_outcomes(packet, regime_for(0.0, 2.5), seed=7, count=4)
     assert x3.tolist() == [
         0.8843082251676513, 1.8541209033452388, 1.3325779897817096, -0.19138109098602973
     ]

@@ -73,3 +73,27 @@ def test_every_name_the_benchmark_imports_resolves():
         ("channel", "build_outcome_distribution"),
     } <= used
     assert _missing(used) == []
+
+
+def test_every_workload_passes_the_benchmark_gate(tmp_path, monkeypatch):
+    # One traced run of each workload at seed 1, checked as the benchmark's
+    # first run is: a signature the gate's hooks call that no longer fits, or
+    # an output it refuses, fails here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from gate import Gate
+    from spans import Tracer
+
+    from cvteleport import cli
+
+    for name in workloads.WORKLOADS:
+        workload = workloads.prepare(name, 1, PERFBENCH.parent, tmp_path / name)
+        gate = Gate(workload)
+        tracer = Tracer(run=0, inspect=gate.inspect)
+        tracer.install()
+        try:
+            code = cli.main(["run", str(workload.config)])
+        finally:
+            tracer.uninstall()
+        assert code == 0, name
+        assert gate.check_first(workload.out_dir, tracer.spans) == set(), (name, gate.notes)
