@@ -43,8 +43,6 @@ from .grid import (
 )
 from .optics import TwoModeState, epr_state
 from .analysis import (
-    FidelityReport,
-    SampleWithSeed,
     Scenario,
     envelope_profile,
     fidelity,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,27 +71,24 @@ def envelope_profile(
 
 
 @dataclass(frozen=True)
-class SampleWithSeed:
-    """Marker asking the sweep to draw the outcome itself.
-
-    Either coordinate may be pinned; the other is then drawn from its
-    density given the pinned value.  A seed of None must be filled in before
-    the sweep.
-    """
-
-    seed: int | None
-    fixed_x3: float | None = None
-    fixed_p4: float | None = None
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """One sweep entry: a kernel regime, an outcome (fixed or sampled), and a grid."""
+    """One sweep entry: a kernel regime, the homodyne outcome and a grid.
+
+    ``x3`` and ``p4`` are taken as the channel takes them: a number is a
+    fixed result, and None is drawn from its density given the other, with
+    ``seed``.  ``grid`` None means the run's own grid.
+    """
 
     label: str
     regime: KernelRegime
-    outcome: MeasurementOutcome | SampleWithSeed
+    x3: float | None
+    p4: float | None
+    seed: int | None = None
     grid: GridSpec | None = None
+
+    @property
+    def draws(self) -> bool:
+        return self.x3 is None or self.p4 is None
 
 
 @dataclass
@@ -110,62 +107,44 @@ class ScenarioResult:
 
     @classmethod
     def of(cls, scenario: Scenario, **fields) -> ScenarioResult:
-        """A row naming the scenario, its regime, widths and fixed or pinned
-        outcome coordinates; the rest from ``fields``.  A sampled coordinate is
-        filled in once drawn."""
-        regime, outcome = scenario.regime, scenario.outcome
-        if isinstance(outcome, MeasurementOutcome):
-            fields = {"x3": outcome.x3, "p4": outcome.p4, **fields}
-        else:
-            fields = {"x3": outcome.fixed_x3, "p4": outcome.fixed_p4, **fields}
-        name = type(regime).__name__
-        return cls(scenario.label, name, regime.sigma_a, regime.sigma_b, **fields)
+        """A row naming the scenario, its regime, widths and fixed outcome
+        coordinates; the rest from ``fields``.  A drawn coordinate is filled
+        in once drawn."""
+        regime = scenario.regime
+        return cls(
+            scenario.label, type(regime).__name__, regime.sigma_a, regime.sigma_b,
+            scenario.x3, scenario.p4, **fields,
+        )
 
     @property
     def failed(self) -> bool:
         return self.error is not None
 
 
-@dataclass
-class FidelityReport:
-    rows: list[ScenarioResult] = field(default_factory=list)
-
-    def by_label(self, label: str) -> ScenarioResult:
-        for row in self.rows:
-            if row.label == label:
-                return row
-        raise KeyError(label)
-
-    @property
-    def any_failed(self) -> bool:
-        return any(row.failed for row in self.rows)
-
-
 def run_sweep(
     scenarios: list[Scenario], load: Callable[[GridSpec | None], SampledWaveFunction]
-) -> FidelityReport:
-    """Teleport the input through every scenario, in order, and assemble the report.
+) -> list[ScenarioResult]:
+    """Teleport the input through every scenario, in order, and return one row each.
 
     ``load(grid)`` returns the input placed on ``grid``, None meaning the
     run's own grid; each scenario runs on ``load(scenario.grid)`` as it is,
     and is scored against that same state.  A state on another grid than
-    the scenario's own is a caller fault and raises ValueError.  Each
-    scenario's grid must satisfy the span rule of `channel.validate_span`.
-    Scenario failures (ZeroNorm, GridTooNarrow, ...) are recorded per row and
-    do not abort the sweep.  Identical seeds give identical reports.
+    the scenario's own is a caller fault and raises ValueError, as does a
+    scenario that draws without a seed.  Each scenario's grid must satisfy
+    the span rule of `channel.validate_span`.  Scenario failures (ZeroNorm,
+    GridTooNarrow, ...) are recorded per row and do not abort the sweep.
+    Identical seeds give identical rows.
     """
     if not scenarios:
         raise EmptyScenarioListError("no scenarios to run")
     labels = [s.label for s in scenarios]
     if len(set(labels)) != len(labels):
         raise ValueError("scenario labels must be unique within a sweep")
-    rows = [_run_one(s, load) for s in scenarios]
-    return FidelityReport(rows=rows)
+    return [_run_one(s, load) for s in scenarios]
 
 
 def _run_one(scenario: Scenario, load) -> ScenarioResult:
-    request = scenario.outcome
-    if isinstance(request, SampleWithSeed) and request.seed is None:
+    if scenario.draws and scenario.seed is None:
         raise ValueError(f"scenario {scenario.label!r}: a sampled outcome needs a seed")
     regime = scenario.regime
     row = ScenarioResult.of(scenario, l2_distortion=float("nan"))
@@ -176,12 +155,10 @@ def _run_one(scenario: Scenario, load) -> ScenarioResult:
                 f"scenario {scenario.label!r}: the input was placed on {state.grid}, "
                 f"not on the scenario's grid {scenario.grid}"
             )
-        if isinstance(request, SampleWithSeed):
-            outcome = sample_outcome(
-                state, regime, request.seed, request.fixed_x3, request.fixed_p4
-            )
+        if scenario.draws:
+            outcome = sample_outcome(state, regime, scenario.seed, scenario.x3, scenario.p4)
         else:
-            outcome = request
+            outcome = MeasurementOutcome(scenario.x3, scenario.p4)
         row.x3, row.p4 = outcome.x3, outcome.p4
         row.input_moments = moments(state)
         validate_span(state.grid, row.input_moments.support_length, outcome.x3, regime.sigma_b)

@@ -669,7 +669,10 @@ def build_outcome_distribution(
     (sigma_b = inf: x3, sigma_a = 0: p4); unless fixed, it is one cell at 0
     with step 0.  A single coordinate left to draw gets _MARGINAL_CELLS cells,
     two get _JOINT_CELLS each.  Both widths ideal leave nothing to tabulate.
+    A fixed coordinate must be finite, as in `MeasurementOutcome`.
     """
+    if not all(np.isfinite(value) for value in (x3, p4) if value is not None):
+        raise ValueError("measurement outcomes must be finite")
     if isinstance(regime, Ideal):
         raise IdealChannelOutcomeUnboundedError(
             "the ideal channel has a flat, improper outcome distribution"

@@ -21,9 +21,9 @@ positive and finite); an outcome coordinate may be ``sample``, and a scenario
 inputs) and ``image_mode`` (image inputs) stay unset in ``RunConfig`` unless
 given, so the runner can refuse the one its input cannot use.  The scenarios
 come back as ``analysis.Scenario`` objects: the kernel regime of the two
-widths, and a ``MeasurementOutcome`` for fixed coordinates, else a
-``SampleWithSeed`` whose seed, when the scenario sets none, the runner
-derives from the master seed and the scenario index.
+widths, and each coordinate as a number, or None where it is ``sample``.  A
+scenario that draws and sets no seed gets one from the runner, derived from
+the master seed and the scenario index.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import SampleWithSeed, Scenario
-from .channel import MeasurementOutcome, regime_for
+from .analysis import Scenario
+from .channel import regime_for
 from .errors import ParseError
 from .grid import GridSpec
 
@@ -194,16 +194,13 @@ def parse_config(path) -> RunConfig:
         if "seed" in raw:
             scen_seed = _parse_seed(raw["seed"][0], "scenario seed", pstr, raw["seed"][1])
         scen_grid = parse_grid(raw["grid"][0], pstr, raw["grid"][1]) if "grid" in raw else None
-        if x3 is None or p4 is None:
-            outcome = SampleWithSeed(scen_seed, fixed_x3=x3, fixed_p4=p4)
-        elif scen_seed is not None:
+        scenario = Scenario(label, regime_for(sigma_a, sigma_b), x3, p4, scen_seed, scen_grid)
+        if scen_seed is not None and not scenario.draws:
             raise ParseError(
                 f"scenario {label!r} sets a seed but samples neither x3 nor p4",
                 pstr, raw["seed"][1],
             )
-        else:
-            outcome = MeasurementOutcome(x3, p4)
-        scenarios.append(Scenario(label, regime_for(sigma_a, sigma_b), outcome, scen_grid))
+        scenarios.append(scenario)
 
     return RunConfig(
         input_path=globals_raw["input"][0],

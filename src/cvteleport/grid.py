@@ -77,7 +77,9 @@ class SampledWaveFunction:
     """Complex amplitudes sampled on a :class:`GridSpec`.
 
     Instances are immutable after construction; the amplitude buffer is
-    write-locked so values can be shared freely across threads.
+    write-locked because one state is shared: a run's loaded state serves
+    every scenario on the run's grid, and `teleport` returns it as it is
+    for `Ideal`.
     """
 
     __slots__ = ("grid", "amplitudes")

@@ -73,7 +73,7 @@ def _read_header_tokens(data: bytes, count: int):
 def load_image(path) -> ImageAsset:
     """Read a P2 (ASCII) or P5 (binary) portable graymap.
 
-    Every sample must lie in 0..maxval of the header.
+    Every sample must be an integer in 0..maxval of the header.
     """
     data = Path(path).read_bytes()
     magic = data[:2]
@@ -95,6 +95,9 @@ def load_image(path) -> ImageAsset:
             raise UnsupportedFormatError("non-numeric P2 sample")
         if not np.isfinite(values).all():
             raise UnsupportedFormatError("non-finite P2 sample")
+        fractional = values[values != np.floor(values)]
+        if fractional.size:
+            raise UnsupportedFormatError(f"sample {fractional[0]:g} is not an integer")
         if values.size != width * height:
             raise UnsupportedFormatError("P2 pixel count mismatch")
         pixels = values.reshape(height, width)

@@ -9,14 +9,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    FidelityReport,
-    SampleWithSeed,
     Scenario,
     ScenarioResult,
     envelope_profile,
     kernel_profile,
     run_sweep,
 )
+from .channel import MeasurementOutcome
 from .config import DEFAULT_GRID, RunConfig, parse_grid
 from .errors import EmptyScenarioListError, ParseError, TeleportError
 from .grid import SampledWaveFunction, to_momentum
@@ -63,11 +62,11 @@ def _fmt(name: str, value) -> str:
     return str(value)
 
 
-def write_report(path, report: FidelityReport) -> None:
+def write_report(path, rows: list[ScenarioResult]) -> None:
     """Each report column is the ScenarioResult attribute that its header names."""
     fields = REPORT_HEADER.split(",")
     lines = [REPORT_HEADER] + [
-        ",".join(_fmt(name, getattr(row, name)) for name in fields) for row in report.rows
+        ",".join(_fmt(name, getattr(row, name)) for name in fields) for row in rows
     ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -94,11 +93,10 @@ def _write_profiles(out_dir: Path, row: ScenarioResult, window) -> None:
 
 def _seeded(scenario: Scenario, config_seed: int, index: int) -> Scenario:
     """The scenario, with a seed from (master seed, index) if it draws without one."""
-    outcome = scenario.outcome
-    if not isinstance(outcome, SampleWithSeed) or outcome.seed is not None:
+    if not scenario.draws or scenario.seed is not None:
         return scenario
     seed = int(np.random.SeedSequence((config_seed, index)).generate_state(1)[0])
-    return replace(scenario, outcome=replace(outcome, seed=seed))
+    return replace(scenario, seed=seed)
 
 
 def _log_row(row: ScenarioResult) -> None:
@@ -134,9 +132,9 @@ def run(config: RunConfig) -> int:
         execute, source = _run_signal, _placements(input_path, state)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = execute(config, source, out_dir)
-    write_report(out_dir / "report.csv", report)
-    return EXIT_PARTIAL_FAILURE if report.any_failed else EXIT_OK
+    rows = execute(config, source, out_dir)
+    write_report(out_dir / "report.csv", rows)
+    return EXIT_PARTIAL_FAILURE if any(row.failed for row in rows) else EXIT_OK
 
 
 def _placements(path: Path, state: SampledWaveFunction):
@@ -148,10 +146,10 @@ def _placements(path: Path, state: SampledWaveFunction):
     return lambda grid: state if grid in (None, state.grid) else load_signal(path, grid)
 
 
-def _run_signal(config: RunConfig, load, out_dir: Path) -> FidelityReport:
+def _run_signal(config: RunConfig, load, out_dir: Path) -> list[ScenarioResult]:
     scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
-    report = run_sweep(scenarios, load)
-    for row in report.rows:
+    rows = run_sweep(scenarios, load)
+    for row in rows:
         _log_row(row)
         if row.failed:
             continue
@@ -164,7 +162,7 @@ def _run_signal(config: RunConfig, load, out_dir: Path) -> FidelityReport:
         mid, half = row.input_moments.mean_x, 0.75 * row.input_moments.support_length
         window = (mid - half, mid + half)
         _write_profiles(out_dir, row, window)
-    return report
+    return rows
 
 
 def _refuse_image_keys(config: RunConfig) -> None:
@@ -174,7 +172,7 @@ def _refuse_image_keys(config: RunConfig) -> None:
             "an image's grid follows the image"
         )
     for scenario in config.scenarios:
-        if isinstance(scenario.outcome, SampleWithSeed):
+        if scenario.draws:
             raise ParseError(
                 f"scenario {scenario.label!r}: sampled outcomes are not supported "
                 "for image inputs"
@@ -186,15 +184,16 @@ def _refuse_image_keys(config: RunConfig) -> None:
             )
 
 
-def _run_image(config: RunConfig, asset: ImageAsset, out_dir: Path) -> FidelityReport:
+def _run_image(config: RunConfig, asset: ImageAsset, out_dir: Path) -> list[ScenarioResult]:
     image_mode = config.image_mode or "column-wise"
     line_length = asset.height if image_mode == "column-wise" else asset.width
     rows = []
     for scenario in config.scenarios:
         row = ScenarioResult.of(scenario)
         rows.append(row)
+        outcome = MeasurementOutcome(scenario.x3, scenario.p4)
         try:
-            result = teleport_image(asset, scenario.regime, scenario.outcome, image_mode)
+            result = teleport_image(asset, scenario.regime, outcome, image_mode)
         except TeleportError as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         else:
@@ -205,4 +204,4 @@ def _run_image(config: RunConfig, asset: ImageAsset, out_dir: Path) -> FidelityR
             row.fidelity = float(valid.mean())
             _write_profiles(out_dir, row, (0.0, float(line_length)))
         _log_row(row)
-    return FidelityReport(rows=rows)
+    return rows

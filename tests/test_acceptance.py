@@ -66,16 +66,16 @@ FROZEN_FIDELITIES = {
 
 def reference_scenarios():
     return [
-        Scenario("fig4a", regime_for(1 / 180, np.inf), MeasurementOutcome(0.0, 180.0)),
-        Scenario("fig4b", regime_for(1 / 180, np.inf), MeasurementOutcome(0.0, 1800.0)),
-        Scenario("fig4c", regime_for(1 / 5.4, np.inf), MeasurementOutcome(0.0, 2.7)),
-        Scenario("fig4d", regime_for(1 / 5.4, np.inf), MeasurementOutcome(0.0, 10.8)),
-        Scenario("fig7a", regime_for(0.0, 280.0), MeasurementOutcome(280.0, 0.0), G_WIDE),
-        Scenario("fig7b", regime_for(0.0, 280.0), MeasurementOutcome(2800.0, 0.0), G_WIDER),
-        Scenario("fig7c", regime_for(0.0, 8.4), MeasurementOutcome(4.2, 0.0)),
-        Scenario("fig7d", regime_for(0.0, 8.4), MeasurementOutcome(33.0, 0.0)),
-        Scenario("fig9b", FIG_PARAMS, MeasurementOutcome(280.0, 180.0), G_WIDE),
-        Scenario("fig9c", FIG_PARAMS, MeasurementOutcome(2800.0, 1800.0), G_WIDER),
+        Scenario("fig4a", regime_for(1 / 180, np.inf), 0.0, 180.0),
+        Scenario("fig4b", regime_for(1 / 180, np.inf), 0.0, 1800.0),
+        Scenario("fig4c", regime_for(1 / 5.4, np.inf), 0.0, 2.7),
+        Scenario("fig4d", regime_for(1 / 5.4, np.inf), 0.0, 10.8),
+        Scenario("fig7a", regime_for(0.0, 280.0), 280.0, 0.0, grid=G_WIDE),
+        Scenario("fig7b", regime_for(0.0, 280.0), 2800.0, 0.0, grid=G_WIDER),
+        Scenario("fig7c", regime_for(0.0, 8.4), 4.2, 0.0),
+        Scenario("fig7d", regime_for(0.0, 8.4), 33.0, 0.0),
+        Scenario("fig9b", FIG_PARAMS, 280.0, 180.0, grid=G_WIDE),
+        Scenario("fig9c", FIG_PARAMS, 2800.0, 1800.0, grid=G_WIDER),
     ]
 
 
@@ -85,7 +85,7 @@ def silhouette():
 
 
 @pytest.fixture(scope="module")
-def scenario_report(silhouette):
+def scenario_rows(silhouette):
     # as `teleport run` does: a scenario grid gets the file placed on that grid
     def load(grid):
         return silhouette if grid is None else load_bundled_silhouette(grid)
@@ -169,9 +169,9 @@ def test_criterion_04_limit_consistency():
     assert mult_err <= 1e-3
 
 
-def test_criterion_05_scenario_regressions_and_orderings(scenario_report):
+def test_criterion_05_scenario_regressions_and_orderings(scenario_rows):
     start = time.perf_counter()
-    fids = {row.label: row.fidelity for row in scenario_report.rows}
+    fids = {row.label: row.fidelity for row in scenario_rows}
     for label, frozen in FROZEN_FIDELITIES.items():
         assert fids[label] == pytest.approx(frozen, abs=1e-6), label
     assert fids["fig4a"] > fids["fig4b"]
@@ -183,11 +183,11 @@ def test_criterion_05_scenario_regressions_and_orderings(scenario_report):
     assert elapsed < 60.0
 
 
-def test_criterion_05_combined_strong_squeezing_fidelity_floor(scenario_report):
+def test_criterion_05_combined_strong_squeezing_fidelity_floor(scenario_rows):
     # Known red: a spread-28 signal under a width-280 envelope centred at
     # sqrt(2)*280 ~ 396 cannot exceed fidelity ~0.943 whatever its shape, so
     # the 0.95 floor is implemented faithfully and fails.
-    measured = scenario_report.by_label("fig9b").fidelity
+    measured = {r.label: r for r in scenario_rows}["fig9b"].fidelity
     print(f"criterion 5 (floor): combined strong-squeezing fidelity = {measured:.6f}")
     assert measured >= 0.95
 

@@ -6,7 +6,6 @@ from cvteleport import (
     EmptyScenarioListError,
     GridSpec,
     MeasurementOutcome,
-    SampleWithSeed,
     SampledWaveFunction,
     Scenario,
     envelope_profile,
@@ -86,17 +85,18 @@ def test_envelope_profile_offset_anchor():
 
 def test_run_sweep_single_ideal_scenario(unit_grid):
     psi = gaussian_packet(unit_grid, 0.3, 1.2)
-    report = run_sweep(
+    rows = run_sweep(
         [
             Scenario(
                 "ideal",
                 regime_for(0.0, np.inf),
-                MeasurementOutcome(0.0, 0.0),
+                0.0,
+                0.0,
             )
         ],
         lambda grid: psi,
     )
-    row = report.by_label("ideal")
+    row = {r.label: r for r in rows}["ideal"]
     assert row.fidelity == pytest.approx(1.0, abs=1e-9)
     assert row.l2_distortion == pytest.approx(0.0, abs=1e-9)
     assert row.regime == "Ideal"
@@ -115,24 +115,24 @@ def test_run_sweep_runs_each_scenario_on_its_load_as_it_is(unit_grid):
         return psi if grid is None else placed
 
     ideal = regime_for(0.0, np.inf)
-    report = run_sweep(
+    run, mine = run_sweep(
         [
-            Scenario("run", ideal, MeasurementOutcome(0.0, 0.0)),
-            Scenario("own", ideal, MeasurementOutcome(0.0, 0.0), own),
+            Scenario("run", ideal, 0.0, 0.0),
+            Scenario("own", ideal, 0.0, 0.0, grid=own),
         ],
         load,
     )
     assert asked == [None, own]
-    assert report.by_label("run").output is psi
-    assert report.by_label("own").output is placed
-    assert report.by_label("run").fidelity == report.by_label("own").fidelity == 1.0
+    assert run.output is psi
+    assert mine.output is placed
+    assert run.fidelity == mine.fidelity == 1.0
 
 
 def test_run_sweep_refuses_an_input_on_another_grid(unit_grid):
     # a load that ignores its argument must not run silently on the wrong grid
     psi = gaussian_packet(unit_grid, 0.0, 1.0)
     own = GridSpec(-8.0, 0.0625, 256)
-    scenario = Scenario("own", regime_for(0.0, np.inf), MeasurementOutcome(0, 0), own)
+    scenario = Scenario("own", regime_for(0.0, np.inf), 0, 0, grid=own)
     with pytest.raises(ValueError, match="scenario 'own': the input was placed on"):
         run_sweep([scenario], lambda grid: psi)
 
@@ -141,7 +141,7 @@ def test_run_sweep_empty_and_duplicate_labels(unit_grid):
     psi = gaussian_packet(unit_grid, 0.0, 1.0)
     with pytest.raises(EmptyScenarioListError):
         run_sweep([], lambda grid: psi)
-    scn = Scenario("a", regime_for(0.0, np.inf), MeasurementOutcome(0, 0))
+    scn = Scenario("a", regime_for(0.0, np.inf), 0, 0)
     with pytest.raises(ValueError):
         run_sweep([scn, scn], lambda grid: psi)
 
@@ -149,31 +149,33 @@ def test_run_sweep_empty_and_duplicate_labels(unit_grid):
 def test_run_sweep_records_failures_per_row(unit_grid):
     psi = gaussian_packet(unit_grid, 0.0, 1.0)
     scenarios = [
-        Scenario("good", regime_for(0.0, np.inf), MeasurementOutcome(0, 0)),
+        Scenario("good", regime_for(0.0, np.inf), 0, 0),
         Scenario(
             "annihilated",
             regime_for(0.0, 1e-3),
-            MeasurementOutcome(0.05, 0.0),
+            0.05,
+            0.0,
         ),
     ]
-    report = run_sweep(scenarios, lambda grid: psi)
-    assert not report.by_label("good").failed
-    bad = report.by_label("annihilated")
+    rows = run_sweep(scenarios, lambda grid: psi)
+    by_label = {r.label: r for r in rows}
+    assert not by_label["good"].failed
+    bad = by_label["annihilated"]
     assert bad.failed and "ZeroNorm" in bad.error
     assert np.isnan(bad.fidelity)
-    assert report.any_failed
+    assert any(r.failed for r in rows)
 
 
 def test_run_sweep_reruns_identically():
     psi = gaussian_packet(GridSpec(-32.0, 0.125, 512), 0.5, 1.0)
     scenarios = [
-        Scenario("s", regime_for(0.5, 2.0), SampleWithSeed(17)),
-        Scenario("t", regime_for(0.7, 2.4), SampleWithSeed(18)),
+        Scenario("s", regime_for(0.5, 2.0), None, None, seed=17),
+        Scenario("t", regime_for(0.7, 2.4), None, None, seed=18),
     ]
     r1 = run_sweep(scenarios, lambda grid: psi)
     r2 = run_sweep(scenarios, lambda grid: psi)
-    assert [row.label for row in r1.rows] == ["s", "t"]
-    for a, b in zip(r1.rows, r2.rows):
+    assert [row.label for row in r1] == ["s", "t"]
+    for a, b in zip(r1, r2):
         assert not a.failed
         assert a.x3 == b.x3 and a.p4 == b.p4
         assert a.fidelity == b.fidelity
@@ -186,10 +188,12 @@ def test_sample_with_fixed_coordinate(unit_grid):
         Scenario(
             "pinned",
             regime_for(0.5, 2.0),
-            SampleWithSeed(17, fixed_x3=0.25),
+            0.25,
+            None,
+            seed=17,
         )
     ]
-    row = run_sweep(scenarios, lambda grid: psi).rows[0]
+    row = run_sweep(scenarios, lambda grid: psi)[0]
     assert row.x3 == 0.25
     assert row.p4 != 0.0
 
@@ -197,7 +201,7 @@ def test_sample_with_fixed_coordinate(unit_grid):
 def test_run_sweep_refuses_an_unseeded_draw(unit_grid):
     # a missing seed must never fall through to an OS-entropy generator
     psi = gaussian_packet(unit_grid, 0.5, 1.0)
-    scenario = Scenario("unseeded", regime_for(0.5, 2.0), SampleWithSeed(None))
+    scenario = Scenario("unseeded", regime_for(0.5, 2.0), None, None)
     with pytest.raises(ValueError, match="needs a seed"):
         run_sweep([scenario], lambda grid: psi)
 
@@ -236,11 +240,11 @@ def test_convolution_smooths_fine_detail():
 
 def test_report_moments_populated(unit_grid):
     psi = gaussian_packet(unit_grid, 0.4, 1.1)
-    report = run_sweep(
-        [Scenario("c", regime_for(0.6, np.inf), MeasurementOutcome(0.0, 1.0))],
+    rows = run_sweep(
+        [Scenario("c", regime_for(0.6, np.inf), 0.0, 1.0)],
         lambda grid: psi,
     )
-    row = report.rows[0]
+    row = rows[0]
     assert row.input_moments is not None
     assert row.regime == "ConvolutionOnly"
     assert 0.0 <= row.fidelity <= 1.0

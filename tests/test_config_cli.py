@@ -54,7 +54,7 @@ def test_parse_config_basics(tmp_path):
     assert cfg.grid.n == 1024
     assert len(cfg.scenarios) == 2
     assert cfg.scenarios[0].regime.sigma_a == 0.0
-    assert cfg.scenarios[1].outcome.p4 == 2.7
+    assert cfg.scenarios[1].p4 == 2.7
 
 
 def test_parse_grid_spec():
@@ -832,6 +832,16 @@ def test_cli_image_rejects_a_scenario_grid_and_keeps_the_global_seed(tmp_path, c
     assert err.startswith("error: scenario 's': a scenario grid is not supported")
 
 
+def test_readme_configuration_example_parses(tmp_path):
+    # the example under "### Configuration format" is a config as printed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration format", 1)[1].split("```\n", 2)[1]
+    strong, drawn = parse_config(write_config(tmp_path, block)).scenarios
+    assert (strong.label, strong.x3, strong.p4, strong.seed) == ("strong", 0.0, 180.0, None)
+    assert strong.grid == parse_grid("-4096:4096:16384")
+    assert (drawn.label, drawn.x3, drawn.p4, drawn.seed) == ("drawn", None, None, 7)
+
+
 @pytest.mark.parametrize(
     "x3, p4, line",
     [("0", "0", 9), ("0.25", "-1.5", 9), ("sample", "0", None), ("0", "sample", None)],
@@ -841,7 +851,7 @@ def test_parse_config_refuses_a_seed_that_cannot_take_effect(tmp_path, x3, p4, l
     text = "input = x\noutput_dir = o\n" + SCENARIO.format(sa=1, x3=x3, p4=p4) + "seed = 3\n"
     path = write_config(tmp_path, text)
     if line is None:
-        assert parse_config(path).scenarios[0].outcome.seed == 3
+        assert parse_config(path).scenarios[0].seed == 3
         return
     with pytest.raises(ParseError, match="sets a seed but samples neither") as err:
         parse_config(path)

@@ -102,10 +102,12 @@ def test_unsupported_format(tmp_path, capsys):
         (b"P2\n8 8\n255\n" + b"1 " * 63 + b"300\n", "sample 300 is outside 0..255"),
         (b"P5\n8 8\n100\n" + bytes([200]) + bytes(63), "sample 200 is outside 0..100"),
         (b"P5\n8 8\n1000\n" + bytes(126) + b"\x03\xe9", "sample 1001 is outside 0..1000"),
+        (b"P2\n8 8\n255\n1.5 " + b"1 " * 63 + b"\n", "sample 1.5 is not an integer"),
     ],
     ids=[
         "truncated-header", "non-integer-header", "maxval-0", "p2-count", "p5-short",
         "p2-below-0", "p2-above-maxval", "p5-above-maxval", "p5-16-bit-above-maxval",
+        "p2-non-integer",
     ],
 )
 def test_malformed_graymap_is_refused_by_name(tmp_path, data, message):

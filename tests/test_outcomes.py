@@ -12,7 +12,6 @@ from cvteleport import (
     IdealChannelOutcomeUnboundedError,
     OutcomeTooLargeError,
     SampledWaveFunction,
-    SampleWithSeed,
     Scenario,
     ZeroNormError,
     build_outcome_distribution,
@@ -419,18 +418,19 @@ def test_outcome_density_over_budget_fails_before_allocating():
 
     assert _peak_bytes(refuse_all) < 50e6
 
-    draw = SampleWithSeed(1)
     scenarios = [
-        Scenario("too_big", regime_for(1e-5, 1e-5), draw),
-        Scenario("fits", regime_for(5.0, 5.0), draw, GridSpec(-256.0, 0.5, 1024)),
+        Scenario("too_big", regime_for(1e-5, 1e-5), None, None, seed=1),
+        Scenario(
+            "fits", regime_for(5.0, 5.0), None, None, seed=1, grid=GridSpec(-256.0, 0.5, 1024)
+        ),
     ]
     # as `teleport run` does: a scenario grid gets the file placed on that grid
-    report = run_sweep(
+    too_big, fits = run_sweep(
         scenarios,
         lambda grid: psi if grid is None else load_signal(bundled_silhouette_path(), grid),
     )
-    assert report.by_label("too_big").error.startswith("OutcomeTooLargeError: ")
-    assert not report.by_label("fits").failed
+    assert too_big.error.startswith("OutcomeTooLargeError: ")
+    assert not fits.failed
 
 
 def test_build_distribution_tabulates_the_proper_coordinate_alone(packet):
@@ -555,6 +555,21 @@ def test_fixed_coordinate_of_zero_probability_is_refused():
     psi, _ = _chirped_packet()
     with pytest.raises(ZeroNormError, match="outcome density vanished"):
         sample_outcome(psi, regime_for(0.185, 8.4), seed=1, x3=1e6)
+
+
+@pytest.mark.parametrize("axis", ["x3", "p4"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_fixed_coordinate_is_refused(axis, value):
+    # a fixed coordinate keeps MeasurementOutcome's rule whether the other is
+    # drawn or fixed, so a sweep stops on it by name in either case
+    psi = gaussian_packet(GridSpec(-64.0, 0.25, 512), 3.0, 2.0)
+    regime = regime_for(0.5, 2.0)
+    with pytest.raises(ValueError, match="measurement outcomes must be finite"):
+        build_outcome_distribution(psi, regime, **{axis: value})
+    for other in (None, 0.0):
+        x3, p4 = (value, other) if axis == "x3" else (other, value)
+        with pytest.raises(ValueError, match="measurement outcomes must be finite"):
+            run_sweep([Scenario("s", regime, x3, p4, seed=1)], lambda grid: psi)
 
 
 def test_fixed_improper_coordinate_is_kept_whatever_its_size():
