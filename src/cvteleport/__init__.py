@@ -9,6 +9,7 @@ from .channel import (
     MultiplicationOnly,
     OutcomeDistribution,
     build_outcome_distribution,
+    epr_state,
     oracle_teleport,
     regime_for,
     sample_outcome,
@@ -41,7 +42,6 @@ from .grid import (
     resample,
     to_momentum,
 )
-from .optics import TwoModeState, epr_state
 from .analysis import (
     Scenario,
     envelope_profile,

@@ -10,6 +10,7 @@ import numpy as np
 from .channel import (
     KernelRegime,
     MeasurementOutcome,
+    _require_width,
     convolution_kernel,
     envelope,
     sample_outcome,
@@ -24,7 +25,6 @@ from .grid import (
     inner_product,
     moments,
 )
-from .optics import _require_width
 
 
 def fidelity(psi_in: SampledWaveFunction, psi_tel: SampledWaveFunction) -> float:

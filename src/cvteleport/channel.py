@@ -15,9 +15,10 @@ leaves multiplication by the wide envelope exp(-((x5-sqrt(2)*x3)/sigma_b)^2).
 Each regime carries both widths, the ideal ones as class-level limits
 (sigma_a = 0, sigma_b = inf), and one function (`_apply_kernel`) evaluates
 the kernel at those widths: two Gaussian envelopes around one FFT product.
-`oracle_teleport` never uses the kernel: it evolves the full three-mode state
-step by step (beam splitter, corrections, homodyne slice) on a small grid and
-is the independent reference the kernel path is tested against.
+`oracle_teleport` never uses the kernel: it evolves the full three-mode state,
+the input times the closed-form EPR resource `epr_state`, step by step (beam
+splitter, corrections, homodyne slice) on a small grid and is the independent
+reference the kernel path is tested against.
 
 Outcome statistics follow from the beam-splitter mode relations
 x3 = x1/sqrt(2) + (x_a - x_b)/2 and p4 = p1/sqrt(2) + (p_b - p_a)/2 with the
@@ -38,6 +39,7 @@ from .errors import (
     IdealChannelOutcomeUnboundedError,
     OracleGridTooLargeError,
     OutcomeTooLargeError,
+    SentinelNotMaterializableError,
     ZeroNormError,
 )
 from .grid import (
@@ -50,7 +52,6 @@ from .grid import (
     moments,
     normalize,
 )
-from .optics import _require_width, epr_state
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +85,11 @@ class MeasurementOutcome:
     def __post_init__(self):
         if not (np.isfinite(self.x3) and np.isfinite(self.p4)):
             raise ValueError("measurement outcomes must be finite")
+
+
+def _require_width(name: str, value) -> None:
+    if not (np.isscalar(value) and np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite width")
 
 
 @dataclass(frozen=True)
@@ -324,6 +330,35 @@ def validate_span(
 # ---------------------------------------------------------------------------
 
 
+def epr_state(regime: General, grid: GridSpec) -> np.ndarray:
+    """The EPR resource phi(x2, x5) on grid x grid, normalized, in closed form.
+
+    A 50-50 beam splitter makes it of two squeezed vacua, the p-squeezed beam
+    (width sigma_b) in one port and the x-squeezed beam (width sigma_a) in the
+    other:
+
+        phi(x2, x5) ~ exp(-((x2-x5)/(2 sigma_a))^2) * exp(-((x2+x5)/(2 sigma_b))^2),
+
+    an (n, n) complex128 array, axis 0 x2 and axis 1 x5, exactly symmetric
+    under exchange of the two modes.  ``regime`` must be `General`: an ideal
+    width has no grid representation.
+    """
+    sigma_a, sigma_b = regime.sigma_a, regime.sigma_b
+    if sigma_a == 0.0 or sigma_b == np.inf:
+        raise SentinelNotMaterializableError(
+            "ideal squeezing limits have no grid representation"
+        )
+    xs = grid.points
+    X2, X5 = np.meshgrid(xs, xs, indexing="ij")
+    amps = np.exp(-(((X2 - X5) / (2.0 * sigma_a)) ** 2)) * np.exp(
+        -(((X2 + X5) / (2.0 * sigma_b)) ** 2)
+    )
+    norm = np.sqrt(np.sum(np.abs(amps) ** 2) * grid.dx * grid.dx)
+    if norm**2 < ZERO_NORM_FLOOR:
+        raise ZeroNormError("two-mode state has vanishing norm")
+    return amps.astype(np.complex128) / norm
+
+
 def oracle_teleport(
     psi: SampledWaveFunction,
     regime: General,
@@ -346,7 +381,7 @@ def oracle_teleport(
         raise OracleGridTooLargeError(
             f"oracle grids are limited to n <= {ORACLE_MAX_POINTS}, got {g.n}"
         )
-    phi = epr_state(regime, g).amplitudes  # refuses an ideal width
+    phi = epr_state(regime, g)  # refuses an ideal width
     n = g.n
     xs = g.points
     ps = g.conjugate().points

@@ -165,6 +165,10 @@ def parse_config(path) -> RunConfig:
         raise ParseError("missing required key 'input'", pstr)
     if "output_dir" not in globals_raw:
         raise ParseError("missing required key 'output_dir'", pstr)
+    output_dir, dir_line = globals_raw["output_dir"]
+    # A comment has its own line: a '#' after a value would be part of it.
+    if "#" in output_dir:
+        raise ParseError(f"output_dir must not contain '#', got {output_dir!r}", pstr, dir_line)
     image_mode, mode_line = globals_raw.get("image_mode", (None, None))
     if image_mode not in (None, "column-wise", "row-wise"):
         raise ParseError("image_mode must be column-wise or row-wise", pstr, mode_line)
@@ -180,8 +184,8 @@ def parse_config(path) -> RunConfig:
             )
         label, label_line = raw["label"]
         # A label names the scenario's output files and its report.csv field.
-        if not label or not label.isprintable() or any(c in label for c in "/\\,"):
-            message = "label must be printable and non-empty, without '/', '\\' or ','"
+        if not label or not label.isprintable() or any(c in label for c in "/\\,#"):
+            message = "label must be printable and non-empty, without '/', '\\', ',' or '#'"
             raise ParseError(f"{message}, got {label!r}", pstr, label_line)
         if label in labels:
             raise ParseError(f"duplicate scenario label {label!r}", pstr, start)
@@ -205,7 +209,7 @@ def parse_config(path) -> RunConfig:
     return RunConfig(
         input_path=globals_raw["input"][0],
         grid=grid,
-        output_dir=globals_raw["output_dir"][0],
+        output_dir=output_dir,
         scenarios=scenarios,
         seed=seed,
         image_mode=image_mode,

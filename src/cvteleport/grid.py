@@ -1,6 +1,6 @@
 """Sampled complex wave functions on uniform quadrature grids.
 
-Everything downstream (optics, the teleportation channel, analysis) works with
+Everything downstream (the teleportation channel, analysis) works with
 functions sampled on a :class:`GridSpec`: a uniform 1D lattice of quadrature
 values with a power-of-two point count, so the position and momentum
 representations are connected by radix-2 FFTs.  Conventions (hbar = 1):

@@ -6,18 +6,15 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from cvteleport import (
-    GridMismatchError,
     General,
     GridSpec,
     GridTooNarrowError,
     SampledWaveFunction,
     SentinelNotMaterializableError,
-    TwoModeState,
     moments,
     normalize,
 )
-from cvteleport.channel import _finish, convolution_kernel, outcome_moments
-from cvteleport.optics import _require_width
+from cvteleport.channel import _finish, _require_width, convolution_kernel, outcome_moments
 from cvteleport.signals import write_table
 
 _SQRT2 = np.sqrt(2.0)
@@ -125,7 +122,8 @@ def closed_form_teleport(grid, mu, w, k0, sigma_a, sigma_b, x3, p4):
 
 # ---------------------------------------------------------------------------
 # The beam-splitter construction of the EPR resource: the reference that
-# `epr_state`'s closed form is checked against.
+# `epr_state`'s closed form is checked against.  A two-mode state is an (n, n)
+# array on grid x grid, axis 0 the first mode.
 #
 # The beam splitter is the quadrature substitution
 #
@@ -145,32 +143,33 @@ def closed_form_teleport(grid, mu, w, k0, sigma_a, sigma_b, x3, p4):
 # ---------------------------------------------------------------------------
 
 
-def product_state(psi_a: SampledWaveFunction, psi_b: SampledWaveFunction) -> TwoModeState:
-    """Separable state psi_a(x_a) * psi_b(x_b)."""
-    return TwoModeState(
-        psi_a.grid, psi_b.grid, np.outer(psi_a.amplitudes, psi_b.amplitudes)
-    )
+def two_mode_norm(amplitudes: np.ndarray, grid: GridSpec) -> float:
+    """L2 norm of a two-mode state on grid x grid."""
+    return float(np.sqrt(np.sum(np.abs(amplitudes) ** 2) * grid.dx * grid.dx))
 
 
-def beam_splitter(state: TwoModeState, inverse: bool = False) -> TwoModeState:
+def product_state(psi_a: SampledWaveFunction, psi_b: SampledWaveFunction) -> np.ndarray:
+    """Separable state psi_a(x_a) * psi_b(x_b), both on one grid."""
+    return np.outer(psi_a.amplitudes, psi_b.amplitudes)
+
+
+def beam_splitter(
+    amplitudes: np.ndarray, grid: GridSpec, inverse: bool = False
+) -> np.ndarray:
     """Balanced beam splitter as a coordinate-rotation resampling.
 
     The output value at (y1, y2) is the input evaluated at
     ((y2+y1)/sqrt(2), (y2-y1)/sqrt(2)) by bilinear interpolation, zero outside
-    the grid.  Requires identical square grids on both modes so the rotated
-    coordinates land on the common lattice; norm is preserved to the
-    interpolation error (O(dx^2) for smooth states).
+    the grid; norm is preserved to the interpolation error (O(dx^2) for
+    smooth states).
     """
-    if state.grid_a != state.grid_b:
-        raise GridMismatchError("beam splitter needs identical grids on both modes")
-    g = state.grid_a
-    xs = g.points
+    xs = grid.points
     Y1, Y2 = np.meshgrid(xs, xs, indexing="ij")
     if inverse:
         a, b = (Y1 - Y2) / _SQRT2, (Y1 + Y2) / _SQRT2
     else:
         a, b = (Y2 + Y1) / _SQRT2, (Y2 - Y1) / _SQRT2
-    return TwoModeState(g, g, _bilinear(state.amplitudes, xs, a, b))
+    return _bilinear(amplitudes, xs, a, b)
 
 
 def _bilinear(values: np.ndarray, xs: np.ndarray, a, b) -> np.ndarray:
@@ -203,7 +202,7 @@ def squeezed_vacuum(sigma: float, grid: GridSpec) -> SampledWaveFunction:
     return normalize(SampledWaveFunction(grid, amps))
 
 
-def epr_from_beam_splitter(params: General, grid: GridSpec) -> TwoModeState:
+def epr_from_beam_splitter(params: General, grid: GridSpec) -> np.ndarray:
     """EPR resource built physically: squeezed beams through the beam splitter.
 
     The wide (p-squeezed, sigma_b) beam enters port 1 and the narrow
@@ -217,7 +216,8 @@ def epr_from_beam_splitter(params: General, grid: GridSpec) -> TwoModeState:
         )
     wide = squeezed_vacuum(params.sigma_b, grid)
     narrow = squeezed_vacuum(params.sigma_a, grid)
-    return beam_splitter(product_state(wide, narrow)).normalized()
+    built = beam_splitter(product_state(wide, narrow), grid)
+    return built / two_mode_norm(built, grid)
 
 
 # ---------------------------------------------------------------------------

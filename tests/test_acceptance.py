@@ -142,7 +142,7 @@ def test_criterion_03_epr_construction_equivalence():
             g = GridSpec(-16.0, 32.0 / n, n)
             direct = epr_state(params, g)
             built = epr_from_beam_splitter(params, g)
-            errors.append(float(np.max(np.abs(direct.amplitudes - built.amplitudes))))
+            errors.append(float(np.max(np.abs(direct - built))))
         print(
             f"criterion 3: sa={params.sigma_a:.3f} sb={params.sigma_b:.3f} "
             f"max dev n256={errors[0]:.2e} n512={errors[1]:.2e}"
@@ -184,9 +184,10 @@ def test_criterion_05_scenario_regressions_and_orderings(scenario_rows):
 
 
 def test_criterion_05_combined_strong_squeezing_fidelity_floor(scenario_rows):
-    # Known red: a spread-28 signal under a width-280 envelope centred at
-    # sqrt(2)*280 ~ 396 cannot exceed fidelity ~0.943 whatever its shape, so
-    # the 0.95 floor is implemented faithfully and fails.
+    # Known red: the run measures 0.9464533894400824.  The width-280 envelope,
+    # centred at sqrt(2)*280 ~ 396, reweights the spread-28 signal, and the
+    # program reproduces the predicted fidelity to 2e-16, so the 0.95 floor is
+    # implemented faithfully and fails.
     measured = {r.label: r for r in scenario_rows}["fig9b"].fidelity
     print(f"criterion 5 (floor): combined strong-squeezing fidelity = {measured:.6f}")
     assert measured >= 0.95

@@ -410,8 +410,9 @@ def test_oracle_refuses_large_grids_and_sentinels():
         oracle_teleport(psi, regime_for(1.0, 1.0), MeasurementOutcome(0, 0))
     g64 = GridSpec(-12.0, 24.0 / 64, 64)
     psi64 = gaussian_packet(g64, 0.0, 1.0)
-    with pytest.raises(SentinelNotMaterializableError):
-        oracle_teleport(psi64, regime_for(0.0, 1.0), MeasurementOutcome(0, 0))
+    for regime in (regime_for(0.0, 1.0), ConvolutionOnly(1.0), Ideal()):
+        with pytest.raises(SentinelNotMaterializableError):
+            oracle_teleport(psi64, regime, MeasurementOutcome(0, 0))
 
 
 def test_oracle_equal_widths_outputs_resource_mode():

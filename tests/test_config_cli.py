@@ -130,8 +130,8 @@ def test_parse_config_rejects_non_finite_and_negative(tmp_path, text, line):
 
 @pytest.mark.parametrize(
     "label",
-    ["../escape", "{tmp}/abs", "a,b", "", "a\\b", "a\tb"],
-    ids=["parent", "absolute", "comma", "empty", "backslash", "tab"],
+    ["../escape", "{tmp}/abs", "a,b", "", "a\\b", "a\tb", "strong  # note"],
+    ids=["parent", "absolute", "comma", "empty", "backslash", "tab", "hash"],
 )
 def test_parse_config_refuses_a_label_that_cannot_name_its_files(tmp_path, label):
     # a label names output files and a report.csv field: nothing may leave
@@ -190,10 +190,17 @@ _ONE = SCENARIO.format(sa=1, x3=0, p4=0)
         (_HEAD + "\n[scenario]\nlabel = a\nsigma_a = 1\n", 4, "scenario is missing"),
         (_HEAD + SCENARIO.format(sa=1, x3="abc", p4=0), 7, "x3 must be a number"),
         (_HEAD + "seed = 1.5\n" + _ONE, 3, "non-negative integer"),
+        # a '#' after a value is no comment: it would name the directory
+        (
+            "input = bundled:silhouette\noutput_dir = {out}  # where\n" + _ONE,
+            2,
+            "output_dir must not contain '#'",
+        ),
     ],
     ids=[
         "unknown-section", "no-equals", "unknown-scenario-key", "no-output_dir",
         "scenario-missing-keys", "x3-not-a-number", "seed-not-an-integer",
+        "output_dir-comment",
     ],
 )
 def test_parse_config_refusals_name_their_line_and_write_nothing(
@@ -907,6 +914,22 @@ def test_keys_that_cannot_take_effect_are_refused(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith(f"error: {key} applies to "), argv
+
+
+def test_readme_layout_names_every_module():
+    # the module lines under src/cvteleport/ in "## Layout" name exactly the
+    # package's modules, so a folded or deleted module cannot stay listed
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout\n", 1)[1].split("```\n", 2)[1]
+    lines = block.split("src/cvteleport/\n", 1)[1].splitlines()
+    listed = []
+    for line in lines:
+        if not line.startswith(" "):
+            break
+        listed += re.findall(r"^\s+(\w+\.py)\s", line)
+    modules = sorted(p.name for p in (root / "src" / "cvteleport").glob("*.py"))
+    assert sorted(listed) == [m for m in modules if m != "__init__.py"]
 
 
 def test_readme_api_sketch_runs_and_matches_the_oracle(tmp_path):

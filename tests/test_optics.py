@@ -3,17 +3,24 @@ import pytest
 
 from cvteleport import (
     ConvolutionOnly,
-    GridMismatchError,
     GridSpec,
     GridTooNarrowError,
+    Ideal,
     SentinelNotMaterializableError,
+    ZeroNormError,
     epr_state,
     gaussian_packet,
     moments,
     regime_for,
 )
 
-from conftest import beam_splitter, epr_from_beam_splitter, product_state, squeezed_vacuum
+from conftest import (
+    beam_splitter,
+    epr_from_beam_splitter,
+    product_state,
+    squeezed_vacuum,
+    two_mode_norm,
+)
 
 
 def test_squeezing_params_validation():
@@ -58,26 +65,33 @@ def test_epr_state_separable_when_widths_match():
     sigma = 1.3
     state = epr_state(regime_for(sigma, sigma), g)
     expected = product_state(squeezed_vacuum(sigma, g), squeezed_vacuum(sigma, g))
-    assert np.max(np.abs(state.amplitudes - expected.amplitudes)) < 1e-12
+    assert np.max(np.abs(state - expected)) < 1e-12
 
 
 def test_epr_state_rejects_sentinels():
     g = GridSpec(-16.0, 0.125, 256)
-    with pytest.raises(SentinelNotMaterializableError):
-        epr_state(regime_for(0.0, 1.0), g)
+    for regime in (regime_for(0.0, 1.0), ConvolutionOnly(1.0), Ideal()):
+        with pytest.raises(SentinelNotMaterializableError):
+            epr_state(regime, g)
+
+
+def test_epr_state_refuses_a_vanishing_norm():
+    # every x2 + x5 on this grid is at least 2, where the sigma_b = 1e-3 factor underflows
+    with pytest.raises(ZeroNormError):
+        epr_state(regime_for(1.0, 1e-3), GridSpec(1.0, 0.125, 64))
 
 
 def test_epr_state_exact_exchange_symmetry():
     g = GridSpec(-16.0, 0.125, 256)
     state = epr_state(regime_for(0.4, 2.5), g)
-    assert np.array_equal(state.amplitudes, state.amplitudes.T)
+    assert np.array_equal(state, state.T)
 
 
 def test_epr_correlation_ridge():
     # strongly squeezed pair concentrates along x2 = x5
     g = GridSpec(-16.0, 0.125, 256)
     state = epr_state(regime_for(0.1, 8.0), g)
-    prob = np.abs(state.amplitudes) ** 2
+    prob = np.abs(state) ** 2
     ridge = np.trace(prob) * g.dx
     anti = np.trace(np.fliplr(prob)) * g.dx
     assert ridge > 50 * anti
@@ -90,41 +104,33 @@ def test_epr_conditional_spread_monotone_in_sigma_a():
     spreads = []
     for sigma_a in (1.6, 0.8, 0.4, 0.2):
         state = epr_state(regime_for(sigma_a, 3.0), g)
-        column = np.abs(state.amplitudes[mid]) ** 2
+        column = np.abs(state[mid]) ** 2
         column /= column.sum()
         mean = np.dot(xs, column)
         spreads.append(np.sqrt(np.dot((xs - mean) ** 2, column)))
     assert all(b < a for a, b in zip(spreads, spreads[1:]))
 
 
-def test_beam_splitter_requires_common_grid():
-    a = GridSpec(-16.0, 0.125, 256)
-    b = GridSpec(-8.0, 0.125, 256)
-    state = product_state(gaussian_packet(a, 0.0, 1.0), gaussian_packet(b, 0.0, 1.0))
-    with pytest.raises(GridMismatchError):
-        beam_splitter(state)
-
-
 def test_beam_splitter_rotational_invariance():
     # equal-width round Gaussian is invariant under the rotation
     g = GridSpec(-16.0, 0.125, 256)
     state = product_state(gaussian_packet(g, 0.0, 1.2), gaussian_packet(g, 0.0, 1.2))
-    out = beam_splitter(state)
-    assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 2e-3
+    out = beam_splitter(state, g)
+    assert np.max(np.abs(out - state)) < 2e-3
 
 
 def test_beam_splitter_norm_preserved():
     g = GridSpec(-16.0, 0.125, 256)
     state = product_state(gaussian_packet(g, 0.5, 1.5), gaussian_packet(g, -1.0, 2.0))
-    assert abs(beam_splitter(state).norm() - 1.0) < 2e-3
+    assert abs(two_mode_norm(beam_splitter(state, g), g) - 1.0) < 2e-3
 
 
 def test_beam_splitter_inverse_round_trip():
     g = GridSpec(-16.0, 0.125, 256)
     state = product_state(gaussian_packet(g, 1.0, 1.5), gaussian_packet(g, -0.5, 1.8))
-    back = beam_splitter(beam_splitter(state), inverse=True)
-    err = np.linalg.norm(back.amplitudes - state.amplitudes)
-    err /= np.linalg.norm(state.amplitudes)
+    back = beam_splitter(beam_splitter(state, g), g, inverse=True)
+    err = np.linalg.norm(back - state)
+    err /= np.linalg.norm(state)
     assert err < 5e-3
 
 
@@ -160,10 +166,10 @@ def test_beam_splitter_pinned_values(inverse, expected):
     state = product_state(
         gaussian_packet(g, 1.0, 1.5, 0.6), gaussian_packet(g, -0.5, 1.2, -0.3)
     )
-    out = beam_splitter(state, inverse=inverse)
+    out = beam_splitter(state, g, inverse=inverse)
     norm, probes = expected
-    assert abs(out.norm() - norm) < 1e-12
-    got = np.array([out.amplitudes[i, j] for i, j in _PROBES])
+    assert abs(two_mode_norm(out, g) - norm) < 1e-12
+    got = np.array([out[i, j] for i, j in _PROBES])
     assert np.max(np.abs(got - np.array(probes))) < 1e-12
 
 
@@ -178,8 +184,8 @@ def test_epr_from_beam_splitter_pinned_values():
         0.0019072834460348925,
         1.0322750381407406e-11,
     ]
-    got = np.array([built.amplitudes[i, j] for i, j in probes])
-    assert abs(built.norm() - 1.0) < 1e-12
+    got = np.array([built[i, j] for i, j in probes])
+    assert abs(two_mode_norm(built, g) - 1.0) < 1e-12
     assert np.max(np.abs(got - np.array(expected))) < 1e-12
 
 
@@ -194,6 +200,6 @@ def test_epr_construction_equivalence(sigma_a, sigma_b):
         g = GridSpec(-16.0, 32.0 / n, n)
         direct = epr_state(params, g)
         built = epr_from_beam_splitter(params, g)
-        errors.append(float(np.max(np.abs(direct.amplitudes - built.amplitudes))))
+        errors.append(float(np.max(np.abs(direct - built))))
     assert errors[0] <= 5e-3
     assert errors[1] < errors[0]
