@@ -210,12 +210,13 @@ def _apply_kernel(
     peaks, so the right factor (1 at x0) times |psi| grows from its value at x0
     at most as exp(2 min(A, B) (1 - s) (v-x0)^2) however far T is; past 1/eps
     the transform would keep no digit of the output: the outcome is void.  The
-    middle Gaussian is one FFT product on 2n points, which do not wrap, with
-    its transform as window: it is band-limited like the input, so the output
-    does not depend on whether the grid resolves sigma_a.  Wider than a tenth
-    of the span it would alias, and takes its taps' transform.  Entries below
-    eps of the largest are rounding and set to 0.  sigma_b = inf (B = 0)
-    leaves no envelope and a circular n-point product; sigma_a = 0 (A = inf)
+    middle Gaussian is one circular FFT product over the grid's samples, on
+    2n points (n for sigma_b = inf, which leaves no envelope), with its
+    transform as window: it is band-limited like the input, so the output
+    does not depend on whether the grid resolves sigma_a.  A window that is
+    not small at +-pi/dx wraps its band-limited tail.  Wider than a tenth of
+    the span it would alias, and takes its taps' transform.  Entries below
+    eps of the largest are rounding and set to 0.  sigma_a = 0 (A = inf)
     leaves no transform, and x0 = T keeps the envelope absolute.
     """
     g = psi.grid
@@ -517,9 +518,6 @@ def _require_outcome_budget(nbytes: float) -> None:
 #: once lam*u^2 exceeds it.
 _LOG_EPS = -np.log(np.finfo(np.float64).eps)
 
-#: The largest lam * h^2 for which `_dx_rows_alias_free` holds.
-_ALIAS_FREE_BOUND = np.pi**2 / (4.0 * _LOG_EPS)
-
 
 def _dx_rows_alias_free(lam: float, h: float) -> bool:
     """Whether rows spaced h sample the window exp(-lam*u^2) without alias.
@@ -530,24 +528,7 @@ def _dx_rows_alias_free(lam: float, h: float) -> bool:
     its samples at h give its autocorrelation, and the outcome density,
     exactly.  The bound depends on the float format alone.
     """
-    return lam * h**2 <= _ALIAS_FREE_BOUND
-
-
-def _least_power_of_two(estimate: float, enough) -> float:
-    """The least power of two F >= 1 for which enough(F) holds.
-
-    ``estimate`` is the real F at which the test turns true, so F is
-    2^ceil(log2(estimate)) up to the rounding of the estimate, which can
-    leave it one doubling off either way; the exact test settles that.  An
-    unbounded estimate gives inf.
-    """
-    with np.errstate(over="ignore"):
-        factor = float(np.exp2(np.ceil(np.log2(max(estimate, 1.0)))))
-    if factor == np.inf:
-        return factor
-    if factor > 1.0 and enough(factor / 2.0):
-        return factor / 2.0
-    return factor if enough(factor) else 2.0 * factor
+    return lam * h**2 <= np.pi**2 / (4.0 * _LOG_EPS)
 
 
 #: Elements of windowed rows and transforms built at once: the x3 rows of an
@@ -578,9 +559,10 @@ def _outcome_density(
     band-limited interpolant from one zero-padded FFT.  Each x3 reads only
     the rows within R = sqrt(ln(1/eps)/(2*lam_s)) of t, where the window
     reaches eps of its peak, at most ``rows`` of them.  Lags: each block of x3
-    rows takes one FFT per row, of length N >= rows + d_max/h so that no
-    lag up to d_max wraps; P = |FFT|^2 gives A_t(d) = sum_k P(k) exp(i*k*d)
-    at d = m*h_d for 0 <= d <= d_max = min(sqrt(ln(1/eps)/mu), rows*h), with
+    rows takes one FFT per row, of length N the least power of two
+    >= rows + d_max/h, so that no lag up to d_max wraps; P = |FFT|^2 gives
+    A_t(d) = sum_k P(k) exp(i*k*d) at d = m*h_d for
+    0 <= d <= d_max = min(sqrt(ln(1/eps)/mu), rows*h), with
     h_d = 2*pi/(max|q| + pi/h + 2*sqrt(mu*ln(1/eps))), the step at which the
     lag sum does not alias.  A q farther than pi/h + 2*sqrt(mu*ln(1/eps))
     from 0, where the smoothed band of |F_t|^2 is below eps, has density 0
@@ -598,11 +580,11 @@ def _outcome_density(
     # The flat window (lam_s = 0) reads no x3, and a huge one would square to inf.
     t = _SQRT2 * (np.asarray(x3_values, dtype=float) * (lam_s > 0.0))
     q = _SQRT2 * np.asarray(p4_values, dtype=float)
-    factor = _least_power_of_two(
-        np.sqrt(2.0 * lam_s * g.dx**2 / _ALIAS_FREE_BOUND),
-        lambda f: _dx_rows_alias_free(2.0 * lam_s, g.dx / f),
-    )
-    if factor == np.inf:  # a window no lattice resolves
+    # A window no lattice resolves starts at inf: lam_s * h^2 would be inf * 0.
+    factor = np.inf if lam_s == np.inf else 1.0
+    while factor < np.inf and not _dx_rows_alias_free(2.0 * lam_s, g.dx / factor):
+        factor *= 2.0
+    if factor == np.inf:
         _require_outcome_budget(np.inf)
     support = np.flatnonzero(psi.amplitudes)
     available = support[-1] - support[0] + 1 if factor == 1.0 else g.n * factor
@@ -620,7 +602,7 @@ def _outcome_density(
             d_max = min(np.sqrt(_LOG_EPS / mu), rows * h)
             step = _TWO_PI / (np.abs(q[near]).max() + band + smoothing)
             lags = np.floor(d_max / step) + 1.0
-            size = _least_power_of_two(rows + d_max / h, lambda f: f >= rows + d_max / h)
+            size = 1 << (int(np.ceil(rows + d_max / h)) - 1).bit_length()
     block = max(1.0, min(t.size, _TRANSFORM_BLOCK // (rows + size)))
     nbytes = (
         (40.0 * available if factor > 1.0 else 0.0)  # interpolant and its spectrum

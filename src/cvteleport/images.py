@@ -134,9 +134,7 @@ def _column_grid(length: int):
     full-height columns do not trip the edge-mass check.  Returns the grid and
     the index offset of pixel 0.
     """
-    n = 8
-    while n < 2 * length:
-        n *= 2
+    n = max(8, 1 << (2 * length - 1).bit_length())
     offset = (n - length) // 2
     return GridSpec(x_min=-float(offset), dx=1.0, n=n), offset
 

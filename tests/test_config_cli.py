@@ -395,6 +395,7 @@ _INVALID_PROFILE_ARGS = [
     ["kernel", "--sigma-a", "inf", "--p4", "1", "--window", "-3:3"],
     ["kernel", "--sigma-a", "0.5", "--p4", "nan", "--window", "-3:3"],
     ["kernel", "--sigma-a", "0.5", "--p4", "1", "--window", "1:inf"],
+    ["kernel", "--sigma-a", "0.5", "--p4", "1", "--window", "3"],
     ["envelope", "--sigma-b", "0", "--x3", "1", "--window", "0:100"],
     ["envelope", "--sigma-b", "280", "--x3", "nan", "--window", "0:100"],
     ["envelope", "--sigma-b", "280", "--x3", "1", "--window", "nan:100"],

@@ -29,10 +29,34 @@ def test_grid_spec_validation():
         GridSpec(0.0, 0.1, 4)  # too small
     with pytest.raises(ValueError):
         GridSpec(0.0, -0.1, 16)
+    with pytest.raises(ValueError, match="endpoints must be finite"):
+        GridSpec(1e308, 1e307, 64)  # x_max overflows
+    with pytest.raises(ValueError, match="x_max must exceed x_min"):
+        GridSpec.from_bounds(1.0, 0.0, 8)
     g = GridSpec(-4.0, 0.5, 16)
     assert g.x_max == pytest.approx(3.5)
     assert g.dp == pytest.approx(2 * np.pi / 8.0)
     assert g.conjugate().points[g.n // 2] == 0.0
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda g: SampledWaveFunction(g, np.ones(g.n + 1)), ValueError, "expected 16 amplitudes"),
+        (lambda g: SampledWaveFunction(g, np.full(g.n, np.nan)), ValueError, "must be finite"),
+        (
+            lambda g: setattr(SampledWaveFunction(g, np.ones(g.n)), "grid", g),
+            AttributeError,
+            "immutable",
+        ),
+        (lambda g: moments(SampledWaveFunction(g, np.zeros(g.n))), ZeroNormError, "null"),
+        (lambda g: gaussian_packet(g, 0.0, width=0.0), ValueError, "width must be positive"),
+    ],
+    ids=["wrong-shape", "nan-amplitude", "assign-attribute", "zero-moments", "zero-width"],
+)
+def test_wave_function_inputs_are_refused_by_name(build, error, match):
+    with pytest.raises(error, match=match):
+        build(GridSpec(-4.0, 0.5, 16))
 
 
 def test_normalize_constant():

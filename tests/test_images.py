@@ -17,6 +17,7 @@ from cvteleport import (
     teleport_image,
 )
 from cvteleport.cli import main
+from cvteleport.images import _column_grid
 
 
 def stripes_image(h=48, w=48, maxval=255):
@@ -127,6 +128,16 @@ def test_malformed_graymap_is_refused_by_name(tmp_path, data, message):
 def test_teleport_image_refuses_an_unknown_mode():
     with pytest.raises(ValueError, match="mode must be 'column-wise' or 'row-wise'"):
         teleport_image(stripes_image(), Ideal(), MeasurementOutcome(0.0, 0.0), "diagonal")
+
+
+def test_column_grid_is_the_least_power_of_two_past_twice_the_column():
+    # the doubling loop the grid size was once found by is the reference
+    for length in range(1, 2100):
+        n = 8
+        while n < 2 * length:
+            n *= 2
+        grid, offset = _column_grid(length)
+        assert (grid.n, offset, grid.x_min) == (n, (n - length) // 2, -float(offset))
 
 
 def test_minimum_size_enforced():

@@ -30,7 +30,6 @@ from cvteleport.channel import (
     _centered_grid,
     _dx_rows_alias_free,
     _lambda_coefficients,
-    _least_power_of_two,
     _outcome_density,
     _sample_cells,
     outcome_moments,
@@ -368,21 +367,26 @@ def test_marginal_lattice_factor_matches_the_doubling_loop(log2_n, dx, cut, log_
         assert _logged_factor(psi, params, values) == _doubling_factor(psi, params)
 
 
-def test_least_power_of_two_settles_a_rounded_estimate():
-    # an estimate one ulp off the threshold, either way, still gives the
-    # least power of two the exact test accepts
-    for k in range(60):
-        for threshold in (2.0**k, np.nextafter(2.0**k, 0.0), np.nextafter(2.0**k, np.inf)):
-            want = 1
-            while not want >= threshold:
-                want *= 2
-            for estimate in (threshold, np.nextafter(threshold, 0.0),
-                             np.nextafter(threshold, np.inf)):
-                assert _least_power_of_two(estimate, lambda f: f >= threshold) == want
-    assert _least_power_of_two(np.inf, lambda f: f >= np.inf) == np.inf
-    assert _least_power_of_two(1e300, lambda f: f >= 1e300) == 2.0**997
-    past = np.nextafter(2.0**1023, np.inf)  # its power of two overflows
-    assert _least_power_of_two(past, lambda f: f >= past) == np.inf
+def test_transform_length_is_the_least_power_of_two_past_the_lags():
+    # N, checked against a doubling loop over rows + d_max/h, on draws at
+    # F = 1 and 4, with d_max set by the rows (mu = 0 at equal widths) or by
+    # the smoothing's reach
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
+    values = np.linspace(-2.0, 2.0, 5)
+    for sigma_a, sigma_b in [(0.185, 8.4), (5.0, 5.0), (0.185, np.inf), (0.5, 0.3), (40.0, 50.0)]:
+        x3 = values if sigma_b < np.inf else np.zeros(1)
+        _, (_, factor, rows, size, _, _) = _logged_density(
+            _outcome_density, psi, sigma_a, sigma_b, x3, values
+        )
+        mu = _lambda_coefficients(sigma_a, sigma_b)[1]
+        h = psi.grid.dx / factor
+        with np.errstate(divide="ignore"):
+            d_max = min(np.sqrt(-np.log(np.finfo(float).eps) / mu), rows * h)
+        reach = rows + d_max / h
+        want = 1
+        while want < reach:
+            want *= 2
+        assert size == want, (sigma_a, sigma_b)
 
 
 def test_marginal_budget_error_names_what_the_draw_needs():
@@ -552,9 +556,12 @@ def test_fixed_x3_draws_p4_from_its_conditional_density(spread):
 
 
 def test_fixed_coordinate_of_zero_probability_is_refused():
+    # x3 = 1e6 leaves every window past the input, so the density sums to 0;
+    # p4 = 1e6 lies past pi/h + 2 sqrt(mu ln(1/eps)), so no q is tabulated
     psi, _ = _chirped_packet()
-    with pytest.raises(ZeroNormError, match="outcome density vanished"):
-        sample_outcome(psi, regime_for(0.185, 8.4), seed=1, x3=1e6)
+    for fixed in ({"x3": 1e6}, {"p4": 1e6}):
+        with pytest.raises(ZeroNormError, match="outcome density vanished"):
+            sample_outcome(psi, regime_for(0.185, 8.4), seed=1, **fixed)
 
 
 @pytest.mark.parametrize("axis", ["x3", "p4"])

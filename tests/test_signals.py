@@ -45,6 +45,9 @@ def test_momentum_representation_header(tmp_path, unit_grid):
     save_signal(path, phi, representation="p")
     text = path.read_text()
     assert "# representation: p" in text.splitlines()[1]
+    with pytest.raises(ValueError, match="representation must be 'x' or 'p'"):
+        save_signal(tmp_path / "sig_q.txt", phi, representation="q")
+    assert not (tmp_path / "sig_q.txt").exists()
 
 
 def test_gaussian_two_column_file(tmp_path):
@@ -98,6 +101,8 @@ def test_huge_amplitudes_run_and_info(tmp_path, capsys):
 def test_wrong_column_count():
     with pytest.raises(ParseError):
         parse_signal_text("0 1 2 3\n1 2 3 4\n")
+    with pytest.raises(ParseError, match="at least two samples"):
+        parse_signal_text("# one sample\n0 1\n")
 
 
 def test_decreasing_positions_rejected():
