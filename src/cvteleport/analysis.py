@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,29 +123,34 @@ class ScenarioResult:
 
 def run_sweep(
     scenarios: list[Scenario], load: Callable[[GridSpec | None], SampledWaveFunction]
-) -> list[ScenarioResult]:
-    """Teleport the input through every scenario, in order, and return one row each.
+) -> Iterator[ScenarioResult]:
+    """Teleport the input through every scenario, in order, yielding one row each.
 
+    Each row is yielded as its scenario finishes, and the next scenario runs
+    only when the caller asks for it, so a caller that drops a row's
+    ``output`` before asking holds one scenario's states at a time.
     ``load(grid)`` returns the input placed on ``grid``, None meaning the
     run's own grid; each scenario runs on ``load(scenario.grid)`` as it is,
-    and is scored against that same state.  A state on another grid than
-    the scenario's own is a caller fault and raises ValueError, as does a
-    scenario that draws without a seed.  Each scenario's grid must satisfy
-    the span rule of `channel.validate_span`.  Scenario failures (ZeroNorm,
-    GridTooNarrow, ...) are recorded per row and do not abort the sweep.
-    Identical seeds give identical rows.
+    and is scored against that same state.  An empty list, duplicate labels
+    and a scenario that draws without a seed are refused here, before any
+    scenario runs; a state on another grid than the scenario's own is a
+    caller fault and raises ValueError when its scenario runs.  Each
+    scenario's grid must satisfy the span rule of `channel.validate_span`.
+    Scenario failures (ZeroNorm, GridTooNarrow, ...) are recorded per row and
+    do not abort the sweep.  Identical seeds give identical rows.
     """
     if not scenarios:
         raise EmptyScenarioListError("no scenarios to run")
     labels = [s.label for s in scenarios]
     if len(set(labels)) != len(labels):
         raise ValueError("scenario labels must be unique within a sweep")
-    return [_run_one(s, load) for s in scenarios]
+    for scenario in scenarios:
+        if scenario.draws and scenario.seed is None:
+            raise ValueError(f"scenario {scenario.label!r}: a sampled outcome needs a seed")
+    return (_run_one(s, load) for s in scenarios)
 
 
 def _run_one(scenario: Scenario, load) -> ScenarioResult:
-    if scenario.draws and scenario.seed is None:
-        raise ValueError(f"scenario {scenario.label!r}: a sampled outcome needs a seed")
     regime = scenario.regime
     row = ScenarioResult.of(scenario, l2_distortion=float("nan"))
     try:

@@ -73,12 +73,12 @@ def write_report(path, rows: list[ScenarioResult]) -> None:
 
 def write_kernel_profile(path, sigma_a: float, p4: float, window) -> None:
     u, k = kernel_profile(sigma_a, p4, window)
-    write_table(path, "u,real,imag\n", np.column_stack((u, k.real, k.imag)), "%r,%r,%r\n")
+    write_table(path, "u,real,imag\n", (u, k.real, k.imag), "%r,%r,%r\n")
 
 
 def write_envelope_profile(path, sigma_b: float, x3: float, window) -> None:
     x, e = envelope_profile(sigma_b, x3, window)
-    write_table(path, "x,value\n", np.column_stack((x, e)), "%r,%r\n")
+    write_table(path, "x,value\n", (x, e), "%r,%r\n")
 
 
 def _write_profiles(out_dir: Path, row: ScenarioResult, window) -> None:
@@ -147,9 +147,12 @@ def _placements(path: Path, state: SampledWaveFunction):
 
 
 def _run_signal(config: RunConfig, load, out_dir: Path) -> list[ScenarioResult]:
+    """Write each scenario's files as it finishes, then drop its output, so
+    a run holds one scenario's states at a time whatever their number."""
     scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
-    rows = run_sweep(scenarios, load)
-    for row in rows:
+    rows = []
+    for row in run_sweep(scenarios, load):
+        rows.append(row)
         _log_row(row)
         if row.failed:
             continue
@@ -159,6 +162,7 @@ def _run_signal(config: RunConfig, load, out_dir: Path) -> list[ScenarioResult]:
             to_momentum(row.output),
             representation="p",
         )
+        row.output = None
         mid, half = row.input_moments.mean_x, 0.75 * row.input_moments.support_length
         window = (mid - half, mid + half)
         _write_profiles(out_dir, row, window)
@@ -199,7 +203,7 @@ def _run_image(config: RunConfig, asset: ImageAsset, out_dir: Path) -> list[Scen
         else:
             save_image(out_dir / f"{row.label}.pgm", result.display)
             row_format = " ".join(["%r"] * result.raw.shape[1]) + "\n"
-            write_table(out_dir / f"{row.label}_intensity.txt", "", result.raw, row_format)
+            write_table(out_dir / f"{row.label}_intensity.txt", "", result.raw.T, row_format)
             valid = result.column_fidelities[~np.isnan(result.column_fidelities)]
             row.fidelity = float(valid.mean())
             _write_profiles(out_dir, row, (0.0, float(line_length)))

@@ -60,20 +60,29 @@ def atomic_write_text(path, text) -> None:
     _atomic_write(path, (part.encode("utf-8") for part in parts))
 
 
-def write_table(path, head: str, table, row: str) -> None:
-    """Write ``head``, then ``row`` %-formatted with each row of the 2-D ``table``.
+def write_table(path, head: str, columns, row: str) -> None:
+    """Write ``head``, then ``row`` %-formatted with each row of the table
+    whose columns are ``columns``: equal-length 1-D arrays, or the rows of a
+    2-D array.
 
-    The rows are formatted, encoded and written a block of about _BLOCK_VALUES
-    values at a time, so a file's text never sits whole in memory.
-    ``tolist()`` hands ``%r`` Python floats: numpy 2 scalars repr as np.float64(...).
+    The rows are gathered from the columns, formatted, encoded and written a
+    block of about _BLOCK_VALUES values at a time, so neither the whole table
+    nor a file's text ever sits in memory.  A 2-D array gives each block as
+    one slice, not one slice per column.  ``tolist()`` hands ``%r`` Python
+    floats: numpy 2 scalars repr as np.float64(...).
     """
-    rows = max(1, _BLOCK_VALUES // table.shape[1])
+    rows = max(1, _BLOCK_VALUES // len(columns))
+
+    def block(lo: int):
+        if isinstance(columns, np.ndarray):
+            return columns[:, lo : lo + rows].T
+        return np.column_stack([column[lo : lo + rows] for column in columns])
 
     def parts():
         yield head
-        for lo in range(0, len(table), rows):
-            block = table[lo : lo + rows]
-            yield (row * len(block)) % tuple(block.ravel().tolist())
+        for lo in range(0, len(columns[0]), rows):
+            values = block(lo)
+            yield (row * len(values)) % tuple(values.ravel().tolist())
 
     atomic_write_text(path, parts())
 
@@ -144,8 +153,7 @@ def save_signal(path, psi: SampledWaveFunction, representation: str = "x") -> No
     if representation == "p":
         head += "# representation: p\n"
     amps = psi.amplitudes
-    table = np.column_stack((psi.grid.points, amps.real, amps.imag))
-    write_table(path, head, table, "%.17g %.17g %.17g\n")
+    write_table(path, head, (psi.grid.points, amps.real, amps.imag), "%.17g %.17g %.17g\n")
 
 
 # ---------------------------------------------------------------------------

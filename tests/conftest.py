@@ -260,7 +260,7 @@ def write_silhouette_asset(path, dx: float = 0.5) -> None:
     amps = silhouette_profile(xs)
     head = "# bundled silhouette test signal\n"
     head += "# real amplitude profile on [0, 100]; calibrated to mean ~50, spread ~28\n"
-    write_table(path, head, np.column_stack((xs, amps)), "%.17g %.17g\n")
+    write_table(path, head, (xs, amps), "%.17g %.17g\n")
 
 
 def pytest_configure(config):

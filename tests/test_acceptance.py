@@ -90,7 +90,7 @@ def scenario_rows(silhouette):
     def load(grid):
         return silhouette if grid is None else load_bundled_silhouette(grid)
 
-    return run_sweep(reference_scenarios(), load)
+    return list(run_sweep(reference_scenarios(), load))
 
 
 def test_criterion_01_ideal_channel_identity(silhouette):

@@ -85,7 +85,7 @@ def test_envelope_profile_offset_anchor():
 
 def test_run_sweep_single_ideal_scenario(unit_grid):
     psi = gaussian_packet(unit_grid, 0.3, 1.2)
-    rows = run_sweep(
+    rows = list(run_sweep(
         [
             Scenario(
                 "ideal",
@@ -95,7 +95,7 @@ def test_run_sweep_single_ideal_scenario(unit_grid):
             )
         ],
         lambda grid: psi,
-    )
+    ))
     row = {r.label: r for r in rows}["ideal"]
     assert row.fidelity == pytest.approx(1.0, abs=1e-9)
     assert row.l2_distortion == pytest.approx(0.0, abs=1e-9)
@@ -115,13 +115,13 @@ def test_run_sweep_runs_each_scenario_on_its_load_as_it_is(unit_grid):
         return psi if grid is None else placed
 
     ideal = regime_for(0.0, np.inf)
-    run, mine = run_sweep(
+    run, mine = list(run_sweep(
         [
             Scenario("run", ideal, 0.0, 0.0),
             Scenario("own", ideal, 0.0, 0.0, grid=own),
         ],
         load,
-    )
+    ))
     assert asked == [None, own]
     assert run.output is psi
     assert mine.output is placed
@@ -134,7 +134,7 @@ def test_run_sweep_refuses_an_input_on_another_grid(unit_grid):
     own = GridSpec(-8.0, 0.0625, 256)
     scenario = Scenario("own", regime_for(0.0, np.inf), 0, 0, grid=own)
     with pytest.raises(ValueError, match="scenario 'own': the input was placed on"):
-        run_sweep([scenario], lambda grid: psi)
+        list(run_sweep([scenario], lambda grid: psi))
 
 
 def test_run_sweep_empty_and_duplicate_labels(unit_grid):
@@ -157,7 +157,7 @@ def test_run_sweep_records_failures_per_row(unit_grid):
             0.0,
         ),
     ]
-    rows = run_sweep(scenarios, lambda grid: psi)
+    rows = list(run_sweep(scenarios, lambda grid: psi))
     by_label = {r.label: r for r in rows}
     assert not by_label["good"].failed
     bad = by_label["annihilated"]
@@ -172,8 +172,8 @@ def test_run_sweep_reruns_identically():
         Scenario("s", regime_for(0.5, 2.0), None, None, seed=17),
         Scenario("t", regime_for(0.7, 2.4), None, None, seed=18),
     ]
-    r1 = run_sweep(scenarios, lambda grid: psi)
-    r2 = run_sweep(scenarios, lambda grid: psi)
+    r1 = list(run_sweep(scenarios, lambda grid: psi))
+    r2 = list(run_sweep(scenarios, lambda grid: psi))
     assert [row.label for row in r1] == ["s", "t"]
     for a, b in zip(r1, r2):
         assert not a.failed
@@ -193,7 +193,7 @@ def test_sample_with_fixed_coordinate(unit_grid):
             seed=17,
         )
     ]
-    row = run_sweep(scenarios, lambda grid: psi)[0]
+    row = list(run_sweep(scenarios, lambda grid: psi))[0]
     assert row.x3 == 0.25
     assert row.p4 != 0.0
 
@@ -240,10 +240,10 @@ def test_convolution_smooths_fine_detail():
 
 def test_report_moments_populated(unit_grid):
     psi = gaussian_packet(unit_grid, 0.4, 1.1)
-    rows = run_sweep(
+    rows = list(run_sweep(
         [Scenario("c", regime_for(0.6, np.inf), 0.0, 1.0)],
         lambda grid: psi,
-    )
+    ))
     row = rows[0]
     assert row.input_moments is not None
     assert row.regime == "ConvolutionOnly"

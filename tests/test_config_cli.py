@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,12 @@ def test_cli_vv_logs_the_outcome_density_path(tmp_path, caplog):
         root.setLevel(level)  # main sets the root level from -v
     lines = [r.getMessage() for r in caplog.records if r.name == "cvteleport.channel"]
     assert len(lines) == 1 and _DENSITY_LINE.fullmatch(lines[0]), lines
+    # each scenario is logged as it finishes, its density line just before it
+    names = ("cvteleport.channel", "cvteleport.runner")
+    lines = [r.getMessage() for r in caplog.records if r.name in names]
+    assert [line.split(":")[0] for line in lines] == [
+        "scenario ideal", "scenario conv", "outcome density", "scenario sampled"
+    ]
 
 
 MARGINALS = (
@@ -436,6 +443,52 @@ def test_cli_failed_write_leaves_no_temp_file(tmp_path):
     (out / "report.csv").mkdir(parents=True)  # renaming onto a directory fails
     assert main(["run", str(write_config(tmp_path, BASE.format(out=out)))]) == 1
     assert not list(out.glob("*.tmp-*"))
+
+
+def test_run_peak_does_not_grow_with_the_scenario_count(tmp_path, monkeypatch):
+    # each scenario's files are written as it finishes and its output is
+    # dropped; kept to the end, each output would add 16 B a point (1.05 MB).
+    # The signal text is left out, as formatting it under tracemalloc takes
+    # about a second a file; the writer's own peak has its test in
+    # test_signals.py, and it is the same for one scenario or eight.
+    from cvteleport import runner
+
+    monkeypatch.setattr(runner, "save_signal", lambda path, psi, **kw: Path(path).touch())
+    scenario = "\n[scenario]\nlabel = s{}\nsigma_a = 0.5\nsigma_b = 40\nx3 = 0\np4 = 0\n"
+    peaks = []
+    for count in (1, 8):
+        out = tmp_path / f"o{count}"
+        text = f"input = bundled:silhouette\ngrid = -512:512:65536\noutput_dir = {out}\n"
+        text += "".join(scenario.format(i) for i in range(count))
+        config = parse_config(write_config(tmp_path, text))
+        tracemalloc.start()
+        try:
+            assert runner.run(config) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "o8").glob("*_teleported.txt"))) == 8
+    assert abs(peaks[1] - peaks[0]) < 0.5e6, peaks
+
+
+def test_interrupted_run_keeps_the_finished_scenarios_files(tmp_path, monkeypatch):
+    # the first scenario's files are whole before the second runs, and an
+    # interrupt in the second leaves no temp file and no report.csv
+    from cvteleport import analysis, teleport
+
+    def interrupt_the_second(psi, regime, outcome):
+        if type(regime).__name__ == "ConvolutionOnly":
+            raise KeyboardInterrupt
+        return teleport(psi, regime, outcome)
+
+    monkeypatch.setattr(analysis, "teleport", interrupt_the_second)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", str(write_config(tmp_path, BASE.format(out=out)))])
+    assert sorted(path.name for path in out.iterdir()) == [
+        "ideal_teleported.txt", "ideal_teleported_p.txt"
+    ]
+    assert np.loadtxt(out / "ideal_teleported.txt").shape == (1024, 3)
 
 
 def test_cli_empty_scenarios_is_config_error(tmp_path, capsys):

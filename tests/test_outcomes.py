@@ -429,10 +429,10 @@ def test_outcome_density_over_budget_fails_before_allocating():
         ),
     ]
     # as `teleport run` does: a scenario grid gets the file placed on that grid
-    too_big, fits = run_sweep(
+    too_big, fits = list(run_sweep(
         scenarios,
         lambda grid: psi if grid is None else load_signal(bundled_silhouette_path(), grid),
-    )
+    ))
     assert too_big.error.startswith("OutcomeTooLargeError: ")
     assert not fits.failed
 
@@ -576,7 +576,7 @@ def test_non_finite_fixed_coordinate_is_refused(axis, value):
     for other in (None, 0.0):
         x3, p4 = (value, other) if axis == "x3" else (other, value)
         with pytest.raises(ValueError, match="measurement outcomes must be finite"):
-            run_sweep([Scenario("s", regime, x3, p4, seed=1)], lambda grid: psi)
+            list(run_sweep([Scenario("s", regime, x3, p4, seed=1)], lambda grid: psi))
 
 
 def test_fixed_improper_coordinate_is_kept_whatever_its_size():
