@@ -62,26 +62,19 @@ def atomic_write_text(path, text) -> None:
 
 def write_table(path, head: str, columns, row: str) -> None:
     """Write ``head``, then ``row`` %-formatted with each row of the table
-    whose columns are ``columns``: equal-length 1-D arrays, or the rows of a
-    2-D array.
+    whose columns are ``columns``: equal-length 1-D columns.
 
     The rows are gathered from the columns, formatted, encoded and written a
     block of about _BLOCK_VALUES values at a time, so neither the whole table
-    nor a file's text ever sits in memory.  A 2-D array gives each block as
-    one slice, not one slice per column.  ``tolist()`` hands ``%r`` Python
+    nor a file's text ever sits in memory.  ``tolist()`` hands ``%r`` Python
     floats: numpy 2 scalars repr as np.float64(...).
     """
     rows = max(1, _BLOCK_VALUES // len(columns))
 
-    def block(lo: int):
-        if isinstance(columns, np.ndarray):
-            return columns[:, lo : lo + rows].T
-        return np.column_stack([column[lo : lo + rows] for column in columns])
-
     def parts():
         yield head
         for lo in range(0, len(columns[0]), rows):
-            values = block(lo)
+            values = np.column_stack([c[lo : lo + rows] for c in columns])
             yield (row * len(values)) % tuple(values.ravel().tolist())
 
     atomic_write_text(path, parts())
