@@ -265,16 +265,25 @@ def _apply_kernel(
             # exp(-width^2 (p - wave)^2 - i (p - wave) shift), offset by its
             # in-band maximum: far off band it tilts instead of underflowing
             shift = lag0 + width * (2.0 * width * tilt)
+            step = _TWO_PI / (size * g.dx)
             p = np.arange(size, dtype=np.float64)  # fftfreq would hold an int copy
             p[size // 2 :] -= size
-            p *= _TWO_PI / (size * g.dx)
-            p -= wave
+            p *= step
+            # Once q's float spacing passes the step, p - q rounds every in-band
+            # momentum alike: measure from the band edge on q's side instead,
+            # -width^2 (p - edge)(p - edge + 2 (edge - q)), q out of the differences.
+            far = not np.spacing(abs(wave)) <= step  # and where q overflows
+            edge = p[size // 2 - (wave > 0)] if far else wave
+            reach = width * (2.0 * (edge - wave))
+            p -= edge
             nearest = np.abs(p).min()
-            floor = (width * nearest) ** 2
+            floor = np.inf if abs(reach) == np.inf else (width * nearest) ** 2
             for lo in range(0, size, _WINDOW_BLOCK):
                 part = p[lo : lo + _WINDOW_BLOCK]
                 if floor == np.inf:  # the nearest momenta alone
                     exponent = np.where(np.abs(part) == nearest, 0.0, -np.inf)
+                elif far:
+                    exponent = -(width * part) * (width * part + reach)
                 else:
                     exponent = floor - (width * part) ** 2
                 if shift:

@@ -11,6 +11,7 @@ each column is rescaled back to its original peak intensity.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,25 +50,11 @@ class ImageAsset:
         return self.pixels.shape[1]
 
 
-def _read_header_tokens(data: bytes, count: int):
-    """Yield the first `count` whitespace tokens after the magic, skipping comments."""
-    tokens = []
-    i = 2  # past the magic
-    while len(tokens) < count:
-        if i >= len(data):
-            raise UnsupportedFormatError("truncated graymap header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            start = i
-            while i < len(data) and not data[i : i + 1].isspace():
-                i += 1
-            tokens.append(data[start:i])
-    return tokens, i + 1  # header ends after one whitespace byte
+# The magic, then width, height and maxval, each after whitespace or `#`
+# comments through their newline, then the one whitespace byte (or comment)
+# that ends the header.  As in Netpbm, a `#` starts a comment even in a token.
+_GAP = rb"(?:\s|#[^\n]*\n)"
+_HEADER = re.compile(rb"P[25]" + (_GAP + rb"+([^\s#]+)") * 3 + _GAP)
 
 
 def load_image(path) -> ImageAsset:
@@ -79,11 +66,14 @@ def load_image(path) -> ImageAsset:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise UnsupportedFormatError(f"not a P2/P5 graymap: magic {magic!r}")
-    (w_tok, h_tok, max_tok), offset = _read_header_tokens(data, 3)
+    header = _HEADER.match(data)
+    if header is None:
+        raise UnsupportedFormatError("truncated graymap header")
     try:
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+        width, height, maxval = map(int, header.groups())
     except ValueError:
         raise UnsupportedFormatError("malformed graymap header")
+    offset = header.end()
     if width < 8 or height < 8:
         raise UnsupportedFormatError(f"graymap is {width}x{height}, below 8x8")
     if maxval <= 0 or maxval > 65535:

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -606,6 +607,56 @@ def test_grid_too_narrow_on_edge_spill():
     psi = gaussian_packet(g, 0.0, 1.0)
     with pytest.raises(GridTooNarrowError):
         teleport(psi, ConvolutionOnly(200.0), MeasurementOutcome(0.0, 0.0))
+
+
+@pytest.mark.parametrize("p4", [1e15, -1e15, 1e16, -1e16, 1e18, -1e18, 1e20, -1e20])
+def test_far_momentum_outcome_keeps_the_band_edge_alone(p4):
+    # Past float64's resolution of sqrt(2) p4 on the momentum lattice, p - q
+    # once rounded every in-band momentum alike and the window was all ones:
+    # ConvolutionOnly returned the input and General(1, 8.4) one state for
+    # every p4 past 1e18.  The window now keeps the band edge on p4's side, a
+    # single mode that fills the grid without an envelope and sits under the
+    # left envelope with one.
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-256.0, 0.5, 1024))
+    outcome = MeasurementOutcome(0.0, p4)
+    for sigma_a in (0.185, 1.0, 1000.0):
+        with pytest.raises(GridTooNarrowError):
+            teleport(psi, ConvolutionOnly(sigma_a), outcome)
+    out = teleport(psi, General(1.0, 8.4), outcome)
+    assert fidelity(psi, out) < 1e-6
+    g, sigma_b = psi.grid, 8.4
+    size = 2 * g.n  # the window's lattice, with the envelope's padding
+    edge = (size // 2 - 1 if p4 > 0 else -size // 2) * 2.0 * np.pi / (size * g.dx)
+    kept = np.abs(out.amplitudes) > 1e-6 * np.abs(out.amplitudes).max()
+    assert np.all(np.diff(np.flatnonzero(kept)) == 1)
+    turned = out.amplitudes[kept] * np.exp(-1j * edge * g.points[kept])
+    # one momentum: a single phase over the kept samples
+    assert np.allclose(turned / turned[0], np.abs(turned) / abs(turned[0]), atol=1e-9)
+    # the envelope exp(-(x - c)^2 / (2 sigma_b^2)): log-quadratic, curvature -1/sigma_b^2
+    curvature = np.diff(np.log(np.abs(turned)), 2) / g.dx**2
+    assert np.allclose(curvature, -1.0 / sigma_b**2, rtol=1e-6)
+
+
+@pytest.mark.parametrize("p4", [1e18, 1e20, -1e20])
+def test_far_momentum_window_matches_exact_arithmetic(p4):
+    # At a tiny sigma_a the far window is not one mode: exp(-sigma_a^2 (p - q)^2)
+    # tilts across the band, by about e^-2.8 a unit of p at p4 = 1e20.  Its
+    # exponent relative to the band edge, taken in exact rational arithmetic
+    # from the same float momenta, is the reference.
+    psi = load_signal(bundled_silhouette_path(), GridSpec(-256.0, 0.5, 1024))
+    sigma_a, n = 1e-10, psi.grid.n
+    p = np.arange(n, dtype=np.float64)
+    p[n // 2 :] -= n
+    p *= 2.0 * np.pi / (n * psi.grid.dx)
+    q = Fraction(np.sqrt(2.0) * p4)
+    offsets = [(Fraction(float(v)) - q) ** 2 for v in p]
+    least = min(offsets)
+    window = np.exp([float(-Fraction(sigma_a) ** 2 * (d - least)) for d in offsets])
+    expected = np.fft.ifft(np.fft.fft(psi.amplitudes) * window)
+    expected /= np.linalg.norm(expected)
+    out = teleport(psi, ConvolutionOnly(sigma_a), MeasurementOutcome(0.0, p4))
+    assert np.linalg.norm(out.amplitudes / np.linalg.norm(out.amplitudes) - expected) < 1e-12
+    assert fidelity(psi, out) < 1.0 - 1e-6  # not the input
 
 
 def test_validate_span_rule():

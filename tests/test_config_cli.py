@@ -675,6 +675,35 @@ def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
     ]
 
 
+def test_cli_overflowing_kernel_phase_fails_by_name_without_a_warning(tmp_path):
+    # sigma_a = 1e300 at a fixed p4 = 1e300: the window once came out all
+    # ones, the run reported fidelity 1.0 and then wrote a kernel profile whose
+    # phase sqrt(2) p4 u overflowed to NaN, with a RuntimeWarning.  The window
+    # now keeps the band edge alone, a plane wave that fills the grid.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    text = (
+        f"input = bundled:silhouette\ngrid = -256:256:1024\noutput_dir = {out}\n"
+        "\n[scenario]\nlabel = huge\nsigma_a = 1e300\nsigma_b = ideal\nx3 = 0\np4 = 1e300\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cvteleport.cli", "run",
+         str(write_config(tmp_path, text))],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [
+        "scenario huge failed: GridTooNarrowError: 0.00391 of the output mass sits "
+        "in the outermost bins; request a wider grid"
+    ]
+    assert (out / "report.csv").read_text().splitlines()[1:] == [
+        "huge,1e+300,ideal,0.0,1e+300,nan,nan"
+    ]
+    assert not (out / "huge_kernel.csv").exists()
+
+
 def test_cli_extreme_widths_fail_their_sampled_scenarios(tmp_path, caplog):
     # Widths whose squares or inverse squares overflow give an outcome spread
     # no grid can tabulate: each such sampled scenario is a failed row, the

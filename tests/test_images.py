@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport import (
     ConvolutionOnly,
@@ -104,11 +106,18 @@ def test_unsupported_format(tmp_path, capsys):
         (b"P5\n8 8\n100\n" + bytes([200]) + bytes(63), "sample 200 is outside 0..100"),
         (b"P5\n8 8\n1000\n" + bytes(126) + b"\x03\xe9", "sample 1001 is outside 0..1000"),
         (b"P2\n8 8\n255\n1.5 " + b"1 " * 63 + b"\n", "sample 1.5 is not an integer"),
+        # the magic must end before the width
+        (b"P58 8 255\n" + bytes(64), "truncated graymap header"),
+        # one whitespace byte must end the header
+        (b"P5\n8 8\n255", "truncated graymap header"),
+        # a comment is never a token
+        (b"P5 #c\n8 8\n", "truncated graymap header"),
     ],
     ids=[
         "truncated-header", "non-integer-header", "maxval-0", "p2-count", "p5-short",
         "p2-below-0", "p2-above-maxval", "p5-above-maxval", "p5-16-bit-above-maxval",
-        "p2-non-integer",
+        "p2-non-integer", "magic-runs-into-width", "no-end-of-header",
+        "comment-is-not-a-token",
     ],
 )
 def test_malformed_graymap_is_refused_by_name(tmp_path, data, message):
@@ -123,6 +132,53 @@ def test_malformed_graymap_is_refused_by_name(tmp_path, data, message):
     )
     assert main(["run", str(config)]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P5\n8#x\n8 255\n", b"P5\n8 8\n255#x\n"],
+    ids=["after-width", "after-maxval"],
+)
+def test_a_comment_starts_anywhere_in_the_header(tmp_path, header):
+    # as in Netpbm, a `#` starts a comment even in a token; the comment's
+    # newline is then the whitespace byte that follows it
+    pixels = np.arange(64).reshape(8, 8)
+    path = tmp_path / "input.pgm"
+    path.write_bytes(header + pixels.astype(np.uint8).tobytes())
+    img = load_image(path)
+    assert img.maxval == 255
+    assert np.array_equal(img.pixels, pixels)
+
+
+# A gap before a header token: runs of whitespace, CRLFs and whole comment lines.
+_HEADER_GAP = st.lists(
+    st.one_of(
+        st.text(" \t\n\r\v\f", min_size=1, max_size=3),
+        st.just("\r\n"),
+        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8).map(
+            lambda text: f"#{text}\n"
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=60)
+@given(magic=st.sampled_from(["P2", "P5"]), gaps=st.tuples(*[_HEADER_GAP] * 3))
+def test_header_gaps_do_not_change_the_image(tmp_path_factory, magic, gaps):
+    # whitespace and comments between the header tokens are all alike
+    pixels = np.random.default_rng(29).integers(0, 201, (8, 8))
+    if magic == "P2":
+        payload = " ".join(map(str, pixels.ravel())).encode()
+    else:
+        payload = pixels.astype(np.uint8).tobytes()
+    header = magic + "".join(gap + token for gap, token in zip(gaps, ["8", "8", "200"]))
+    path = tmp_path_factory.mktemp("gaps") / "input.pgm"
+    path.write_bytes(header.encode() + b"\n" + payload)
+    img = load_image(path)
+    assert img.maxval == 200
+    assert np.array_equal(img.pixels, pixels)
 
 
 def test_teleport_image_refuses_an_unknown_mode():
