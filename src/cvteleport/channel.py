@@ -215,7 +215,9 @@ def _apply_kernel(
     transform as window: it is band-limited like the input, so the output
     does not depend on whether the grid resolves sigma_a.  A window that is
     not small at +-pi/dx wraps its band-limited tail.  Wider than a tenth of
-    the span it would alias, and takes its taps' transform.  Entries below
+    the span it would alias, and takes its taps' transform.  A q that float64
+    cannot place on the window's lattice is far: the window keeps the band
+    edge on its side, and a Hankel outcome is void.  Entries below
     eps of the largest are rounding and set to 0.  sigma_a = 0 (A = inf)
     leaves no transform, and x0 = T keeps the envelope absolute.
     """
@@ -225,10 +227,18 @@ def _apply_kernel(
     hankel = sigma_a > sigma_b
     ratio = narrow / wide
     share = 2.0 * ratio**2 / (1.0 + ratio**2)
+    size = g.n if wide == np.inf else 2 * g.n
+    step = _TWO_PI / (size * g.dx)  # the window's momentum step
+    # Past a float spacing of q above the step (or an overflowing q), p - q
+    # rounds every in-band momentum alike, and q's own rounding can turn
+    # exp(+-iq(x - x0)) or the taps' exp(iqu) by a quarter turn across the span.
+    far = not np.spacing(abs(q)) <= step
+    if hankel and far:  # phases with no reliable digit: the outcome is void
+        return np.zeros(g.n, dtype=np.complex128)
     if wide == np.inf:
-        size, right, tilt = g.n, psi.amplitudes, 0.0
+        right, tilt = psi.amplitudes, 0.0
     else:
-        size, x = 2 * g.n, g.points
+        x = g.points
         exponent = -2.0 * ((x - t) / (2.0 * wide)) ** 2  # the envelope at T
         x0, growth = t, 0.0
         if sigma_a > 0.0:
@@ -255,7 +265,7 @@ def _apply_kernel(
         tilt = -tilt if hankel else tilt
         spectrum = np.fft.fft(right[::-1] if hankel else right, size)
         del right
-        if wide < np.inf and 2.0 * width > 0.1 * g.span:
+        if wide < np.inf and 2.0 * width > 0.1 * g.span and not far:
             lag = g.dx * np.fft.fftfreq(size, 1.0 / size) - lag0
             real = tilt * lag - (lag / (2.0 * width)) ** 2
             taps = np.exp(real - real.max() + 1j * wave * (lag + lag0))
@@ -265,14 +275,11 @@ def _apply_kernel(
             # exp(-width^2 (p - wave)^2 - i (p - wave) shift), offset by its
             # in-band maximum: far off band it tilts instead of underflowing
             shift = lag0 + width * (2.0 * width * tilt)
-            step = _TWO_PI / (size * g.dx)
             p = np.arange(size, dtype=np.float64)  # fftfreq would hold an int copy
             p[size // 2 :] -= size
             p *= step
-            # Once q's float spacing passes the step, p - q rounds every in-band
-            # momentum alike: measure from the band edge on q's side instead,
+            # A far q is measured from the band edge on its side instead,
             # -width^2 (p - edge)(p - edge + 2 (edge - q)), q out of the differences.
-            far = not np.spacing(abs(wave)) <= step  # and where q overflows
             edge = p[size // 2 - (wave > 0)] if far else wave
             reach = width * (2.0 * (edge - wave))
             p -= edge
@@ -282,10 +289,8 @@ def _apply_kernel(
                 part = p[lo : lo + _WINDOW_BLOCK]
                 if floor == np.inf:  # the nearest momenta alone
                     exponent = np.where(np.abs(part) == nearest, 0.0, -np.inf)
-                elif far:
-                    exponent = -(width * part) * (width * part + reach)
-                else:
-                    exponent = floor - (width * part) ** 2
+                else:  # reach is 0 near, and floor 0 far
+                    exponent = floor - (width * part) * (width * part + reach)
                 if shift:
                     exponent = exponent - 1j * shift * part
                 spectrum[lo : lo + _WINDOW_BLOCK] *= np.exp(exponent)

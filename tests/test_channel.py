@@ -609,32 +609,39 @@ def test_grid_too_narrow_on_edge_spill():
         teleport(psi, ConvolutionOnly(200.0), MeasurementOutcome(0.0, 0.0))
 
 
-@pytest.mark.parametrize("p4", [1e15, -1e15, 1e16, -1e16, 1e18, -1e18, 1e20, -1e20])
-def test_far_momentum_outcome_keeps_the_band_edge_alone(p4):
+@pytest.mark.parametrize(
+    "p4", [1e15, -1e15, 1e16, -1e16, 1e18, -1e18, 1e20, -1e20, 1.7e308, -1.7e308]
+)
+def test_far_momentum_outcome_fails_by_name_or_keeps_the_band_edge(p4):
     # Past float64's resolution of sqrt(2) p4 on the momentum lattice, p - q
     # once rounded every in-band momentum alike and the window was all ones:
     # ConvolutionOnly returned the input and General(1, 8.4) one state for
-    # every p4 past 1e18.  The window now keeps the band edge on p4's side, a
-    # single mode that fills the grid without an envelope and sits under the
-    # left envelope with one.
+    # every p4 past 1e18, while the taps of General(30, 60) and the phases of
+    # Hankel General(8.4, 1) came out set by rounding (NaN once sqrt(2) p4
+    # overflows).  The window now keeps the band edge on p4's side, a single
+    # mode that fills the grid without an envelope and sits under the left
+    # envelope with one, and a Hankel outcome is void.
     psi = load_signal(bundled_silhouette_path(), GridSpec(-256.0, 0.5, 1024))
     outcome = MeasurementOutcome(0.0, p4)
     for sigma_a in (0.185, 1.0, 1000.0):
         with pytest.raises(GridTooNarrowError):
             teleport(psi, ConvolutionOnly(sigma_a), outcome)
-    out = teleport(psi, General(1.0, 8.4), outcome)
-    assert fidelity(psi, out) < 1e-6
-    g, sigma_b = psi.grid, 8.4
+    with pytest.raises(ZeroNormError):
+        teleport(psi, General(8.4, 1.0), outcome)
+    g = psi.grid
     size = 2 * g.n  # the window's lattice, with the envelope's padding
     edge = (size // 2 - 1 if p4 > 0 else -size // 2) * 2.0 * np.pi / (size * g.dx)
-    kept = np.abs(out.amplitudes) > 1e-6 * np.abs(out.amplitudes).max()
-    assert np.all(np.diff(np.flatnonzero(kept)) == 1)
-    turned = out.amplitudes[kept] * np.exp(-1j * edge * g.points[kept])
-    # one momentum: a single phase over the kept samples
-    assert np.allclose(turned / turned[0], np.abs(turned) / abs(turned[0]), atol=1e-9)
-    # the envelope exp(-(x - c)^2 / (2 sigma_b^2)): log-quadratic, curvature -1/sigma_b^2
-    curvature = np.diff(np.log(np.abs(turned)), 2) / g.dx**2
-    assert np.allclose(curvature, -1.0 / sigma_b**2, rtol=1e-6)
+    for sigma_a, sigma_b in ((1.0, 8.4), (30.0, 60.0)):  # window, taps below the far q
+        out = teleport(psi, General(sigma_a, sigma_b), outcome)
+        assert fidelity(psi, out) < 1e-6
+        kept = np.abs(out.amplitudes) > 1e-6 * np.abs(out.amplitudes).max()
+        assert np.all(np.diff(np.flatnonzero(kept)) == 1)
+        turned = out.amplitudes[kept] * np.exp(-1j * edge * g.points[kept])
+        # one momentum: a single phase over the kept samples
+        assert np.allclose(turned / turned[0], np.abs(turned) / abs(turned[0]), atol=1e-9)
+        # the envelope exp(-(x - c)^2 / (2 sigma_b^2)): log-quadratic, curvature -1/sigma_b^2
+        curvature = np.diff(np.log(np.abs(turned)), 2) / g.dx**2
+        assert np.allclose(curvature, -1.0 / sigma_b**2, rtol=1e-6)
 
 
 @pytest.mark.parametrize("p4", [1e18, 1e20, -1e20])

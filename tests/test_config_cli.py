@@ -642,19 +642,32 @@ def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
     # density row is 0: once a 1e298-MB OutcomeTooLargeError that blamed the
     # grid.  A fixed x3 of 1e300 once overflowed squaring its window
     # distance.  Each now fails its row with ZeroNormError, warning-free.
+    # Both fixed: at sigma_a = 1e300 the window once came out all ones, the
+    # run reported fidelity 1.0 and then wrote a kernel profile whose phase
+    # sqrt(2) p4 u overflowed to NaN; it now keeps the band edge alone, a
+    # plane wave that fills the grid.  A Hankel p4 whose sqrt(2) p4
+    # overflows once gave NaN phases; the outcome is now void.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     out = tmp_path / "out"
+    vanished = "ZeroNormError: outcome density vanished on the outcome grid"
     scenarios = [
-        ("far_p4_ideal_b", "ideal", "sample", "1e300"),
-        ("far_p4", "8.4", "sample", "1e300"),
-        ("far_x3", "8.4", "1e300", "sample"),
+        ("far_p4_ideal_b", "0.185", "ideal", "sample", "1e300", vanished,
+         "0.185,ideal,,1e+300"),
+        ("far_p4", "0.185", "8.4", "sample", "1e300", vanished, "0.185,8.4,,1e+300"),
+        ("far_x3", "0.185", "8.4", "1e300", "sample", vanished, "0.185,8.4,1e+300,"),
+        ("huge", "1e300", "ideal", "0", "1e300",
+         "GridTooNarrowError: 0.00391 of the output mass sits in the outermost bins; "
+         "request a wider grid", "1e+300,ideal,0.0,1e+300"),
+        ("hankel", "8.4", "1", "0", "1.7e308",
+         "ZeroNormError: the teleportation kernel annihilated the state for this outcome",
+         "8.4,1.0,0.0,1.7e+308"),
     ]
     text = f"input = bundled:silhouette\ngrid = -256:256:1024\noutput_dir = {out}\n"
-    for label, sigma_b, x3, p4 in scenarios:
+    for label, sigma_a, sigma_b, x3, p4, _, _ in scenarios:
         text += (
-            f"\n[scenario]\nlabel = {label}\nsigma_a = 0.185\nsigma_b = {sigma_b}\n"
+            f"\n[scenario]\nlabel = {label}\nsigma_a = {sigma_a}\nsigma_b = {sigma_b}\n"
             f"x3 = {x3}\np4 = {p4}\n"
         )
     done = subprocess.run(
@@ -664,42 +677,11 @@ def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
     )
     assert done.returncode == 2, done.stderr
     assert done.stderr.splitlines() == [
-        f"scenario {label} failed: ZeroNormError: outcome density vanished on the outcome grid"
-        for label, *_ in scenarios
+        f"scenario {label} failed: {error}" for label, *_, error, _ in scenarios
     ]
     # each failed row still names the coordinate it pinned
     assert (out / "report.csv").read_text().splitlines()[1:] == [
-        "far_p4_ideal_b,0.185,ideal,,1e+300,nan,nan",
-        "far_p4,0.185,8.4,,1e+300,nan,nan",
-        "far_x3,0.185,8.4,1e+300,,nan,nan",
-    ]
-
-
-def test_cli_overflowing_kernel_phase_fails_by_name_without_a_warning(tmp_path):
-    # sigma_a = 1e300 at a fixed p4 = 1e300: the window once came out all
-    # ones, the run reported fidelity 1.0 and then wrote a kernel profile whose
-    # phase sqrt(2) p4 u overflowed to NaN, with a RuntimeWarning.  The window
-    # now keeps the band edge alone, a plane wave that fills the grid.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    out = tmp_path / "out"
-    text = (
-        f"input = bundled:silhouette\ngrid = -256:256:1024\noutput_dir = {out}\n"
-        "\n[scenario]\nlabel = huge\nsigma_a = 1e300\nsigma_b = ideal\nx3 = 0\np4 = 1e300\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "cvteleport.cli", "run",
-         str(write_config(tmp_path, text))],
-        env=env, capture_output=True, text=True,
-    )
-    assert done.returncode == 2, done.stderr
-    assert done.stderr.splitlines() == [
-        "scenario huge failed: GridTooNarrowError: 0.00391 of the output mass sits "
-        "in the outermost bins; request a wider grid"
-    ]
-    assert (out / "report.csv").read_text().splitlines()[1:] == [
-        "huge,1e+300,ideal,0.0,1e+300,nan,nan"
+        f"{label},{row},nan,nan" for label, *_, row in scenarios
     ]
     assert not (out / "huge_kernel.csv").exists()
 
