@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .grid import (
     inner_product,
     moments,
 )
+
+if TYPE_CHECKING:
+    from .images import ImageTeleportResult
 
 
 def fidelity(psi_in: SampledWaveFunction, psi_tel: SampledWaveFunction) -> float:
@@ -93,6 +97,12 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
+    """One scenario's report row.
+
+    ``output`` holds the scenario's result until the runner writes it: the
+    teleported state, or an image's `ImageTeleportResult`.
+    """
+
     label: str
     regime: str
     sigma_a: float
@@ -102,7 +112,7 @@ class ScenarioResult:
     fidelity: float = float("nan")
     l2_distortion: float | None = None
     input_moments: MomentSummary | None = None
-    output: SampledWaveFunction | None = None
+    output: SampledWaveFunction | ImageTeleportResult | None = None
     error: str | None = None
 
     @classmethod

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,8 @@ def run(config: RunConfig) -> int:
     failures are recorded in the report and yield exit 2.  The output
     directory is created only once the input has been found, has passed the
     refusals of its kind and has loaded, so a config error writes nothing.
+    Each scenario is logged, written and dropped before the next one runs,
+    so a run holds one scenario's result at a time whatever their number.
     """
     if not config.scenarios:
         raise EmptyScenarioListError("no scenarios to run")
@@ -124,17 +127,27 @@ def run(config: RunConfig) -> int:
         raise ParseError("no such input file", path=str(input_path))
     if _is_graymap(input_path):
         _refuse_image_keys(config)
-        execute, source = _run_image, load_image(input_path)
+        asset, mode = load_image(input_path), config.image_mode or "column-wise"
+        rows = (_image_row(asset, scenario, mode) for scenario in config.scenarios)
+        length = asset.height if mode == "column-wise" else asset.width
+        write = partial(_write_image, length=length)
     elif config.image_mode is not None:
         raise ParseError("image_mode applies to image inputs only; the input is a signal")
     else:
         state = load_signal(input_path, config.grid or parse_grid(DEFAULT_GRID))
-        execute, source = _run_signal, _placements(input_path, state)
+        scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
+        rows, write = run_sweep(scenarios, _placements(input_path, state)), _write_signal
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = execute(config, source, out_dir)
-    write_report(out_dir / "report.csv", rows)
-    return EXIT_PARTIAL_FAILURE if any(row.failed for row in rows) else EXIT_OK
+    report = []
+    for row in rows:
+        report.append(row)
+        _log_row(row)
+        if not row.failed:
+            write(out_dir, row)
+        row.output = None
+    write_report(out_dir / "report.csv", report)
+    return EXIT_PARTIAL_FAILURE if any(row.failed for row in report) else EXIT_OK
 
 
 def _placements(path: Path, state: SampledWaveFunction):
@@ -146,27 +159,12 @@ def _placements(path: Path, state: SampledWaveFunction):
     return lambda grid: state if grid in (None, state.grid) else load_signal(path, grid)
 
 
-def _run_signal(config: RunConfig, load, out_dir: Path) -> list[ScenarioResult]:
-    """Write each scenario's files as it finishes, then drop its output, so
-    a run holds one scenario's states at a time whatever their number."""
-    scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
-    rows = []
-    for row in run_sweep(scenarios, load):
-        rows.append(row)
-        _log_row(row)
-        if row.failed:
-            continue
-        save_signal(out_dir / f"{row.label}_teleported.txt", row.output)
-        save_signal(
-            out_dir / f"{row.label}_teleported_p.txt",
-            to_momentum(row.output),
-            representation="p",
-        )
-        row.output = None
-        mid, half = row.input_moments.mean_x, 0.75 * row.input_moments.support_length
-        window = (mid - half, mid + half)
-        _write_profiles(out_dir, row, window)
-    return rows
+def _write_signal(out_dir: Path, row: ScenarioResult) -> None:
+    save_signal(out_dir / f"{row.label}_teleported.txt", row.output)
+    p_path = out_dir / f"{row.label}_teleported_p.txt"
+    save_signal(p_path, to_momentum(row.output), representation="p")
+    mid, half = row.input_moments.mean_x, 0.75 * row.input_moments.support_length
+    _write_profiles(out_dir, row, (mid - half, mid + half))
 
 
 def _refuse_image_keys(config: RunConfig) -> None:
@@ -188,24 +186,23 @@ def _refuse_image_keys(config: RunConfig) -> None:
             )
 
 
-def _run_image(config: RunConfig, asset: ImageAsset, out_dir: Path) -> list[ScenarioResult]:
-    image_mode = config.image_mode or "column-wise"
-    line_length = asset.height if image_mode == "column-wise" else asset.width
-    rows = []
-    for scenario in config.scenarios:
-        row = ScenarioResult.of(scenario)
-        rows.append(row)
-        outcome = MeasurementOutcome(scenario.x3, scenario.p4)
-        try:
-            result = teleport_image(asset, scenario.regime, outcome, image_mode)
-        except TeleportError as exc:
-            row.error = f"{type(exc).__name__}: {exc}"
-        else:
-            save_image(out_dir / f"{row.label}.pgm", result.display)
-            row_format = " ".join(["%r"] * result.raw.shape[1]) + "\n"
-            write_table(out_dir / f"{row.label}_intensity.txt", "", result.raw.T, row_format)
-            valid = result.column_fidelities[~np.isnan(result.column_fidelities)]
-            row.fidelity = float(valid.mean())
-            _write_profiles(out_dir, row, (0.0, float(line_length)))
-        _log_row(row)
-    return rows
+def _image_row(asset: ImageAsset, scenario: Scenario, mode: str) -> ScenarioResult:
+    """The scenario's row; its output is the `ImageTeleportResult`, its fidelity the mean."""
+    row = ScenarioResult.of(scenario)
+    outcome = MeasurementOutcome(scenario.x3, scenario.p4)
+    try:
+        row.output = teleport_image(asset, scenario.regime, outcome, mode)
+    except TeleportError as exc:
+        row.error = f"{type(exc).__name__}: {exc}"
+    else:
+        fidelities = row.output.column_fidelities
+        row.fidelity = float(fidelities[~np.isnan(fidelities)].mean())
+    return row
+
+
+def _write_image(out_dir: Path, row: ScenarioResult, length: int) -> None:
+    result = row.output
+    save_image(out_dir / f"{row.label}.pgm", result.display)
+    row_format = " ".join(["%r"] * result.raw.shape[1]) + "\n"
+    write_table(out_dir / f"{row.label}_intensity.txt", "", result.raw.T, row_format)
+    _write_profiles(out_dir, row, (0.0, float(length)))

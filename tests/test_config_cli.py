@@ -42,6 +42,14 @@ p4 = 2.7
 """
 
 
+def child_env():
+    """The environment of a child Python that imports this checkout's package."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -305,16 +313,13 @@ def test_cli_vv_logs_each_marginal_path(tmp_path, caplog):
 
 
 def test_cli_verbosity_changes_only_the_log(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     runs = []
     for flags in ([], ["-v"], ["-vv"]):
         out = tmp_path / f"out{len(flags) and flags[0]}"
         cfg = write_config(tmp_path, (BASE + SAMPLED).format(out=out), f"{out.name}.cfg")
         done = subprocess.run(
             [sys.executable, "-m", "cvteleport.cli", *flags, "run", str(cfg)],
-            env=env,
+            env=child_env(),
             capture_output=True,
             text=True,
         )
@@ -491,6 +496,37 @@ def test_interrupted_run_keeps_the_finished_scenarios_files(tmp_path, monkeypatc
     assert np.loadtxt(out / "ideal_teleported.txt").shape == (1024, 3)
 
 
+def test_image_run_drops_each_result_before_the_next_scenario(tmp_path, monkeypatch):
+    # as for a signal, each image scenario's files are written and its
+    # ImageTeleportResult released before the next scenario teleports, and
+    # an interrupt keeps the finished scenarios' files
+    import weakref
+
+    from cvteleport import ImageAsset, runner, save_image, teleport_image
+
+    results, alive = [], []
+
+    def tracked(asset, regime, outcome, mode):
+        alive.append([ref() is not None for ref in results])
+        if len(results) == 2:
+            raise KeyboardInterrupt
+        result = teleport_image(asset, regime, outcome, mode)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(runner, "teleport_image", tracked)
+    image, out = tmp_path / "input.pgm", tmp_path / "out"
+    save_image(image, ImageAsset(pixels=np.full((16, 16), 100.0), maxval=255))
+    scenario = "\n[scenario]\nlabel = s{}\nsigma_a = 1\nsigma_b = ideal\nx3 = 0\np4 = 0\n"
+    text = f"input = {image}\noutput_dir = {out}\n" + "".join(map(scenario.format, range(3)))
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", str(write_config(tmp_path, text))])
+    assert alive == [[], [False], [False, False]]
+    assert sorted(path.name for path in out.iterdir()) == [
+        f"s{i}{suffix}" for i in range(2) for suffix in (".pgm", "_intensity.txt", "_kernel.csv")
+    ]
+
+
 def test_cli_empty_scenarios_is_config_error(tmp_path, capsys):
     # refused before anything is written, for a signal and an image input alike
     from cvteleport import ImageAsset, save_image
@@ -647,9 +683,6 @@ def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
     # sqrt(2) p4 u overflowed to NaN; it now keeps the band edge alone, a
     # plane wave that fills the grid.  A Hankel p4 whose sqrt(2) p4
     # overflows once gave NaN phases; the outcome is now void.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     out = tmp_path / "out"
     vanished = "ZeroNormError: outcome density vanished on the outcome grid"
     scenarios = [
@@ -673,7 +706,7 @@ def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
     done = subprocess.run(
         [sys.executable, "-W", "error", "-m", "cvteleport.cli", "run",
          str(write_config(tmp_path, text))],
-        env=env, capture_output=True, text=True,
+        env=child_env(), capture_output=True, text=True,
     )
     assert done.returncode == 2, done.stderr
     assert done.stderr.splitlines() == [
@@ -940,11 +973,8 @@ def test_cli_run_imports_no_scipy(tmp_path):
         f"assert main(['run', {str(cfg)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
@@ -1003,11 +1033,9 @@ def test_readme_api_sketch_runs_and_matches_the_oracle(tmp_path):
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text(encoding="utf-8")
     sketch = re.search(r"## Python API sketch\n.*?```python\n(.*?)```", readme, re.S)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-W", "error", "-c", sketch.group(1)],
-        env=env, capture_output=True, text=True, cwd=tmp_path,
+        env=child_env(), capture_output=True, text=True, cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
     assert float(done.stdout.split()[-1]) <= 1e-6
