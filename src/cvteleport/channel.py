@@ -159,7 +159,12 @@ def convolution_kernel(sigma_a: float, p4: float, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     # A tiny width sends the ratio's square to inf, whose exp is the exact 0 wanted.
     with np.errstate(over="ignore"):
-        return np.exp(1j * _SQRT2 * p4 * u) * np.exp(-((u / (2.0 * sigma_a)) ** 2))
+        kernel = np.exp(-((u / (2.0 * sigma_a)) ** 2)).astype(np.complex128)
+    # k is 0 where its Gaussian is, so the phase, whose argument can overflow
+    # far out, is taken only where the Gaussian is not.
+    live = kernel != 0.0
+    kernel[live] *= np.exp(1j * _SQRT2 * p4 * u[live])
+    return kernel
 
 
 def envelope(sigma_b: float, x3: float, x) -> np.ndarray:
@@ -278,10 +283,12 @@ def _apply_kernel(
             p = np.arange(size, dtype=np.float64)  # fftfreq would hold an int copy
             p[size // 2 :] -= size
             p *= step
-            # A far q is measured from the band edge on its side instead,
-            # -width^2 (p - edge)(p - edge + 2 (edge - q)), q out of the differences.
-            edge = p[size // 2 - (wave > 0)] if far else wave
+            # Measured from q clipped to the band, -width^2 (p - edge)(p - edge
+            # + 2 (edge - q)): an off-band q then cancels no (width (p - q))^2
+            # terms, and a far q is out of the differences.
+            edge = min(max(wave, p[size // 2]), p[size // 2 - 1])
             reach = width * (2.0 * (edge - wave))
+            turn = 0.0 if far else edge - wave  # the phase stays referenced to q
             p -= edge
             nearest = np.abs(p).min()
             floor = np.inf if abs(reach) == np.inf else (width * nearest) ** 2
@@ -289,10 +296,10 @@ def _apply_kernel(
                 part = p[lo : lo + _WINDOW_BLOCK]
                 if floor == np.inf:  # the nearest momenta alone
                     exponent = np.where(np.abs(part) == nearest, 0.0, -np.inf)
-                else:  # reach is 0 near, and floor 0 far
+                else:  # reach is 0 in band, and floor 0 off it
                     exponent = floor - (width * part) * (width * part + reach)
                 if shift:
-                    exponent = exponent - 1j * shift * part
+                    exponent = exponent - 1j * shift * (part + turn)
                 spectrum[lo : lo + _WINDOW_BLOCK] *= np.exp(exponent)
             del p, part, exponent
         # unscaled: normalization absorbs the 1/size

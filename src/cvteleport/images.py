@@ -21,7 +21,7 @@ from .analysis import fidelity
 from .channel import KernelRegime, MeasurementOutcome, teleport
 from .errors import UnsupportedFormatError, ZeroNormError
 from .grid import GridSpec, SampledWaveFunction, normalize
-from .signals import atomic_write_bytes
+from .signals import _atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -114,7 +114,7 @@ def save_image(path, asset: ImageAsset) -> None:
     px = np.clip(np.rint(asset.pixels), 0, asset.maxval)
     header = f"P5\n{asset.width} {asset.height}\n{asset.maxval}\n".encode()
     payload = px.astype(_sample_dtype(asset.maxval)).tobytes()
-    atomic_write_bytes(path, header + payload)
+    _atomic_write(path, (header, payload))
 
 
 def _column_grid(length: int):

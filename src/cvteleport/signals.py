@@ -50,10 +50,6 @@ def _atomic_write(path, parts) -> None:
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    _atomic_write(path, (data,))
-
-
 def atomic_write_text(path, text) -> None:
     """Write ``text``, one str or an iterable of str parts, as UTF-8, atomically."""
     parts = (text,) if isinstance(text, str) else text
@@ -99,17 +95,16 @@ def parse_signal_text(text: str, path=None):
             raise ParseError(f"non-numeric value in {tokens!r}", path=path, line=lineno)
         if not all(map(math.isfinite, numbers)):
             raise ParseError(f"non-finite value in {tokens!r}", path=path, line=lineno)
+        if positions and numbers[0] <= positions[-1]:
+            raise NonUniformSpacingError(
+                "positions must be strictly increasing", path=path, line=lineno
+            )
         positions.append(numbers[0])
         values.append(complex(numbers[1], numbers[2] if len(numbers) == 3 else 0.0))
     if len(positions) < 2:
         raise ParseError("signal needs at least two samples", path=path)
     pos = np.array(positions)
     spacing = np.diff(pos)
-    if np.any(spacing <= 0):
-        bad = int(np.argmax(spacing <= 0))
-        raise NonUniformSpacingError(
-            "positions must be strictly increasing", path=path, line=bad + 2
-        )
     step = spacing[0]
     if np.any(np.abs(spacing - step) > 1e-9 * max(abs(step), 1.0)):
         raise NonUniformSpacingError("sample spacing is not uniform", path=path)

@@ -785,6 +785,19 @@ def test_cli_extreme_single_widths_fail_by_name(
     assert f"scenario extreme failed: {error}: " in caplog.text
 
 
+def test_cli_kernel_profile_is_zero_where_its_gaussian_underflows(tmp_path):
+    # sqrt(2) p4 u overflows far out, where the Gaussian is already 0: the
+    # phase there once gave 988 NaN rows of 1001 and a RuntimeWarning
+    kcsv = tmp_path / "k.csv"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cvteleport.cli", "kernel", "--sigma-a", "1",
+         "--p4", "1e300", "--window", "-1e10:1e10", "-o", str(kcsv)],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "nan" not in kcsv.read_text()
+
+
 def test_cli_kernel_and_envelope_outputs(tmp_path):
     kcsv = tmp_path / "k.csv"
     assert main(

@@ -108,6 +108,11 @@ def test_wrong_column_count():
 def test_decreasing_positions_rejected():
     with pytest.raises(NonUniformSpacingError):
         parse_signal_text("0 1\n1 1\n0.5 1\n")
+    # reported at its own line, past save_signal's two header lines
+    text = "# cvteleport signal\n# representation: p\n0 1 0\n1 1 0\n2 1 0\n1.5 1 0\n"
+    with pytest.raises(NonUniformSpacingError) as info:
+        parse_signal_text(text)
+    assert info.value.line == 6
 
 
 def test_nonuniform_spacing_rejected():
