@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from .grid import (
     inner_product,
     moments,
 )
-
-if TYPE_CHECKING:
-    from .images import ImageTeleportResult
 
 
 def fidelity(psi_in: SampledWaveFunction, psi_tel: SampledWaveFunction) -> float:
@@ -112,7 +108,7 @@ class ScenarioResult:
     fidelity: float = float("nan")
     l2_distortion: float | None = None
     input_moments: MomentSummary | None = None
-    output: SampledWaveFunction | ImageTeleportResult | None = None
+    output: object = None
     error: str | None = None
 
     @classmethod

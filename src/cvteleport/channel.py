@@ -159,12 +159,10 @@ def convolution_kernel(sigma_a: float, p4: float, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     # A tiny width sends the ratio's square to inf, whose exp is the exact 0 wanted.
     with np.errstate(over="ignore"):
-        kernel = np.exp(-((u / (2.0 * sigma_a)) ** 2)).astype(np.complex128)
+        gaussian = np.exp(-((u / (2.0 * sigma_a)) ** 2))
     # k is 0 where its Gaussian is, so the phase, whose argument can overflow
     # far out, is taken only where the Gaussian is not.
-    live = kernel != 0.0
-    kernel[live] *= np.exp(1j * _SQRT2 * p4 * u[live])
-    return kernel
+    return np.exp(1j * _SQRT2 * p4 * np.where(gaussian > 0.0, u, 0.0)) * gaussian
 
 
 def envelope(sigma_b: float, x3: float, x) -> np.ndarray:
