@@ -645,18 +645,22 @@ def test_far_momentum_outcome_fails_by_name_or_keeps_the_band_edge(p4):
 
 
 @pytest.mark.parametrize(
-    "sigma_a, p4",
-    [pytest.param(1e-10, p4, id=f"{p4:g}") for p4 in (1e18, 1e20, -1e20)]
-    + [(1e-6, 7e12), (1e-6, 3e12), (1e-5, 1e11), (1e-4, 1e9), (1e-3, 1e7), (1e-2, 1e5)],
+    "sigma_a, p4, runs",
+    [pytest.param(1e-10, p4, True, id=f"{p4:g}") for p4 in (1e18, 1e20, -1e20)]
+    + [
+        pytest.param(sigma_a, p4, False, id=f"{sigma_a:g}-{p4:g}")
+        for sigma_a, p4 in ((1e-6, 7e12), (1e-6, 3e12), (1e-5, 1e11), (1e-4, 1e9), (1e-3, 1e7), (1e-2, 1e5))
+    ],
 )
-def test_far_momentum_window_matches_exact_arithmetic(sigma_a, p4):
+def test_far_momentum_window_matches_exact_arithmetic(sigma_a, p4, runs):
     # At a tiny sigma_a the far window is not one mode: exp(-sigma_a^2 (p - q)^2)
     # tilts across the band, by about e^-2.8 a unit of p at p4 = 1e20.  Its
     # exponent relative to the band edge, taken in exact rational arithmetic
     # from the same float momenta, is the reference.  Below the far threshold
     # an off-band q once cancelled (sigma_a (p - q))^2 terms and missed it by
-    # up to 1.4e-2 (sigma_a 1e-6, p4 7e12).  The kernel's raw output is read,
-    # since teleport refuses the edge spill of the smaller of these tilts.
+    # up to 1.4e-2 (sigma_a 1e-6, p4 7e12).  The kernel's raw output is read
+    # for every case, since teleport refuses the edge spill of the smaller
+    # tilts; the cases it accepts also run end to end through teleport.
     psi = load_signal(bundled_silhouette_path(), GridSpec(-256.0, 0.5, 1024))
     n = psi.grid.n
     p = np.arange(n, dtype=np.float64)
@@ -668,10 +672,15 @@ def test_far_momentum_window_matches_exact_arithmetic(sigma_a, p4):
     window = np.exp([float(-Fraction(sigma_a) ** 2 * (d - least)) for d in offsets])
     expected = np.fft.ifft(np.fft.fft(psi.amplitudes) * window)
     expected /= np.linalg.norm(expected)
-    out = channel._apply_kernel(psi, sigma_a, np.inf, MeasurementOutcome(0.0, p4))
-    assert np.linalg.norm(out / np.linalg.norm(out) - expected) < 1e-14
-    overlap = abs(np.vdot(psi.amplitudes, expected)) * np.sqrt(psi.grid.dx)
-    assert overlap < 1.0 - 1e-6  # not the input
+    raw = channel._apply_kernel(psi, sigma_a, np.inf, MeasurementOutcome(0.0, p4))
+    assert np.linalg.norm(raw / np.linalg.norm(raw) - expected) < 1e-14
+    if runs:
+        out = teleport(psi, ConvolutionOnly(sigma_a), MeasurementOutcome(0.0, p4))
+        assert np.linalg.norm(out.amplitudes / np.linalg.norm(out.amplitudes) - expected) < 1e-12
+        assert fidelity(psi, out) < 1.0 - 1e-6  # not the input
+    else:
+        with pytest.raises(GridTooNarrowError):
+            teleport(psi, ConvolutionOnly(sigma_a), MeasurementOutcome(0.0, p4))
 
 
 def test_validate_span_rule():
