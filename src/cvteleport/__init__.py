@@ -9,8 +9,6 @@ from .channel import (
     MultiplicationOnly,
     OutcomeDistribution,
     build_outcome_distribution,
-    epr_state,
-    oracle_teleport,
     regime_for,
     sample_outcome,
     sample_outcomes,
@@ -23,10 +21,8 @@ from .errors import (
     GridTooNarrowError,
     IdealChannelOutcomeUnboundedError,
     NonUniformSpacingError,
-    OracleGridTooLargeError,
     OutcomeTooLargeError,
     ParseError,
-    SentinelNotMaterializableError,
     TeleportError,
     UnsupportedFormatError,
     ZeroNormError,

@@ -1,4 +1,4 @@
-"""The teleportation channel: kernel regimes, outcome statistics, and an oracle.
+"""The teleportation channel: kernel regimes and outcome statistics.
 
 Conditioned on homodyne results (x3, p4) and after the standard corrections
 (position shift by sqrt(2)*x3, momentum phase exp(i*sqrt(2)*x5*p4)), the
@@ -15,10 +15,6 @@ leaves multiplication by the wide envelope exp(-((x5-sqrt(2)*x3)/sigma_b)^2).
 Each regime carries both widths, the ideal ones as class-level limits
 (sigma_a = 0, sigma_b = inf), and one function (`_apply_kernel`) evaluates
 the kernel at those widths: two Gaussian envelopes around one FFT product.
-`oracle_teleport` never uses the kernel: it evolves the full three-mode state,
-the input times the closed-form EPR resource `epr_state`, step by step (beam
-splitter, corrections, homodyne slice) on a small grid and is the independent
-reference the kernel path is tested against.
 
 Outcome statistics follow from the beam-splitter mode relations
 x3 = x1/sqrt(2) + (x_a - x_b)/2 and p4 = p1/sqrt(2) + (p_b - p_a)/2 with the
@@ -37,29 +33,20 @@ import numpy as np
 from .errors import (
     GridTooNarrowError,
     IdealChannelOutcomeUnboundedError,
-    OracleGridTooLargeError,
     OutcomeTooLargeError,
-    SentinelNotMaterializableError,
     ZeroNormError,
 )
 from .grid import (
     GridSpec,
     SampledWaveFunction,
     ZERO_NORM_FLOOR,
-    _momentum_transform_along,
-    _position_transform_along,
-    evaluate_bandlimited,
     moments,
-    normalize,
 )
 
 log = logging.getLogger(__name__)
 
 _SQRT2 = np.sqrt(2.0)
 _TWO_PI = 2.0 * np.pi
-
-#: Largest grid the full three-mode oracle will accept (memory scales as n^3).
-ORACLE_MAX_POINTS = 64
 
 #: Largest estimated size of the arrays behind one outcome density, joint or
 #: marginal: the input's interpolant when its rows are refined, one block of
@@ -343,99 +330,6 @@ def validate_span(
             f"grid span {grid.span:g} is below the required {required:g} "
             f"(support {support_length:g}, x3 {x3:g}, sigma_b {sigma_b!r})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Full three-mode oracle
-# ---------------------------------------------------------------------------
-
-
-def epr_state(regime: General, grid: GridSpec) -> np.ndarray:
-    """The EPR resource phi(x2, x5) on grid x grid, normalized, in closed form.
-
-    A 50-50 beam splitter makes it of two squeezed vacua, the p-squeezed beam
-    (width sigma_b) in one port and the x-squeezed beam (width sigma_a) in the
-    other:
-
-        phi(x2, x5) ~ exp(-((x2-x5)/(2 sigma_a))^2) * exp(-((x2+x5)/(2 sigma_b))^2),
-
-    an (n, n) complex128 array, axis 0 x2 and axis 1 x5, exactly symmetric
-    under exchange of the two modes.  ``regime`` must be `General`: an ideal
-    width has no grid representation.
-    """
-    sigma_a, sigma_b = regime.sigma_a, regime.sigma_b
-    if sigma_a == 0.0 or sigma_b == np.inf:
-        raise SentinelNotMaterializableError(
-            "ideal squeezing limits have no grid representation"
-        )
-    xs = grid.points
-    X2, X5 = np.meshgrid(xs, xs, indexing="ij")
-    amps = np.exp(-(((X2 - X5) / (2.0 * sigma_a)) ** 2)) * np.exp(
-        -(((X2 + X5) / (2.0 * sigma_b)) ** 2)
-    )
-    norm = np.sqrt(np.sum(np.abs(amps) ** 2) * grid.dx * grid.dx)
-    if norm**2 < ZERO_NORM_FLOOR:
-        raise ZeroNormError("two-mode state has vanishing norm")
-    return amps.astype(np.complex128) / norm
-
-
-def oracle_teleport(
-    psi: SampledWaveFunction,
-    regime: General,
-    outcome: MeasurementOutcome,
-) -> SampledWaveFunction:
-    """Brute-force reference: evolve the full three-mode state and condition.
-
-    Builds psi(x1)*phi(x2, x5) on the product grid, applies the beam-splitter
-    substitution on modes (1,2) -> (3,4) by band-limited evaluation, shifts x5
-    by sqrt(2)*x3 through a momentum-space phase (sub-bin shifts stay exact),
-    Fourier-transforms x4, applies the correction phase exp(i*sqrt(2)*x5*p4),
-    slices at the grid values nearest (x3, p4), strips the residual
-    outcome-dependent global phase exp(i*x3*p4), and normalizes.
-
-    Restricted to n <= 64 because memory and work scale as n^3; requires
-    a `General` regime, finite squeezing on both inputs.
-    """
-    g = psi.grid
-    if g.n > ORACLE_MAX_POINTS:
-        raise OracleGridTooLargeError(
-            f"oracle grids are limited to n <= {ORACLE_MAX_POINTS}, got {g.n}"
-        )
-    phi = epr_state(regime, g)  # refuses an ideal width
-    n = g.n
-    xs = g.points
-    ps = g.conjugate().points
-    dp = g.dp
-
-    # Beam splitter on (1, 2): evaluate the product state at the rotated
-    # coordinates.  psi goes through its trigonometric interpolant; the
-    # two-mode resource is interpolated the same way along its first axis.
-    X3, X4 = np.meshgrid(xs, xs, indexing="ij")
-    arg1 = ((X4 + X3) / _SQRT2).ravel()
-    arg2 = ((X4 - X3) / _SQRT2).ravel()
-    psi_rot = evaluate_bandlimited(psi, arg1).reshape(n, n)
-
-    phi_spec = _momentum_transform_along(phi, g, axis=0)
-    eval_kernel = np.exp(1j * np.multiply.outer(arg2, ps)) * (dp / np.sqrt(_TWO_PI))
-    phi_rot = (eval_kernel @ phi_spec).reshape(n, n, n)
-
-    state = psi_rot[:, :, None] * phi_rot
-
-    # Conditional displacement x5 -> x5 - sqrt(2)*x3, applied per x3 slice in
-    # the momentum representation of x5.
-    state = _momentum_transform_along(state, g, axis=2)
-    state *= np.exp(-1j * np.multiply.outer(_SQRT2 * xs, ps))[:, None, :]
-    state = _position_transform_along(state, g.conjugate(), g, axis=2)
-
-    # Homodyne on mode 4 in the momentum representation, then the momentum
-    # correction phase on x5.
-    state = _momentum_transform_along(state, g, axis=1)
-    state *= np.exp(1j * _SQRT2 * np.multiply.outer(ps, xs))[None, :, :]
-
-    i3 = int(np.argmin(np.abs(xs - outcome.x3)))
-    k4 = int(np.argmin(np.abs(ps - outcome.p4)))
-    slice_ = state[i3, k4, :] * np.exp(-1j * xs[i3] * ps[k4])
-    return normalize(SampledWaveFunction(g, slice_))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .analysis import Scenario
 from .channel import regime_for
 from .errors import ParseError
 from .grid import GridSpec
+from .signals import read_text
 
 _GLOBAL_KEYS = {"input", "grid", "output_dir", "seed", "image_mode"}
 _SCENARIO_KEYS = {"label", "sigma_a", "sigma_b", "x3", "p4", "seed", "grid"}
@@ -122,9 +123,7 @@ def _parse_seed(value: str, key: str, path, line) -> int:
 def parse_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError("no such file", path=str(path))
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     pstr = str(path)
 
     globals_raw: dict[str, tuple[str, int]] = {}

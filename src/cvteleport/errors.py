@@ -17,14 +17,6 @@ class GridTooNarrowError(TeleportError):
     """The grid span cannot hold the requested state or operation."""
 
 
-class SentinelNotMaterializableError(TeleportError):
-    """An ideal squeezing limit cannot be represented on a finite grid."""
-
-
-class OracleGridTooLargeError(TeleportError):
-    """The full-state oracle is restricted to small grids (memory is n^3)."""
-
-
 class OutcomeTooLargeError(TeleportError):
     """An outcome density would need more memory than its budget allows."""
 

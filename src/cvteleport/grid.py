@@ -145,32 +145,13 @@ def normalize(psi: SampledWaveFunction) -> SampledWaveFunction:
     return SampledWaveFunction(psi.grid, amps / np.sqrt(norm_sq))
 
 
-def _momentum_transform_along(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    """Apply the forward transform along one axis of an ndarray."""
-    ps = grid.conjugate().points
-    spec = np.fft.fftshift(np.fft.fft(arr, axis=axis), axes=axis)
-    phase = np.exp(-1j * ps * grid.x_min) * (grid.dx / np.sqrt(_TWO_PI))
-    shape = [1] * arr.ndim
-    shape[axis] = grid.n
-    return spec * phase.reshape(shape)
-
-
-def _position_transform_along(
-    arr: np.ndarray, momentum_grid: GridSpec, target: GridSpec, axis: int
-) -> np.ndarray:
-    """Inverse of :func:`_momentum_transform_along` onto ``target``."""
-    ps = momentum_grid.points
-    shape = [1] * arr.ndim
-    shape[axis] = momentum_grid.n
-    phased = arr * np.exp(1j * ps * target.x_min).reshape(shape)
-    out = np.fft.ifft(np.fft.ifftshift(phased, axes=axis), axis=axis)
-    return out * (momentum_grid.dx * momentum_grid.n / np.sqrt(_TWO_PI))
-
-
 def to_momentum(psi: SampledWaveFunction) -> SampledWaveFunction:
     """Momentum representation on the conjugate (zero-centred) lattice."""
-    amps = _momentum_transform_along(psi.amplitudes, psi.grid, axis=0)
-    return SampledWaveFunction(psi.grid.conjugate(), amps)
+    grid = psi.grid
+    momentum = grid.conjugate()
+    spec = np.fft.fftshift(np.fft.fft(psi.amplitudes))
+    phase = np.exp(-1j * momentum.points * grid.x_min) * (grid.dx / np.sqrt(_TWO_PI))
+    return SampledWaveFunction(momentum, spec * phase)
 
 
 def moments(psi: SampledWaveFunction) -> MomentSummary:
@@ -209,20 +190,6 @@ def inner_product(psi: SampledWaveFunction, chi: SampledWaveFunction) -> complex
     if psi.grid != chi.grid:
         raise GridMismatchError("inner product requires a common grid")
     return complex(np.vdot(psi.amplitudes, chi.amplitudes) * psi.grid.dx)
-
-
-def evaluate_bandlimited(psi: SampledWaveFunction, xs) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of ``psi`` at arbitrary points.
-
-    Exact at the grid points and spectrally accurate for smooth, well-resolved
-    states; the interpolant is periodic with the grid span, so query points
-    should stay where the state has decayed.
-    """
-    xs = np.asarray(xs, dtype=float)
-    phi = to_momentum(psi)
-    ps = phi.grid.points
-    kernel = np.exp(1j * np.multiply.outer(xs, ps))
-    return kernel @ phi.amplitudes * (phi.grid.dx / np.sqrt(_TWO_PI))
 
 
 def gaussian_packet(

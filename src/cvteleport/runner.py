@@ -46,11 +46,8 @@ def resolve_input_path(spec: str) -> Path:
 
 
 def _is_graymap(path: Path) -> bool:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(2) in (b"P2", b"P5")
-    except OSError:
-        return False
+    with open(path, "rb") as fh:
+        return fh.read(2) in (b"P2", b"P5")
 
 
 def _fmt(name: str, value) -> str:

@@ -76,6 +76,25 @@ def write_table(path, head: str, columns, row: str) -> None:
     atomic_write_text(path, parts())
 
 
+def read_text(path: Path) -> str:
+    """The UTF-8 text of the file at ``path``.
+
+    A missing file, or a byte that is not UTF-8, raises `ParseError`; the
+    latter names the bad byte's line, counted as the parsers count lines.
+    """
+    if not path.exists():
+        raise ParseError("no such file", path=str(path))
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte, plus one character standing for it
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"byte {data[exc.start]:#04x} is not UTF-8 text", path=str(path), line=line
+        )
+
+
 def parse_signal_text(text: str, path=None):
     """Parse signal text into (positions, complex amplitudes)."""
     positions: list[float] = []
@@ -119,9 +138,7 @@ def load_signal(path, grid: GridSpec) -> SampledWaveFunction:
     sampled range.  The sampled range must fit inside the grid.
     """
     path = Path(path)
-    if not path.exists():
-        raise ParseError("no such file", path=str(path))
-    pos, values = parse_signal_text(path.read_text(encoding="utf-8"), path=str(path))
+    pos, values = parse_signal_text(read_text(path), path=str(path))
     if pos[0] < grid.x_min - grid.dx / 2 or pos[-1] > grid.x_max + grid.dx / 2:
         raise GridTooNarrowError(
             f"signal spans [{pos[0]:g}, {pos[-1]:g}] but the grid covers "

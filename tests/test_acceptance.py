@@ -22,13 +22,11 @@ from cvteleport import (
     MultiplicationOnly,
     Scenario,
     envelope_profile,
-    epr_state,
     fidelity,
     gaussian_packet,
     kernel_profile,
     load_bundled_silhouette,
     moments,
-    oracle_teleport,
     regime_for,
     run_sweep,
     sample_outcomes,
@@ -39,7 +37,7 @@ from cvteleport import (
 from cvteleport.channel import outcome_moments
 from cvteleport.cli import main
 
-from conftest import epr_from_beam_splitter, random_state, rel_l2
+from conftest import epr_from_beam_splitter, epr_state, oracle_teleport, random_state, rel_l2
 
 G_DEFAULT = GridSpec(-256.0, 0.5, 1024)
 G_WIDE = GridSpec(-4096.0, 0.5, 16384)
@@ -184,7 +182,7 @@ def test_criterion_05_scenario_regressions_and_orderings(scenario_rows):
 
 
 def test_criterion_05_combined_strong_squeezing_fidelity_floor(scenario_rows):
-    # Known red: the run measures 0.9464533894400824.  The width-280 envelope,
+    # Known red: the run measures 0.94645338944008.  The width-280 envelope,
     # centred at sqrt(2)*280 ~ 396, reweights the spread-28 signal, and the
     # program reproduces the predicted fidelity to 2e-16, so the 0.95 floor is
     # implemented faithfully and fails.

@@ -16,22 +16,18 @@ from cvteleport import (
     Ideal,
     MeasurementOutcome,
     MultiplicationOnly,
-    OracleGridTooLargeError,
     SampledWaveFunction,
-    SentinelNotMaterializableError,
     TeleportError,
     ZeroNormError,
     gaussian_packet,
     load_signal,
     moments,
     normalize,
-    oracle_teleport,
     regime_for,
     teleport,
     to_momentum,
     validate_span,
 )
-from cvteleport.grid import evaluate_bandlimited
 from cvteleport.signals import bundled_silhouette_path
 from cvteleport import channel
 from cvteleport.analysis import fidelity
@@ -40,9 +36,10 @@ from cvteleport.channel import convolution_kernel, envelope
 from conftest import (
     closed_form_teleport,
     convolve_sampled_kernel,
+    evaluate_bandlimited,
+    oracle_teleport,
     random_state,
     rel_l2,
-    squeezed_vacuum,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -472,51 +469,6 @@ def test_general_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2.8e6
-
-
-def test_oracle_refuses_large_grids_and_sentinels():
-    g = GridSpec(-12.0, 24.0 / 128, 128)
-    psi = gaussian_packet(g, 0.0, 1.0)
-    with pytest.raises(OracleGridTooLargeError):
-        oracle_teleport(psi, regime_for(1.0, 1.0), MeasurementOutcome(0, 0))
-    g64 = GridSpec(-12.0, 24.0 / 64, 64)
-    psi64 = gaussian_packet(g64, 0.0, 1.0)
-    for regime in (regime_for(0.0, 1.0), ConvolutionOnly(1.0), Ideal()):
-        with pytest.raises(SentinelNotMaterializableError):
-            oracle_teleport(psi64, regime, MeasurementOutcome(0, 0))
-
-
-def test_oracle_equal_widths_outputs_resource_mode():
-    # sigma_a = sigma_b makes the resource separable: the output is the
-    # squeezed-vacuum mode itself, independent of the input.
-    g = GridSpec(-12.0, 24.0 / 64, 64)
-    psi = gaussian_packet(g, 0.6, 1.4)
-    out = oracle_teleport(psi, regime_for(1.2, 1.2), MeasurementOutcome(0.0, 0.0))
-    vac = squeezed_vacuum(1.2, g)
-    assert rel_l2(vac, out) < 1e-10
-    assert fidelity(psi, out) == pytest.approx(0.8889477575654505, abs=1e-9)
-
-
-def test_oracle_asymmetric_widths_blur():
-    g = GridSpec(-12.0, 24.0 / 64, 64)
-    psi = gaussian_packet(g, 0.4, 0.9)
-    out = oracle_teleport(psi, regime_for(0.7, 5.0), MeasurementOutcome(0.0, 0.0))
-    m_in, m_out = moments(psi), moments(out)
-    assert m_out.std_x > m_in.std_x
-    assert m_out.mean_x == pytest.approx(m_in.mean_x, abs=0.2)
-
-
-def test_oracle_fidelity_monotone_toward_ideal():
-    g = GridSpec(-12.0, 24.0 / 64, 64)
-    psi = gaussian_packet(g, 0.6, 1.4)
-    fids = [
-        fidelity(
-            psi,
-            oracle_teleport(psi, regime_for(sa, 6.0), MeasurementOutcome(0, 0)),
-        )
-        for sa in (2.0, 1.0, 0.5)
-    ]
-    assert all(b > a for a, b in zip(fids, fids[1:]))
 
 
 def test_representation_duality():

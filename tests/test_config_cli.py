@@ -1,3 +1,5 @@
+import contextlib
+import io
 import logging
 import os
 import re
@@ -16,8 +18,11 @@ from cvteleport import (
     parse_config,
     parse_grid,
 )
+from cvteleport.analysis import fidelity
 from cvteleport.cli import main
 from cvteleport.config import MAX_GRID_POINTS
+
+from conftest import oracle_teleport
 
 
 BASE = """\
@@ -576,6 +581,41 @@ def test_cli_config_error_creates_no_output_dir(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["config", "signal", "info-image"])
+def test_cli_non_utf8_input_fails_at_the_line_of_its_first_bad_byte(tmp_path, capsys, case):
+    from cvteleport import ImageAsset, save_image
+
+    out = tmp_path / "out"
+    if case == "config":
+        bad, line = tmp_path / "run.cfg", 3
+        bad.write_bytes(f"input = bundled:silhouette\noutput_dir = {out}\n".encode() + b"# caf\xff\n")
+        argv = ["run", str(bad)]
+    elif case == "signal":
+        bad, line = tmp_path / "signal.txt", 2
+        bad.write_bytes(b"0 1\n1 \xff\n2 0\n")
+        config = write_config(tmp_path, f"input = {bad}\noutput_dir = {out}\n" + _ONE)
+        argv = ["run", str(config)]
+    else:
+        # the P5 header takes three lines; the first pixel, 0xc8, is not UTF-8
+        bad, line = tmp_path / "image.pgm", 4
+        save_image(bad, ImageAsset(pixels=np.full((16, 16), 200.0), maxval=255))
+        argv = ["info", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_cli_unreadable_input_fails_at_its_first_read(tmp_path, capsys):
+    # an input that exists but cannot be read: here a directory
+    out, folder = tmp_path / "out", tmp_path / "folder"
+    folder.mkdir()
+    path = write_config(tmp_path, f"input = {folder}\noutput_dir = {out}\n" + _ONE)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert not out.exists()
+
+
 def test_cli_seed_override_changes_sampled_outcomes(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     text = (
@@ -1042,7 +1082,9 @@ def test_readme_layout_names_every_module():
 
 def test_readme_api_sketch_runs_and_matches_the_oracle(tmp_path):
     # The README's Python API sketch runs as printed, warning-free, so a
-    # public name it uses cannot be removed or renamed unnoticed.
+    # public name it uses cannot be removed or renamed unnoticed.  The
+    # fidelity it prints is the three-mode oracle's for its psi, regime and
+    # outcome.
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text(encoding="utf-8")
     sketch = re.search(r"## Python API sketch\n.*?```python\n(.*?)```", readme, re.S)
@@ -1051,4 +1093,9 @@ def test_readme_api_sketch_runs_and_matches_the_oracle(tmp_path):
         env=child_env(), capture_output=True, text=True, cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout.split()[-1]) <= 1e-6
+    names = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(sketch.group(1), names)
+    psi = names["psi"]
+    reference = fidelity(psi, oracle_teleport(psi, names["regime"], names["outcome"]))
+    assert float(done.stdout.split()[-1]) == pytest.approx(reference, abs=1e-6)

@@ -12,14 +12,9 @@ from cvteleport import (
     normalize,
     to_momentum,
 )
-from cvteleport.grid import (
-    _position_transform_along,
-    evaluate_bandlimited,
-    place_samples,
-    resample,
-)
+from cvteleport.grid import place_samples, resample
 
-from conftest import random_state, rel_l2
+from conftest import evaluate_bandlimited, position_transform_along, random_state, rel_l2
 
 
 def test_grid_spec_validation():
@@ -130,7 +125,7 @@ def test_round_trip_and_parseval(rng):
         psi = random_state(g, rng)
         phi = to_momentum(psi)
         back = SampledWaveFunction(
-            g, _position_transform_along(phi.amplitudes, phi.grid, g, axis=0)
+            g, position_transform_along(phi.amplitudes, phi.grid, g, axis=0)
         )
         assert rel_l2(psi, back) < 1e-10
         assert abs(psi.norm() - phi.norm()) < 1e-10

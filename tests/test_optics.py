@@ -1,3 +1,6 @@
+"""Tests of the references that conftest.py keeps: squeezed vacua, the beam
+splitter, the closed-form EPR resource and the three-mode oracle."""
+
 import numpy as np
 import pytest
 
@@ -6,18 +9,21 @@ from cvteleport import (
     GridSpec,
     GridTooNarrowError,
     Ideal,
-    SentinelNotMaterializableError,
+    MeasurementOutcome,
     ZeroNormError,
-    epr_state,
     gaussian_packet,
     moments,
     regime_for,
 )
+from cvteleport.analysis import fidelity
 
 from conftest import (
     beam_splitter,
     epr_from_beam_splitter,
+    epr_state,
+    oracle_teleport,
     product_state,
+    rel_l2,
     squeezed_vacuum,
     two_mode_norm,
 )
@@ -71,7 +77,7 @@ def test_epr_state_separable_when_widths_match():
 def test_epr_state_rejects_sentinels():
     g = GridSpec(-16.0, 0.125, 256)
     for regime in (regime_for(0.0, 1.0), ConvolutionOnly(1.0), Ideal()):
-        with pytest.raises(SentinelNotMaterializableError):
+        with pytest.raises(ValueError, match="ideal squeezing"):
             epr_state(regime, g)
 
 
@@ -203,3 +209,48 @@ def test_epr_construction_equivalence(sigma_a, sigma_b):
         errors.append(float(np.max(np.abs(direct - built))))
     assert errors[0] <= 5e-3
     assert errors[1] < errors[0]
+
+
+def test_oracle_refuses_large_grids_and_sentinels():
+    g = GridSpec(-12.0, 24.0 / 128, 128)
+    psi = gaussian_packet(g, 0.0, 1.0)
+    with pytest.raises(ValueError, match="n <= 64"):
+        oracle_teleport(psi, regime_for(1.0, 1.0), MeasurementOutcome(0, 0))
+    g64 = GridSpec(-12.0, 24.0 / 64, 64)
+    psi64 = gaussian_packet(g64, 0.0, 1.0)
+    for regime in (regime_for(0.0, 1.0), ConvolutionOnly(1.0), Ideal()):
+        with pytest.raises(ValueError, match="ideal squeezing"):
+            oracle_teleport(psi64, regime, MeasurementOutcome(0, 0))
+
+
+def test_oracle_equal_widths_outputs_resource_mode():
+    # sigma_a = sigma_b makes the resource separable: the output is the
+    # squeezed-vacuum mode itself, independent of the input.
+    g = GridSpec(-12.0, 24.0 / 64, 64)
+    psi = gaussian_packet(g, 0.6, 1.4)
+    out = oracle_teleport(psi, regime_for(1.2, 1.2), MeasurementOutcome(0.0, 0.0))
+    vac = squeezed_vacuum(1.2, g)
+    assert rel_l2(vac, out) < 1e-10
+    assert fidelity(psi, out) == pytest.approx(0.8889477575654505, abs=1e-9)
+
+
+def test_oracle_asymmetric_widths_blur():
+    g = GridSpec(-12.0, 24.0 / 64, 64)
+    psi = gaussian_packet(g, 0.4, 0.9)
+    out = oracle_teleport(psi, regime_for(0.7, 5.0), MeasurementOutcome(0.0, 0.0))
+    m_in, m_out = moments(psi), moments(out)
+    assert m_out.std_x > m_in.std_x
+    assert m_out.mean_x == pytest.approx(m_in.mean_x, abs=0.2)
+
+
+def test_oracle_fidelity_monotone_toward_ideal():
+    g = GridSpec(-12.0, 24.0 / 64, 64)
+    psi = gaussian_packet(g, 0.6, 1.4)
+    fids = [
+        fidelity(
+            psi,
+            oracle_teleport(psi, regime_for(sa, 6.0), MeasurementOutcome(0, 0)),
+        )
+        for sa in (2.0, 1.0, 0.5)
+    ]
+    assert all(b > a for a, b in zip(fids, fids[1:]))

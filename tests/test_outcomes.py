@@ -36,7 +36,7 @@ from cvteleport.channel import (
     regime_for,
 )
 from cvteleport.signals import bundled_silhouette_path
-from conftest import closed_form_joint, closed_form_marginal, random_state
+from conftest import closed_form_joint, closed_form_marginal, evaluate_bandlimited, random_state
 
 
 @pytest.fixture
@@ -102,8 +102,6 @@ def test_table_moments_match_mode_decomposition(packet):
 def test_density_matches_bruteforce_integration(unit_grid):
     # fully independent route: dense quadrature of the defining double
     # integral, with the remote coordinate integrated numerically
-    from cvteleport.grid import SampledWaveFunction, evaluate_bandlimited, normalize
-
     beta = 0.3  # chirp gives the outcomes a genuine cross-correlation
     amps = np.exp(-((unit_grid.points - 0.5) ** 2) / 4 + 1j * beta * unit_grid.points**2)
     psi = normalize(SampledWaveFunction(unit_grid, amps))
