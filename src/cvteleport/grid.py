@@ -150,8 +150,9 @@ def to_momentum(psi: SampledWaveFunction) -> SampledWaveFunction:
     grid = psi.grid
     momentum = grid.conjugate()
     spec = np.fft.fftshift(np.fft.fft(psi.amplitudes))
-    phase = np.exp(-1j * momentum.points * grid.x_min) * (grid.dx / np.sqrt(_TWO_PI))
-    return SampledWaveFunction(momentum, spec * phase)
+    # in place: only the spectrum is alive when the constructor copies it
+    spec *= np.exp(-1j * momentum.points * grid.x_min) * (grid.dx / np.sqrt(_TWO_PI))
+    return SampledWaveFunction(momentum, spec)
 
 
 def moments(psi: SampledWaveFunction) -> MomentSummary:
