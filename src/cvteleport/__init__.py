@@ -23,6 +23,7 @@ from .errors import (
     NonUniformSpacingError,
     OutcomeTooLargeError,
     ParseError,
+    PhaseOverflowError,
     TeleportError,
     UnsupportedFormatError,
     ZeroNormError,

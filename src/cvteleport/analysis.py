@@ -10,14 +10,18 @@ import numpy as np
 from .channel import (
     KernelRegime,
     MeasurementOutcome,
+    _SQRT2,
     _require_width,
-    convolution_kernel,
-    envelope,
     sample_outcome,
     teleport,
     validate_span,
 )
-from .errors import EmptyScenarioListError, TeleportError
+from .errors import (
+    EmptyScenarioListError,
+    GridMismatchError,
+    PhaseOverflowError,
+    TeleportError,
+)
 from .grid import (
     GridSpec,
     MomentSummary,
@@ -41,6 +45,8 @@ def fidelity(psi_in: SampledWaveFunction, psi_tel: SampledWaveFunction) -> float
 
 def l2_distortion(psi_in: SampledWaveFunction, psi_tel: SampledWaveFunction) -> float:
     """L2 norm of the difference, phase included (0 for perfect teleportation)."""
+    if psi_in.grid != psi_tel.grid:
+        raise GridMismatchError("L2 distortion requires a common grid")
     diff = psi_tel.amplitudes - psi_in.amplitudes
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * psi_in.grid.dx))
 
@@ -51,11 +57,24 @@ def kernel_profile(
     """(u, k(u)) at ``num`` points across ``window``, both arrays.
 
     k(u) = exp(i*sqrt(2)*p4*u) exp(-(u/(2 sigma_a))^2) is the complex
-    convolution kernel.
+    convolution kernel.  k is 0 where its Gaussian is, so the phase, whose
+    argument can overflow far out, is taken only where the Gaussian is not;
+    a phase that still overflows there has no value to write and raises
+    PhaseOverflowError.
     """
     _require_width("sigma_a", sigma_a)
     u = np.linspace(window[0], window[1], num)
-    return u, convolution_kernel(sigma_a, p4, u)
+    # A tiny width sends the ratio's square to inf, whose exp is the exact 0
+    # wanted; an overflowing phase is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaussian = np.exp(-((u / (2.0 * sigma_a)) ** 2))
+        phase = 1j * _SQRT2 * p4 * np.where(gaussian > 0.0, u, 0.0)
+    if not np.isfinite(phase).all():
+        raise PhaseOverflowError(
+            f"the kernel phase sqrt(2)*p4*u overflows float64 where its Gaussian "
+            f"is not 0 (sigma_a {sigma_a!r}, p4 {p4!r}, window {window[0]!r}:{window[1]!r})"
+        )
+    return u, np.exp(phase) * gaussian
 
 
 def envelope_profile(
@@ -67,7 +86,9 @@ def envelope_profile(
     """
     _require_width("sigma_b", sigma_b)
     x = np.linspace(window[0], window[1], num)
-    return x, envelope(sigma_b, x3, x)
+    # A tiny width sends the ratio's square to inf, whose exp is the exact 0 wanted.
+    with np.errstate(over="ignore"):
+        return x, np.exp(-(((x - _SQRT2 * x3) / sigma_b) ** 2))
 
 
 @dataclass(frozen=True)
@@ -126,6 +147,13 @@ class ScenarioResult:
     def failed(self) -> bool:
         return self.error is not None
 
+    def fail(self, exc: TeleportError) -> None:
+        """Mark the row failed by the error's name and message, unscored."""
+        self.error = f"{type(exc).__name__}: {exc}"
+        self.fidelity = float("nan")
+        if self.l2_distortion is not None:
+            self.l2_distortion = float("nan")
+
 
 def run_sweep(
     scenarios: list[Scenario], load: Callable[[GridSpec | None], SampledWaveFunction]
@@ -178,5 +206,5 @@ def _run_one(scenario: Scenario, load) -> ScenarioResult:
         row.fidelity = fidelity(state, tele)
         row.l2_distortion = l2_distortion(state, tele)
     except TeleportError as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
+        row.fail(exc)
     return row

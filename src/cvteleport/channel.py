@@ -141,25 +141,6 @@ def regime_for(sigma_a: float, sigma_b: float) -> KernelRegime:
     return General(sigma_a, sigma_b)
 
 
-def convolution_kernel(sigma_a: float, p4: float, u) -> np.ndarray:
-    """k(u) = exp(i*sqrt(2)*p4*u) * exp(-(u/(2 sigma_a))^2)."""
-    u = np.asarray(u, dtype=float)
-    # A tiny width sends the ratio's square to inf, whose exp is the exact 0 wanted.
-    with np.errstate(over="ignore"):
-        gaussian = np.exp(-((u / (2.0 * sigma_a)) ** 2))
-    # k is 0 where its Gaussian is, so the phase, whose argument can overflow
-    # far out, is taken only where the Gaussian is not.
-    return np.exp(1j * _SQRT2 * p4 * np.where(gaussian > 0.0, u, 0.0)) * gaussian
-
-
-def envelope(sigma_b: float, x3: float, x) -> np.ndarray:
-    """exp(-((x - sqrt(2)*x3)/sigma_b)^2)."""
-    x = np.asarray(x, dtype=float)
-    # A tiny width sends the ratio's square to inf, whose exp is the exact 0 wanted.
-    with np.errstate(over="ignore"):
-        return np.exp(-(((x - _SQRT2 * x3) / sigma_b) ** 2))
-
-
 def teleport(
     psi: SampledWaveFunction, regime: KernelRegime, outcome: MeasurementOutcome
 ) -> SampledWaveFunction:
@@ -302,7 +283,8 @@ def _apply_kernel(
 
 def _finish(grid: GridSpec, raw: np.ndarray) -> SampledWaveFunction:
     total = np.sum(np.abs(raw) ** 2) * grid.dx
-    if total < ZERO_NORM_FLOOR:
+    # NaN where the kernel sits too far out for float64, which leaves nothing
+    if not total >= ZERO_NORM_FLOOR:
         raise ZeroNormError(
             "the teleportation kernel annihilated the state for this outcome"
         )
@@ -324,7 +306,8 @@ def validate_span(
     with the envelope term dropped for an ideal (infinite) sigma_b.
     """
     width = sigma_b if sigma_b < np.inf else 0.0
-    required = 2.0 * (support_length + _SQRT2 * abs(x3) + 6.0 * width)
+    with np.errstate(over="ignore"):  # a huge x3 needs an infinite span, which none has
+        required = 2.0 * (support_length + _SQRT2 * abs(x3) + 6.0 * width)
     if grid.span < required:
         raise GridTooNarrowError(
             f"grid span {grid.span:g} is below the required {required:g} "
@@ -490,9 +473,12 @@ def _outcome_density(
     """
     g = psi.grid
     lam_s, mu = _lambda_coefficients(sigma_a, sigma_b)
-    # The flat window (lam_s = 0) reads no x3, and a huge one would square to inf.
-    t = _SQRT2 * (np.asarray(x3_values, dtype=float) * (lam_s > 0.0))
-    q = _SQRT2 * np.asarray(p4_values, dtype=float)
+    # The flat window (lam_s = 0) reads no x3, and a huge one would square to
+    # inf.  A coordinate past float64's range over sqrt(2) goes to inf, whose
+    # density is 0.
+    with np.errstate(over="ignore"):
+        t = _SQRT2 * (np.asarray(x3_values, dtype=float) * (lam_s > 0.0))
+        q = _SQRT2 * np.asarray(p4_values, dtype=float)
     # A window no lattice resolves starts at inf: lam_s * h^2 would be inf * 0.
     factor = np.inf if lam_s == np.inf else 1.0
     while factor < np.inf and not _dx_rows_alias_free(2.0 * lam_s, g.dx / factor):

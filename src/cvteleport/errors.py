@@ -21,6 +21,10 @@ class OutcomeTooLargeError(TeleportError):
     """An outcome density would need more memory than its budget allows."""
 
 
+class PhaseOverflowError(TeleportError):
+    """A kernel's phase overflows float64 where the kernel is not 0."""
+
+
 class IdealChannelOutcomeUnboundedError(TeleportError):
     """The doubly ideal channel has an improper outcome distribution."""
 

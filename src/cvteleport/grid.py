@@ -220,7 +220,5 @@ def place_samples(positions, values, grid: GridSpec) -> SampledWaveFunction:
     """Place sampled (position, amplitude) pairs on a grid and normalize."""
     positions = np.asarray(positions, dtype=float)
     values = np.asarray(values, dtype=np.complex128)
-    xs = grid.points
-    re = np.interp(xs, positions, values.real, left=0.0, right=0.0)
-    im = np.interp(xs, positions, values.imag, left=0.0, right=0.0)
-    return normalize(SampledWaveFunction(grid, re + 1j * im))
+    amplitudes = np.interp(grid.points, positions, values, left=0.0, right=0.0)
+    return normalize(SampledWaveFunction(grid, amplitudes))

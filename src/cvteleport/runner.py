@@ -114,8 +114,10 @@ def run(config: RunConfig) -> int:
     failures are recorded in the report and yield exit 2.  The output
     directory is created only once the input has been found, has passed the
     refusals of its kind and has loaded, so a config error writes nothing.
-    Each scenario is logged, written and dropped before the next one runs,
+    Each scenario is written, logged and dropped before the next one runs,
     so a run holds one scenario's result at a time whatever their number.
+    A scenario whose profiles cannot be written fails its row by name, with
+    none of its files written: each writer writes the profiles first.
     """
     if not config.scenarios:
         raise EmptyScenarioListError("no scenarios to run")
@@ -139,9 +141,12 @@ def run(config: RunConfig) -> int:
     report = []
     for row in rows:
         report.append(row)
-        _log_row(row)
         if not row.failed:
-            write(out_dir, row)
+            try:
+                write(out_dir, row)
+            except TeleportError as exc:
+                row.fail(exc)
+        _log_row(row)
         row.output = None
     write_report(out_dir / "report.csv", report)
     return EXIT_PARTIAL_FAILURE if any(row.failed for row in report) else EXIT_OK
@@ -157,11 +162,11 @@ def _placements(path: Path, state: SampledWaveFunction):
 
 
 def _write_signal(out_dir: Path, row: ScenarioResult) -> None:
+    mid, half = row.input_moments.mean_x, 0.75 * row.input_moments.support_length
+    _write_profiles(out_dir, row, (mid - half, mid + half))
     save_signal(out_dir / f"{row.label}_teleported.txt", row.output)
     p_path = out_dir / f"{row.label}_teleported_p.txt"
     save_signal(p_path, to_momentum(row.output), representation="p")
-    mid, half = row.input_moments.mean_x, 0.75 * row.input_moments.support_length
-    _write_profiles(out_dir, row, (mid - half, mid + half))
 
 
 def _refuse_image_keys(config: RunConfig) -> None:
@@ -190,7 +195,7 @@ def _image_row(asset: ImageAsset, scenario: Scenario, mode: str) -> ScenarioResu
     try:
         row.output = teleport_image(asset, scenario.regime, outcome, mode)
     except TeleportError as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
+        row.fail(exc)
     else:
         fidelities = row.output.column_fidelities
         row.fidelity = float(fidelities[~np.isnan(fidelities)].mean())
@@ -198,8 +203,8 @@ def _image_row(asset: ImageAsset, scenario: Scenario, mode: str) -> ScenarioResu
 
 
 def _write_image(out_dir: Path, row: ScenarioResult, length: int) -> None:
+    _write_profiles(out_dir, row, (0.0, float(length)))
     result = row.output
     save_image(out_dir / f"{row.label}.pgm", result.display)
     row_format = " ".join(["%r"] * result.raw.shape[1]) + "\n"
     write_table(out_dir / f"{row.label}_intensity.txt", "", result.raw.T, row_format)
-    _write_profiles(out_dir, row, (0.0, float(length)))

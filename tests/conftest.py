@@ -16,7 +16,7 @@ from cvteleport import (
     normalize,
     to_momentum,
 )
-from cvteleport.channel import _finish, _require_width, convolution_kernel, outcome_moments
+from cvteleport.channel import _finish, _require_width, outcome_moments
 from cvteleport.grid import ZERO_NORM_FLOOR
 from cvteleport.signals import write_table
 
@@ -37,14 +37,15 @@ def rel_l2(a, b):
 
 
 def convolve_sampled_kernel(psi, sigma_a, p4):
-    """Direct convolution with the kernel sampled on the grid.
+    """Direct convolution with k(u) = exp(i*sqrt(2)*p4*u) * exp(-(u/(2 sigma_a))^2)
+    sampled on the grid.
 
     Equivalent to the spectral route whenever the kernel is resolved
     (sigma_a a few grid steps or more); kept as the cross-check path.
     """
     g = psi.grid
     u = (np.arange(2 * g.n - 1) - (g.n - 1)) * g.dx
-    kernel = convolution_kernel(sigma_a, p4, u)
+    kernel = np.exp(1j * _SQRT2 * p4 * u) * np.exp(-((u / (2.0 * sigma_a)) ** 2))
     full = np.convolve(psi.amplitudes, kernel)
     return _finish(g, full[g.n - 1 : 2 * g.n - 1] * g.dx)
 

@@ -4,14 +4,17 @@ import pytest
 from cvteleport import (
     ConvolutionOnly,
     EmptyScenarioListError,
+    GridMismatchError,
     GridSpec,
     MeasurementOutcome,
+    PhaseOverflowError,
     SampledWaveFunction,
     Scenario,
     envelope_profile,
     fidelity,
     gaussian_packet,
     kernel_profile,
+    l2_distortion,
     normalize,
     regime_for,
     run_sweep,
@@ -43,6 +46,26 @@ def test_fidelity_of_a_state_with_itself_is_exactly_one(grid):
             assert fidelity(psi, psi) == 1.0
             scaled = SampledWaveFunction(grid, scale * psi.amplitudes)
             assert fidelity(scaled, scaled) == 1.0
+
+
+@pytest.mark.parametrize(
+    "other", [GridSpec(-4.0, 0.125, 128), GridSpec(-8.0, 0.125, 256)], ids=["x_min", "n"]
+)
+def test_l2_distortion_refuses_states_on_different_grids(other):
+    # as fidelity does: once 1.401 for a shifted grid, and numpy's broadcast
+    # ValueError for another n
+    psi = gaussian_packet(GridSpec(-8.0, 0.125, 128), 0.0, 1.0)
+    with pytest.raises(GridMismatchError):
+        l2_distortion(psi, gaussian_packet(other, 0.0, 1.0))
+
+
+def test_kernel_profile_refuses_a_phase_that_overflows_under_its_gaussian():
+    # sqrt(2) p4 u overflows at |u| > 1.3e8, where a width of 1e9 is not 0;
+    # at width 1 the Gaussian has underflowed there, and the profile is 0
+    with pytest.raises(PhaseOverflowError, match="sigma_a 1000000000.0, p4 1e"):
+        kernel_profile(1e9, 1e300, (-1e10, 1e10))
+    u, k = kernel_profile(1.0, 1e300, (-1e10, 1e10))
+    assert np.array_equal(k, np.where(u == 0.0, 1.0, 0.0))
 
 
 def test_kernel_profile_real_when_p4_zero():

@@ -30,8 +30,7 @@ from cvteleport import (
 )
 from cvteleport.signals import bundled_silhouette_path
 from cvteleport import channel
-from cvteleport.analysis import fidelity
-from cvteleport.channel import convolution_kernel, envelope
+from cvteleport.analysis import envelope_profile, fidelity, kernel_profile
 
 from conftest import (
     closed_form_teleport,
@@ -87,8 +86,8 @@ def test_ideal_channel_returns_its_input_object(unit_grid, rng):
 
 def test_convolution_kernel_anchor_values():
     # sigma_a = 1/5.4: oscillation wavenumber sqrt(2)*2.7, Gaussian width 2*sigma_a
-    u = np.linspace(-2, 2, 401)
-    k = convolution_kernel(1 / 5.4, 2.7, u)
+    u, k = kernel_profile(1 / 5.4, 2.7, (-2.0, 2.0), num=401)
+    assert np.array_equal(u, np.linspace(-2, 2, 401))
     expected = np.exp(1j * SQRT2 * 2.7 * u) * np.exp(-((u / (2 / 5.4)) ** 2))
     assert np.max(np.abs(k - expected)) < 1e-15
     assert SQRT2 * 2.7 == pytest.approx(3.818, abs=1e-3)
@@ -118,16 +117,17 @@ def test_multiplication_envelope_anchor():
 
 
 def test_envelope_helper_matches_formula():
-    xs = np.linspace(-5, 5, 101)
-    assert np.allclose(
-        envelope(2.0, 1.5, xs), np.exp(-(((xs - SQRT2 * 1.5) / 2.0) ** 2))
-    )
+    xs, e = envelope_profile(2.0, 1.5, (-5.0, 5.0), num=101)
+    assert np.array_equal(xs, np.linspace(-5, 5, 101))
+    assert np.allclose(e, np.exp(-(((xs - SQRT2 * 1.5) / 2.0) ** 2)))
 
 
 def test_envelope_of_a_tiny_width_is_exact_without_a_warning():
     # sigma_b = 1e-300 squares the ratio past float64's range: the exp of that
     # inf is the exact 0 wanted, with no overflow warning on the way
-    assert envelope(1e-300, 0.0, [0.0, 1.0, -2.0]).tolist() == [1.0, 0.0, 0.0]
+    xs, e = envelope_profile(1e-300, 0.0, (-2.0, 1.0), num=4)
+    assert xs.tolist() == [-2.0, -1.0, 0.0, 1.0]
+    assert e.tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_general_to_convolution_limit():
@@ -528,6 +528,12 @@ def test_zero_norm_on_envelope_annihilation():
     psi = gaussian_packet(g, 0.0, 1.0)
     with pytest.raises(ZeroNormError):
         teleport(psi, MultiplicationOnly(1.0), MeasurementOutcome(1e4, 0.0))
+    # sqrt(2)*x3 overflows to inf, or every Hankel tap underflows: the kernel
+    # came out NaN, and an image run, which applies no span rule, once ended
+    # there in "amplitudes must be finite"
+    for regime, x3 in ((MultiplicationOnly(8.0), 1.5e308), (General(1e300, 8.0), 1e300)):
+        with pytest.raises(ZeroNormError):
+            teleport(psi, regime, MeasurementOutcome(x3, 0.0))
 
 
 def test_zero_norm_when_the_right_factor_would_pass_one_over_eps():

@@ -722,7 +722,9 @@ def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
     # run reported fidelity 1.0 and then wrote a kernel profile whose phase
     # sqrt(2) p4 u overflowed to NaN; it now keeps the band edge alone, a
     # plane wave that fills the grid.  A Hankel p4 whose sqrt(2) p4
-    # overflows once gave NaN phases; the outcome is now void.
+    # overflows once gave NaN phases; the outcome is now void.  A fixed
+    # coordinate above 1.27e308 is finite, but sqrt(2) times it is not: the
+    # span rule and the outcome density once warned on their way to failing.
     out = tmp_path / "out"
     vanished = "ZeroNormError: outcome density vanished on the outcome grid"
     scenarios = [
@@ -736,6 +738,11 @@ def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
         ("hankel", "8.4", "1", "0", "1.7e308",
          "ZeroNormError: the teleportation kernel annihilated the state for this outcome",
          "8.4,1.0,0.0,1.7e+308"),
+        ("span", "ideal", "8", "1.5e308", "0",
+         "GridTooNarrowError: grid span 512 is below the required inf "
+         "(support 100.5, x3 1.5e+308, sigma_b 8.0)", "ideal,8.0,1.5e+308,0.0"),
+        ("huge_x3", "0.5", "8", "1.5e308", "sample", vanished, "0.5,8.0,1.5e+308,"),
+        ("huge_p4", "0.5", "8", "sample", "-1.5e308", vanished, "0.5,8.0,,-1.5e+308"),
     ]
     text = f"input = bundled:silhouette\ngrid = -256:256:1024\noutput_dir = {out}\n"
     for label, sigma_a, sigma_b, x3, p4, _, _ in scenarios:
@@ -757,6 +764,54 @@ def test_cli_far_fixed_outcomes_fail_by_name_without_a_warning(tmp_path):
         f"{label},{row},nan,nan" for label, *_, row in scenarios
     ]
     assert not (out / "huge_kernel.csv").exists()
+
+
+def test_cli_run_row_whose_kernel_phase_overflows_fails_by_name(tmp_path, caplog):
+    # At p4 = 1.5e308 the outcome teleports, but sqrt(2) p4 u overflows across
+    # the kernel profile's window, where its Gaussian is not 0: the profile
+    # once held NaN in all 1001 rows, with a RuntimeWarning.  The row now
+    # fails before any of its files is written, and the run goes on.
+    out = tmp_path / "out"
+    config = str(write_config(tmp_path, (
+        f"input = bundled:silhouette\ngrid = -256:256:1024\noutput_dir = {out}\n"
+        "\n[scenario]\nlabel = phase\nsigma_a = 0.5\nsigma_b = 8\nx3 = 0\np4 = 1.5e308\n"
+        "\n[scenario]\nlabel = kept\nsigma_a = 0.5\nsigma_b = 8\nx3 = 0\np4 = 1\n"
+    )))
+    failure = (
+        "scenario phase failed: PhaseOverflowError: the kernel phase sqrt(2)*p4*u "
+        "overflows float64 where its Gaussian is not 0 "
+        "(sigma_a 0.5, p4 1.5e+308, window -6.0:6.0)"
+    )
+    assert main(["run", config]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert errors == [failure]
+    report = (out / "report.csv").read_text().splitlines()
+    assert report[1] == "phase,0.5,8.0,0.0,1.5e+308,nan,nan"
+    assert report[2].startswith("kept,0.5,8.0,0.0,1.0,") and "nan" not in report[2]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "kept_envelope.csv", "kept_kernel.csv", "kept_teleported.txt",
+        "kept_teleported_p.txt", "report.csv",
+    ]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cvteleport.cli", "run", config],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr.splitlines()) == (2, [failure])
+
+
+def test_cli_kernel_whose_phase_overflows_fails_by_name(tmp_path):
+    # sigma_a = 1e9 keeps the Gaussian nonzero where sqrt(2) p4 u overflows:
+    # the profile once had 988 NaN rows of 1001 and two RuntimeWarnings
+    kcsv = tmp_path / "k.csv"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cvteleport.cli", "kernel", "--sigma-a", "1e9",
+         "--p4", "1e300", "--window", "-1e10:1e10", "-o", str(kcsv)],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: the kernel phase sqrt(2)*p4*u overflows float64")
+    assert len(done.stderr.splitlines()) == 1
+    assert not kcsv.exists()
 
 
 def test_cli_extreme_widths_fail_their_sampled_scenarios(tmp_path, caplog):
