@@ -11,7 +11,6 @@ from .channel import (
     build_outcome_distribution,
     regime_for,
     sample_outcome,
-    sample_outcomes,
     teleport,
     validate_span,
 )
@@ -51,7 +50,6 @@ from .config import RunConfig, parse_config, parse_grid
 from .images import ImageAsset, ImageTeleportResult, load_image, save_image, teleport_image
 from .runner import run
 from .signals import (
-    load_bundled_silhouette,
     load_signal,
     save_signal,
 )

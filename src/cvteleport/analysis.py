@@ -57,10 +57,10 @@ def kernel_profile(
     """(u, k(u)) at ``num`` points across ``window``, both arrays.
 
     k(u) = exp(i*sqrt(2)*p4*u) exp(-(u/(2 sigma_a))^2) is the complex
-    convolution kernel.  k is 0 where its Gaussian is, so the phase, whose
-    argument can overflow far out, is taken only where the Gaussian is not;
-    a phase that still overflows there has no value to write and raises
-    PhaseOverflowError.
+    convolution kernel.  k is 0 where its Gaussian is, and its phase is 0 at
+    u = 0, so the phase, whose argument can overflow far out, is taken only
+    at the other points; a phase that still overflows there has no value to
+    write and raises PhaseOverflowError.
     """
     _require_width("sigma_a", sigma_a)
     u = np.linspace(window[0], window[1], num)
@@ -68,7 +68,7 @@ def kernel_profile(
     # wanted; an overflowing phase is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         gaussian = np.exp(-((u / (2.0 * sigma_a)) ** 2))
-        phase = 1j * _SQRT2 * p4 * np.where(gaussian > 0.0, u, 0.0)
+        phase = np.where((gaussian > 0.0) & (u != 0.0), 1j * _SQRT2 * p4 * u, 0.0)
     if not np.isfinite(phase).all():
         raise PhaseOverflowError(
             f"the kernel phase sqrt(2)*p4*u overflows float64 where its Gaussian "

@@ -337,12 +337,14 @@ class OutcomeDistribution:
     def total(self) -> float:
         return float(self.density.sum() * (self.x3_step or 1.0) * (self.p4_step or 1.0))
 
-    def sample(self, rng: np.random.Generator, count: int):
-        """Draw (x3, p4) pairs: tabulated cells plus uniform in-cell jitter.
+    def sample(self, seed: int, count: int):
+        """Draw ``count`` (x3, p4) pairs; deterministic given the seed.
 
-        The cells take one uniform per draw, then each proper axis, x3 before
-        p4, one more; an improper coordinate comes back as exactly 0.0.
+        Each draw is a tabulated cell plus uniform in-cell jitter.  The cells
+        take one uniform per draw, then each proper axis, x3 before p4, one
+        more; an improper coordinate comes back as exactly 0.0.
         """
+        rng = np.random.default_rng(seed)
         cells = np.unravel_index(
             _sample_cells(self.density.ravel(), rng, count), self.density.shape
         )
@@ -617,22 +619,11 @@ def _centered_grid(mean: float, std: float, count: int):
     return lo + step * (np.arange(count) + 0.5), step
 
 
-def sample_outcomes(
-    psi: SampledWaveFunction, regime: KernelRegime, seed: int, count: int, x3=None, p4=None
-):
-    """Draw homodyne outcomes; deterministic given the seed.
-
-    Every draw reads the table of `build_outcome_distribution`: a fixed
-    coordinate is returned as its value and the other is drawn given it; an
-    improper coordinate that is not fixed is returned as exactly 0.0.
-    """
-    rng = np.random.default_rng(seed)
-    return build_outcome_distribution(psi, regime, x3, p4).sample(rng, count)
-
-
 def sample_outcome(
     psi: SampledWaveFunction, regime: KernelRegime, seed: int, x3=None, p4=None
 ) -> MeasurementOutcome:
-    """Single outcome draw (see :func:`sample_outcomes`)."""
-    x3, p4 = sample_outcomes(psi, regime, seed, 1, x3, p4)
+    """One outcome draw: a fixed coordinate is returned as its value and the
+    other is drawn given it, from the table of `build_outcome_distribution`.
+    """
+    x3, p4 = build_outcome_distribution(psi, regime, x3, p4).sample(seed, 1)
     return MeasurementOutcome(float(x3[0]), float(p4[0]))

@@ -160,10 +160,12 @@ def parse_config(path) -> RunConfig:
             grid = parse_grid(value, pstr, lineno)
         section[key] = (value, lineno)
 
-    if "input" not in globals_raw:
-        raise ParseError("missing required key 'input'", pstr)
-    if "output_dir" not in globals_raw:
-        raise ParseError("missing required key 'output_dir'", pstr)
+    for key in ("input", "output_dir"):
+        if key not in globals_raw:
+            raise ParseError(f"missing required key {key!r}", pstr)
+        # an empty value would name the current directory
+        if not globals_raw[key][0]:
+            raise ParseError(f"{key} must not be empty", pstr, globals_raw[key][1])
     output_dir, dir_line = globals_raw["output_dir"]
     # A comment has its own line: a '#' after a value would be part of it.
     if "#" in output_dir:

@@ -19,7 +19,7 @@ from .analysis import (
 from .channel import MeasurementOutcome
 from .config import DEFAULT_GRID, RunConfig, parse_grid
 from .errors import EmptyScenarioListError, ParseError, TeleportError
-from .grid import SampledWaveFunction, to_momentum
+from .grid import to_momentum
 from .images import ImageAsset, load_image, save_image, teleport_image
 from .signals import (
     atomic_write_text,
@@ -135,7 +135,10 @@ def run(config: RunConfig) -> int:
     else:
         state = load_signal(input_path, config.grid or parse_grid(DEFAULT_GRID))
         scenarios = [_seeded(s, config.seed, i) for i, s in enumerate(config.scenarios)]
-        rows, write = run_sweep(scenarios, _placements(input_path, state)), _write_signal
+        # a scenario on the run's grid shares its state; one on another grid
+        # places the file's samples there, for that scenario only
+        load = lambda grid: state if grid in (None, state.grid) else load_signal(input_path, grid)
+        rows, write = run_sweep(scenarios, load), _write_signal
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = []
@@ -150,15 +153,6 @@ def run(config: RunConfig) -> int:
         row.output = None
     write_report(out_dir / "report.csv", report)
     return EXIT_PARTIAL_FAILURE if any(row.failed for row in report) else EXIT_OK
-
-
-def _placements(path: Path, state: SampledWaveFunction):
-    """``load(grid)`` for `run_sweep`: the run's loaded ``state`` itself for
-    None or its own grid, else the file's samples placed once on ``grid``.
-
-    Nothing is kept per grid, so each placement lives for its scenario only.
-    """
-    return lambda grid: state if grid in (None, state.grid) else load_signal(path, grid)
 
 
 def _write_signal(out_dir: Path, row: ScenarioResult) -> None:

@@ -169,7 +169,3 @@ def save_signal(path, psi: SampledWaveFunction, representation: str = "x") -> No
 def bundled_silhouette_path() -> Path:
     """Filesystem path of the packaged silhouette signal."""
     return Path(resources.files("cvteleport").joinpath("assets", _ASSET_NAME))
-
-
-def load_bundled_silhouette(grid: GridSpec) -> SampledWaveFunction:
-    return load_signal(bundled_silhouette_path(), grid)

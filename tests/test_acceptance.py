@@ -21,21 +21,22 @@ from cvteleport import (
     MeasurementOutcome,
     MultiplicationOnly,
     Scenario,
+    build_outcome_distribution,
     envelope_profile,
     fidelity,
     gaussian_packet,
     kernel_profile,
-    load_bundled_silhouette,
+    load_signal,
     moments,
     regime_for,
     run_sweep,
-    sample_outcomes,
     teleport,
     teleport_image,
     to_momentum,
 )
 from cvteleport.channel import outcome_moments
 from cvteleport.cli import main
+from cvteleport.signals import bundled_silhouette_path
 
 from conftest import epr_from_beam_splitter, epr_state, oracle_teleport, random_state, rel_l2
 
@@ -79,14 +80,14 @@ def reference_scenarios():
 
 @pytest.fixture(scope="module")
 def silhouette():
-    return load_bundled_silhouette(G_DEFAULT)
+    return load_signal(bundled_silhouette_path(), G_DEFAULT)
 
 
 @pytest.fixture(scope="module")
 def scenario_rows(silhouette):
     # as `teleport run` does: a scenario grid gets the file placed on that grid
     def load(grid):
-        return silhouette if grid is None else load_bundled_silhouette(grid)
+        return silhouette if grid is None else load_signal(bundled_silhouette_path(), grid)
 
     return list(run_sweep(reference_scenarios(), load))
 
@@ -216,7 +217,7 @@ def test_criterion_06_kernel_and_envelope_anchors():
 def test_criterion_07_measurement_statistics(silhouette):
     start = time.perf_counter()
     n = 100_000
-    x3, p4 = sample_outcomes(silhouette, FIG_PARAMS, seed=606, count=n)
+    x3, p4 = build_outcome_distribution(silhouette, FIG_PARAMS).sample(seed=606, count=n)
     mx3, vx3, mp4, vp4 = outcome_moments(moments(silhouette), FIG_PARAMS)
     se_x3 = np.sqrt(vx3 / n)
     se_p4 = np.sqrt(vp4 / n)

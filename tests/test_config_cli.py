@@ -3,6 +3,7 @@ import io
 import logging
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -10,14 +11,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport import (
+    GridSpec,
     ParseError,
+    TeleportError,
     envelope_profile,
+    gaussian_packet,
     kernel_profile,
     parse_config,
     parse_grid,
+    save_signal,
 )
+from cvteleport import errors
 from cvteleport.analysis import fidelity
 from cvteleport.cli import main
 from cvteleport.config import MAX_GRID_POINTS
@@ -210,11 +218,15 @@ _ONE = SCENARIO.format(sa=1, x3=0, p4=0)
             2,
             "output_dir must not contain '#'",
         ),
+        # an empty value would be the current directory: the run once wrote
+        # its files there, and an empty input read it as a file
+        ("input =\noutput_dir = {out}\n" + _ONE, 1, "input must not be empty"),
+        ("input = bundled:silhouette\noutput_dir =  \n" + _ONE, 2, "output_dir must not be empty"),
     ],
     ids=[
         "unknown-section", "no-equals", "unknown-scenario-key", "no-output_dir",
         "scenario-missing-keys", "x3-not-a-number", "seed-not-an-integer",
-        "output_dir-comment",
+        "output_dir-comment", "empty-input", "empty-output_dir",
     ],
 )
 def test_parse_config_refusals_name_their_line_and_write_nothing(
@@ -880,6 +892,114 @@ def test_cli_extreme_single_widths_fail_by_name(
     assert f"scenario extreme failed: {error}: " in caplog.text
 
 
+#: Runs `teleport run` on each config path it is given, in turn, in one
+#: process: a "@@" line on stderr opens each config's log, and stdout gets
+#: its exit code, or None where an exception escaped `main`.
+_FUZZ_DRIVER = """
+import sys, traceback
+from cvteleport.cli import main
+for path in sys.argv[1:]:
+    print("@@ " + path, file=sys.stderr, flush=True)
+    try:
+        code = main(["run", path])
+    except Exception:
+        traceback.print_exc()
+        code = None
+    print(code, flush=True)
+"""
+
+#: A fuzz child's address space: above the 1 GiB outcome-density budget
+#: that a run may use, so only an allocation past it fails.
+_FUZZ_AS_BYTES = 2 << 30
+
+#: Each input with global grids that hold it; scenario grids are any of them.
+_FUZZ_INPUTS = {
+    "bundled:silhouette": ["-128:128:512", "-256:256:1024"],
+    "packet.txt": ["-16:16:64", "-32:32:128", "-64:64:256"],
+}
+_FUZZ_GRIDS = sorted({grid for grids in _FUZZ_INPUTS.values() for grid in grids})
+
+
+def _log_uniform(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+# Besides the extremes, widths near the grid step and coordinates near the
+# input, where a run does its full work.
+_fuzz_width = st.one_of(
+    st.just("ideal"), _log_uniform(-300.0, 300.0).map(repr), _log_uniform(-2.0, 2.0).map(repr)
+)
+_fuzz_coordinate = st.one_of(
+    st.just("sample"),
+    st.sampled_from([0.0, 1e300, -1e300]).map(repr),
+    st.floats(-20.0, 20.0).map(repr),
+    st.builds(lambda sign, size: repr(sign * size), st.sampled_from([-1.0, 1.0]),
+              _log_uniform(-3.0, 300.0)),
+)
+_fuzz_scenario = st.tuples(
+    _fuzz_width, _fuzz_width, _fuzz_coordinate, _fuzz_coordinate,
+    st.none() | st.sampled_from(_FUZZ_GRIDS),
+)
+_fuzz_config = st.sampled_from(sorted(_FUZZ_INPUTS)).flatmap(
+    lambda name: st.tuples(
+        st.just(name), st.sampled_from(_FUZZ_INPUTS[name]), st.integers(0, 2**32 - 1),
+        st.lists(_fuzz_scenario, min_size=1, max_size=3),
+    )
+)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_FUZZ_AS_BYTES, _FUZZ_AS_BYTES))
+
+
+@settings(max_examples=4)
+@given(configs=st.lists(_fuzz_config, min_size=10, max_size=10))
+def test_every_config_runs_or_fails_its_rows_by_name(tmp_path_factory, configs):
+    # Widths ideal or from 1e-300 to 1e300, coordinates fixed (+-1e300
+    # included) or sampled, small grids: each config runs, or fails some of
+    # its rows by a TeleportError's name, in a child under -W error whose
+    # address space is capped.  One child runs a batch of configs.
+    work = tmp_path_factory.mktemp("fuzz")
+    save_signal(work / "packet.txt", gaussian_packet(GridSpec(-8.0, 0.25, 64), 0.5, 1.0, 0.3))
+    paths, fixed = [], []
+    for index, (name, grid, seed, scenarios) in enumerate(configs):
+        source = name if name.startswith("bundled:") else work / name
+        text = f"input = {source}\ngrid = {grid}\noutput_dir = {work / f'out{index}'}\n"
+        text += f"seed = {seed}\n"
+        for label, (sigma_a, sigma_b, x3, p4, own_grid) in enumerate(scenarios):
+            text += (
+                f"\n[scenario]\nlabel = s{label}\nsigma_a = {sigma_a}\nsigma_b = {sigma_b}\n"
+                f"x3 = {x3}\np4 = {p4}\n" + (f"grid = {own_grid}\n" if own_grid else "")
+            )
+        paths.append(write_config(work, text, f"c{index}.cfg"))
+        fixed.append({f"s{label}": (x3, p4) for label, (_, _, x3, p4, _) in enumerate(scenarios)})
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _FUZZ_DRIVER, *map(str, paths)],
+        env={**child_env(), "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    logs = done.stderr.split("@@ ")[1:]
+    codes = done.stdout.split()
+    assert len(codes) == len(logs) == len(paths), done.stderr
+    names = {cls.__name__ for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, TeleportError)}
+    for index, (path, code, log) in enumerate(zip(paths, codes, logs)):
+        assert code in ("0", "2"), (path.read_text(), log)
+        assert "Traceback" not in log and "Warning" not in log, log
+        report = (work / f"out{index}" / "report.csv").read_text().splitlines()
+        assert report[0] == "label,sigma_a,sigma_b,x3,p4,fidelity,l2_distortion"
+        rows = {line.split(",")[0]: line.split(",") for line in report[1:]}
+        failed = dict(re.findall(r"^scenario (\S+) failed: (\w+): ", log, re.MULTILINE))
+        assert set(failed.values()) <= names, log
+        assert set(failed) == {label for label, row in rows.items() if row[5] == "nan"}, log
+        assert (code == "2") == bool(failed)
+        assert set(rows) == set(fixed[index])
+        for label, coordinates in fixed[index].items():
+            for field, value in zip(rows[label][3:5], coordinates):
+                assert value == "sample" or field == repr(float(value)), (label, rows[label])
+
+
 def test_cli_kernel_profile_is_zero_where_its_gaussian_underflows(tmp_path):
     # sqrt(2) p4 u overflows far out, where the Gaussian is already 0: the
     # phase there once gave 988 NaN rows of 1001 and a RuntimeWarning
@@ -930,6 +1050,15 @@ def test_cli_kernel_of_a_tiny_width_is_exact_without_a_warning(tmp_path):
     assert np.count_nonzero(u == 0.0) == 1
     assert np.array_equal(re, np.where(u == 0.0, 1.0, 0.0))
     assert not np.any(im)
+    # past p4 = 1.27e308 sqrt(2) p4 overflows, and its product with u = 0
+    # was NaN: the phase at u = 0 is 0, so the same profile is written, and
+    # a window without u = 0 is all zeros; both were PhaseOverflowErrors
+    for window, peak in [("-1:1", 1.0), ("-1:2", 0.0)]:
+        args = ["--sigma-a", "1e-300", "--p4", "1.5e308", "--window", window]
+        assert main(["kernel", *args, "-o", str(kcsv)]) == 0
+        u, re, im = np.loadtxt(kcsv, delimiter=",", skiprows=1, unpack=True)
+        assert np.array_equal(re, np.where(u == 0.0, peak, 0.0))
+        assert not np.any(im)
 
 
 def test_cli_info_prints_moments(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cvteleport import (
     GridSpec,
     IdealChannelOutcomeUnboundedError,
+    MeasurementOutcome,
     OutcomeTooLargeError,
     SampledWaveFunction,
     Scenario,
@@ -21,9 +22,10 @@ from cvteleport import (
     normalize,
     run_sweep,
     sample_outcome,
-    sample_outcomes,
+    teleport,
 )
 from cvteleport import channel
+from cvteleport.analysis import fidelity
 from cvteleport.channel import (
     _MARGINAL_CELLS,
     _SQRT2,
@@ -207,7 +209,8 @@ def test_x3_only_marginal_contracts_only_the_input_support():
     psi = load_signal(bundled_silhouette_path(), GridSpec(-1024.0, 0.5, 4096))
     params = regime_for(0.0, 8.4)
     with mock.patch.object(channel, "_sample_cells", wraps=_sample_cells) as spy:
-        (x3, _), logged = _logged_density(sample_outcomes, psi, params, 1, 1000)
+        table, logged = _logged_density(build_outcome_distribution, psi, params)
+        x3, _ = table.sample(1, 1000)
     assert logged[:5] == ("x3", 1, 201, 0, 1)
     density = spy.call_args.args[0]
     mean_x3, var_x3 = outcome_moments(moments(psi), params)[:2]
@@ -226,7 +229,7 @@ def test_x3_only_marginal_contracts_only_the_input_support():
 def _drawn_marginal(psi, params):
     """The outcome cells a single-coordinate draw samples and their density."""
     with mock.patch.object(channel, "_sample_cells", wraps=_sample_cells) as spy:
-        sample_outcomes(psi, params, seed=1, count=1)
+        build_outcome_distribution(psi, params).sample(seed=1, count=1)
     mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
     mean, var = (mean_p4, var_p4) if params.sigma_b == np.inf else (mean_x3, var_x3)
     return _centered_grid(mean, np.sqrt(var), _MARGINAL_CELLS)[0], spy.call_args.args[0]
@@ -393,7 +396,7 @@ def test_marginal_budget_error_names_what_the_draw_needs():
     # (343597 MB) plus one block of rows; the message names that whole size.
     psi = load_signal(bundled_silhouette_path(), GridSpec(-65536.0, 0.5, 262144))
     with pytest.raises(OutcomeTooLargeError, match=r"needs about 343598 MB, over the 1074"):
-        sample_outcomes(psi, regime_for(0.0, 1e-4), seed=1, count=1)
+        build_outcome_distribution(psi, regime_for(0.0, 1e-4)).sample(seed=1, count=1)
 
 
 def test_outcome_density_over_budget_fails_before_allocating():
@@ -408,15 +411,15 @@ def test_outcome_density_over_budget_fails_before_allocating():
     psi = load_signal(bundled_silhouette_path(), grid)
     for sigma_a, sigma_b in [(5.0, 5.0), (0.0, 5.0), (5.0, 5000.0)]:
         params = regime_for(sigma_a, sigma_b)
-        assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 60e6
+        assert _peak_bytes(lambda: build_outcome_distribution(psi, params).sample(1, 1)) < 60e6
     for sigma_a, sigma_b in [(0.0, 5000.0), (5.0, np.inf), (1e7, np.inf)]:
         params = regime_for(sigma_a, sigma_b)
-        assert _peak_bytes(sample_outcomes, psi, params, 1, 1) < 30e6
+        assert _peak_bytes(lambda: build_outcome_distribution(psi, params).sample(1, 1)) < 30e6
 
     def refuse_all():
         for params in [regime_for(1e-5, 1e-5), regime_for(0.0, 1e-4)]:
             with pytest.raises(OutcomeTooLargeError, match="budget"):
-                sample_outcomes(psi, params, seed=1, count=1)
+                build_outcome_distribution(psi, params).sample(seed=1, count=1)
 
     assert _peak_bytes(refuse_all) < 50e6
 
@@ -457,13 +460,13 @@ def test_build_distribution_tabulates_the_proper_coordinate_alone(packet):
     with pytest.raises(IdealChannelOutcomeUnboundedError):
         build_outcome_distribution(packet, ideal)
     with pytest.raises(IdealChannelOutcomeUnboundedError):
-        sample_outcomes(packet, ideal, seed=1, count=10)
+        build_outcome_distribution(packet, ideal).sample(seed=1, count=10)
 
 
 def test_sampling_statistics_match_analytics(packet):
     params = regime_for(0.7, 2.0)
     n = 100_000
-    x3, p4 = sample_outcomes(packet, params, seed=77, count=n)
+    x3, p4 = build_outcome_distribution(packet, params).sample(seed=77, count=n)
     mx3, vx3, mp4, vp4 = outcome_moments(moments(packet), params)
     assert x3.mean() == pytest.approx(mx3, abs=3 * np.sqrt(vx3 / n))
     assert p4.mean() == pytest.approx(mp4, abs=3 * np.sqrt(vp4 / n))
@@ -490,7 +493,7 @@ def test_sampled_means_match_the_outcome_moments(log_a, log_b, seed):
         regime_for(sigma_a, np.inf),
         regime_for(0.0, sigma_b),
     ]:
-        x3, p4 = sample_outcomes(psi, params, seed=seed, count=count)
+        x3, p4 = build_outcome_distribution(psi, params).sample(seed=seed, count=count)
         mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), params)
         if not params.sigma_b == np.inf:
             assert abs(x3.mean() - mean_x3) <= 5.0 * np.sqrt(var_x3 / count), params
@@ -500,17 +503,17 @@ def test_sampled_means_match_the_outcome_moments(log_a, log_b, seed):
 
 def test_sampling_is_deterministic(packet):
     params = regime_for(0.7, 2.0)
-    a = sample_outcomes(packet, params, seed=5, count=1000)
-    b = sample_outcomes(packet, params, seed=5, count=1000)
+    a = build_outcome_distribution(packet, params).sample(seed=5, count=1000)
+    b = build_outcome_distribution(packet, params).sample(seed=5, count=1000)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    single = sample_outcomes(packet, params, seed=5, count=1)
+    single = build_outcome_distribution(packet, params).sample(seed=5, count=1)
     one = sample_outcome(packet, params, seed=5)
     assert one.x3 == single[0][0] and one.p4 == single[1][0]
 
 
 def test_sampling_with_ideal_wide_pins_x3(packet):
     params = regime_for(0.5, np.inf)
-    x3, p4 = sample_outcomes(packet, params, seed=3, count=20_000)
+    x3, p4 = build_outcome_distribution(packet, params).sample(seed=3, count=20_000)
     assert np.all(x3 == 0.0)
     m = moments(packet)
     vp4 = m.std_p**2 / 2 + 1 / (8 * 0.5**2)
@@ -519,7 +522,7 @@ def test_sampling_with_ideal_wide_pins_x3(packet):
 
 def test_sampling_with_ideal_narrow_pins_p4(packet):
     params = regime_for(0.0, 3.0)
-    x3, p4 = sample_outcomes(packet, params, seed=3, count=20_000)
+    x3, p4 = build_outcome_distribution(packet, params).sample(seed=3, count=20_000)
     assert np.all(p4 == 0.0)
     m = moments(packet)
     vx3 = m.std_x**2 / 2 + 3.0**2 / 8
@@ -549,7 +552,7 @@ def test_fixed_x3_draws_p4_from_its_conditional_density(spread):
     want = np.exp(-((dist.p4_values - mean) ** 2) / (2.0 * (var_p4 - c**2 / var_x3)))
     row, want = dist.density[0] / dist.density.sum(), want / want.sum()
     assert np.max(np.abs(row - want)) <= 5e-15 * want.max()
-    x3_drawn, _ = sample_outcomes(psi, params, seed=2, count=3, x3=x3)
+    x3_drawn, _ = build_outcome_distribution(psi, params, x3=x3).sample(seed=2, count=3)
     assert x3_drawn.tolist() == [x3] * 3
 
 
@@ -580,41 +583,70 @@ def test_non_finite_fixed_coordinate_is_refused(axis, value):
 def test_fixed_improper_coordinate_is_kept_whatever_its_size():
     # the density ignores an improper coordinate, so even 1e300 draws
     psi, _ = _chirped_packet()
-    x3, p4 = sample_outcomes(psi, regime_for(0.185, np.inf), 1, 3, x3=1e300)
+    x3, p4 = build_outcome_distribution(psi, regime_for(0.185, np.inf), x3=1e300).sample(1, 3)
     assert x3.tolist() == [1e300] * 3 and np.all(np.isfinite(p4))
-    x3, p4 = sample_outcomes(psi, regime_for(0.0, 8.4), 1, 3, p4=-1e300)
+    x3, p4 = build_outcome_distribution(psi, regime_for(0.0, 8.4), p4=-1e300).sample(1, 3)
     assert p4.tolist() == [-1e300] * 3 and np.all(np.isfinite(x3))
 
 
 def test_doubly_ideal_channel_not_samplable(packet):
     with pytest.raises(IdealChannelOutcomeUnboundedError):
-        sample_outcomes(packet, regime_for(0.0, np.inf), seed=1, count=10)
+        build_outcome_distribution(packet, regime_for(0.0, np.inf)).sample(seed=1, count=10)
 
 
 def test_probable_band_coverage_strong_squeezing(packet):
     # |p4| <= 1/sigma_a captures at least 95% of the mass
     sigma_a = 1 / 180.0
-    x3, p4 = sample_outcomes(packet, regime_for(sigma_a, np.inf), 11, 50_000)
+    x3, p4 = build_outcome_distribution(packet, regime_for(sigma_a, np.inf)).sample(11, 50_000)
     assert np.mean(np.abs(p4) <= 1.0 / sigma_a) >= 0.95
 
 
 def test_seeded_draws_are_frozen(packet):
     # Values recorded before the outcome-density code was refactored; any
     # change to the tabulated density or to the sampler shows up here.
-    x3, p4 = sample_outcomes(packet, regime_for(0.4, 2.5), seed=7, count=4)
+    x3, p4 = build_outcome_distribution(packet, regime_for(0.4, 2.5)).sample(seed=7, count=4)
     assert x3.tolist() == [
         0.8912376438701297, 1.8761711822860867, 1.3079869089671898, -0.1849225255761894
     ]
     assert p4.tolist() == [
         -0.41664545246061274, 0.2857098466231387, 0.6129343667250595, -0.44147508724690776
     ]
-    x3, p4 = sample_outcomes(packet, regime_for(0.4, np.inf), seed=7, count=4)
+    x3, p4 = build_outcome_distribution(packet, regime_for(0.4, np.inf)).sample(seed=7, count=4)
     assert x3.tolist() == [0.0, 0.0, 0.0, 0.0]
     assert p4.tolist() == [
         0.31862280021841344, 1.288435478396001, 0.7668925648324717, -0.7570665159352675
     ]
-    x3, p4 = sample_outcomes(packet, regime_for(0.0, 2.5), seed=7, count=4)
+    x3, p4 = build_outcome_distribution(packet, regime_for(0.0, 2.5)).sample(seed=7, count=4)
     assert x3.tolist() == [
         0.8843082251676513, 1.8541209033452388, 1.3325779897817096, -0.19138109098602973
     ]
     assert p4.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "width, sigma_a, sigma_b",
+    [(1.0, 1.0, 1.0), (1.4, 0.5, 2.0), (0.7, 1.0, 3.0), (1.4, 2.0, 0.8)],
+    ids=["coherent-classical-bound", "squeezed-(0.5,2)", "squeezed-(1,3)", "hankel-(2,0.8)"],
+)
+def test_outcome_averaged_fidelity_matches_the_gaussian_channel(width, sigma_a, sigma_b):
+    # Averaged over the outcomes, teleportation adds Gaussian noise of
+    # variance sigma_a^2 in x and 1/sigma_b^2 in p, so a Gaussian input of
+    # covariance V keeps 1/sqrt(det(2V + diag(sigma_a^2, 1/sigma_b^2))) of
+    # its fidelity on average: 1/2 for a coherent input at unit widths, the
+    # classical bound (Braunstein, Fuchs & Kimble, J. Mod. Opt. 47, 267).
+    # The density weighs each outcome's teleported state on a 41 x 41
+    # lattice over +-7 analytic std; measured: at most 9e-13 off.
+    psi = gaussian_packet(GridSpec.from_bounds(-20.0, 20.0, 128), 0.5, width, -0.3)
+    regime = regime_for(sigma_a, sigma_b)
+    mean_x3, var_x3, mean_p4, var_p4 = outcome_moments(moments(psi), regime)
+    x3 = mean_x3 + 7.0 * np.sqrt(var_x3) * np.linspace(-1.0, 1.0, 41)
+    p4 = mean_p4 + 7.0 * np.sqrt(var_p4) * np.linspace(-1.0, 1.0, 41)
+    density = _outcome_density(psi, sigma_a, sigma_b, x3, p4)
+    kept = [
+        [fidelity(psi, teleport(psi, regime, MeasurementOutcome(a, b))) for b in p4]
+        for a in x3
+    ]
+    covariance = np.diag([width**2 / 2.0, 1.0 / (2.0 * width**2)])
+    noise = np.diag([sigma_a**2, 1.0 / sigma_b**2])
+    expected = 1.0 / np.sqrt(np.linalg.det(2.0 * covariance + noise))
+    assert np.sum(density * kept) / np.sum(density) == pytest.approx(expected, abs=1e-10)

@@ -23,7 +23,6 @@ from cvteleport.signals import (
     _BLOCK_VALUES,
     atomic_write_text,
     bundled_silhouette_path,
-    load_bundled_silhouette,
     parse_signal_text,
     write_table,
 )
@@ -152,7 +151,7 @@ SILHOUETTE_STD_P = 0.16035962697428308
 
 def test_bundled_silhouette_frozen_moments():
     g = GridSpec(-256.0, 0.5, 1024)
-    m = moments(load_bundled_silhouette(g))
+    m = moments(load_signal(bundled_silhouette_path(), g))
     assert m.mean_x == pytest.approx(SILHOUETTE_MEAN_X, abs=1e-9)
     assert m.std_x == pytest.approx(SILHOUETTE_STD_X, abs=1e-9)
     assert m.support_length == pytest.approx(SILHOUETTE_SUPPORT, abs=1e-12)
@@ -162,7 +161,7 @@ def test_bundled_silhouette_frozen_moments():
 
 def test_bundled_silhouette_moments_against_direct_quadrature():
     g = GridSpec(-256.0, 0.5, 1024)
-    psi = load_bundled_silhouette(g)
+    psi = load_signal(bundled_silhouette_path(), g)
     xs = g.points
     rho = np.abs(psi.amplitudes) ** 2 * g.dx
     mean_x = float(np.sum(xs * rho))
